@@ -72,13 +72,7 @@ from .models import (
 )
 from .riccati import LinearDesign, bass_initial_gain, solve_ari
 from .scenario import RunSetup, Scenario, parse_scenario, parse_scenario_text, realize
-from .simulate import (
-    NetworkState,
-    Trajectory,
-    perturbed_initial_conditions,
-    rk4_step,
-    simulate,
-)
+from .simulate import Trajectory, perturbed_initial_conditions, simulate
 
 __version__ = "0.1.0"
 
@@ -97,7 +91,6 @@ __all__ = [
     "LinearDesign",
     "LinearFeedback",
     "MetricCertificate",
-    "NetworkState",
     "NoConvergenceError",
     "NonSymmetricError",
     "NotPositiveDefiniteError",
@@ -137,7 +130,6 @@ __all__ = [
     "random_connected_graph",
     "read_graph_file",
     "realize",
-    "rk4_step",
     "simulate",
     "solve_ari",
     "solve_linear",

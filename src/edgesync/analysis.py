@@ -65,6 +65,22 @@ def _validated_metric(p):
     return p
 
 
+def _edge_terms(xs, edges, p):
+    """Weighted total and per-edge e^T P e, with e = x_l - x_k.
+
+    The total accumulates in canonical edge order, so every caller gets
+    the same bits.
+    """
+    per_edge = []
+    total = 0.0
+    for k, l, w in edges:
+        e = xs[l - 1] - xs[k - 1]
+        quad = float(e @ p @ e)
+        per_edge.append(quad)
+        total += w * quad
+    return total, per_edge
+
+
 def edge_energy(states, g, p):
     """Metric-weighted disagreement energy over the edge set.
 
@@ -73,17 +89,11 @@ def edge_energy(states, g, p):
     quadratically.
     """
     xs = _as_state_stack(states)
-    p = _validated_metric(p)
-    per_edge = np.zeros(g.q)
-    total = 0.0
-    for j, (k, l, w) in enumerate(g.edges):
-        e = xs[l - 1] - xs[k - 1]
-        per_edge[j] = float(e @ p @ e)
-        total += w * per_edge[j]
+    total, per_edge = _edge_terms(xs, g.edges, _validated_metric(p))
     return SyncMetrics(
         sync_error=sync_error(xs),
         edge_energy=total,
-        per_edge=per_edge,
+        per_edge=np.array(per_edge, dtype=float),
     )
 
 
@@ -92,11 +102,7 @@ def make_monitors(g, p):
     p = _validated_metric(p)
 
     def v_channel(xs):
-        total = 0.0
-        for k, l, w in g.edges:
-            e = xs[l - 1] - xs[k - 1]
-            total += w * float(e @ p @ e)
-        return total
+        return _edge_terms(xs, g.edges, p)[0]
 
     return {"V": v_channel, "sync_error": sync_error}
 

@@ -22,10 +22,9 @@ import sys
 import numpy as np
 
 from . import analysis
-from .controller import coupling_inputs, critical_gain, make_controller
 from .errors import EdgeSyncError, ParseError
 from .metric import verify_ari_sampled, verify_killing_integrability
-from .scenario import parse_scenario, realize
+from .scenario import check_integration, parse_scenario, realize
 from .simulate import simulate
 
 ENV_OUT_DIR = "EDGESYNC_OUT_DIR"
@@ -212,28 +211,21 @@ def _apply_overrides(sc, args):
             raise ParseError(
                 "--seed cannot override explicit initial states", sc.path)
         sc.init_seed = args.seed
+    check_integration(sc)
 
 
-def _run_one(setup, out_dir, rho):
-    """Simulate one configured run and write its artifacts."""
-    monitors = analysis.make_monitors(setup.graph, setup.certificate.p)
+def _simulate_one(setup, beta, monitors, out_dir, metadata):
+    """Simulate at one gain, analyse V and write trajectory.csv."""
     traj = simulate(
-        setup.graph, setup.model, setup.controller.beta, setup.x0,
+        setup.graph, setup.model, beta, setup.x0,
         setup.t_end, setup.h, setup.record_interval, monitors=monitors,
-        metadata={"seed": setup.seed, "scenario": setup.name},
+        metadata={"seed": setup.seed, "scenario": setup.name, **metadata},
     )
     fit = analysis.fit_decay_rate(traj, "V", (0.1 * setup.t_end, setup.t_end))
     uptick = analysis.check_monotone(traj, "V")
-    sync = traj.channel("sync_error")
-    diag, warnings = certificate_checks(setup)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"),
                   trajectory_csv(traj, setup.graph.n, setup.model.state_dim))
-    _atomic_write(os.path.join(out_dir, "report.txt"),
-                  report_text(setup, diag, warnings, fit, uptick,
-                              sync[0], sync[-1]))
-    _atomic_write(os.path.join(out_dir, "graph_check.txt"),
-                  graph_check_text(setup, rho))
-    return traj, fit, uptick, sync
+    return fit, uptick, traj.channel("sync_error")
 
 
 def cmd_run(args):
@@ -241,7 +233,15 @@ def cmd_run(args):
     _apply_overrides(sc, args)
     setup = realize(sc, require_connected=True)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
-    traj, fit, uptick, sync = _run_one(setup, out_dir, sc.rho)
+    monitors = analysis.make_monitors(setup.graph, setup.certificate.p)
+    fit, uptick, sync = _simulate_one(
+        setup, setup.controller.beta, monitors, out_dir, {})
+    diag, warnings = certificate_checks(setup)
+    _atomic_write(os.path.join(out_dir, "report.txt"),
+                  report_text(setup, diag, warnings, fit, uptick,
+                              sync[0], sync[-1]))
+    _atomic_write(os.path.join(out_dir, "graph_check.txt"),
+                  graph_check_text(setup, sc.rho))
     ratio = sync[-1] / sync[0] if sync[0] > 0 else 0.0
     print(f"run {setup.name}: beta={setup.controller.beta:.6g} "
           f"beta_star={setup.controller.beta_star:.6g}")
@@ -282,20 +282,8 @@ def cmd_sweep(args):
         run_dir = os.path.join(out_dir, f"run_m{mult:g}")
         os.makedirs(run_dir, exist_ok=True)
         try:
-            traj = simulate(
-                setup.graph, setup.model, beta, setup.x0,
-                setup.t_end, setup.h, setup.record_interval,
-                monitors=monitors,
-                metadata={"seed": setup.seed, "scenario": setup.name,
-                          "multiplier": mult},
-            )
-            fit = analysis.fit_decay_rate(
-                traj, "V", (0.1 * setup.t_end, setup.t_end))
-            uptick = analysis.check_monotone(traj, "V")
-            sync = traj.channel("sync_error")
-            _atomic_write(os.path.join(run_dir, "trajectory.csv"),
-                          trajectory_csv(traj, setup.graph.n,
-                                         setup.model.state_dim))
+            fit, uptick, sync = _simulate_one(
+                setup, beta, monitors, run_dir, {"multiplier": mult})
             rows.append(f"{mult:g},{_fmt(fit.rate)},{_fmt(uptick)},"
                         f"{_fmt(sync[-1])},ok")
             print(f"sweep m={mult:g}: rate={fit.rate:.6g} "

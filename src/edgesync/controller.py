@@ -29,8 +29,6 @@ class ControllerConfig:
 
     beta: float
     beta_star: float
-    graph: object
-    model: object
     below_critical: bool = False
 
 
@@ -103,7 +101,7 @@ def coupling_inputs(states, g, model, beta):
     return accumulate_coupling(alphas, init, term, weights, beta)
 
 
-def make_controller(g, m, lift, model, rho, beta=None, beta_multiplier=None):
+def make_controller(m, lift, rho, beta=None, beta_multiplier=None):
     """Resolve an absolute or multiplier-specified gain against beta_star."""
     if (beta is None) == (beta_multiplier is None):
         raise ValueError("exactly one of beta and beta_multiplier must be given")
@@ -113,7 +111,5 @@ def make_controller(g, m, lift, model, rho, beta=None, beta_multiplier=None):
     return ControllerConfig(
         beta=float(beta),
         beta_star=float(beta_star),
-        graph=g,
-        model=model,
         below_critical=bool(beta < beta_star),
     )

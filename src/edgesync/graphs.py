@@ -222,8 +222,9 @@ def parse_graph_text(text, path="<string>"):
             raise ParseError(f"bad edge line {line!r}", path, lineno)
         if not 1 <= k < l <= n:
             raise ParseError(f"edge ({k},{l}) violates 1 <= k < l <= {n}", path, lineno)
-        if w <= 0:
-            raise ParseError(f"edge weight must be positive, got {w}", path, lineno)
+        if w <= 0 or not np.isfinite(w):
+            raise ParseError(f"edge weight must be positive and finite, got {w}",
+                             path, lineno)
         if prev is not None and (k, l) <= prev:
             raise ParseError("edges out of canonical order or duplicated", path, lineno)
         prev = (k, l)
@@ -234,5 +235,9 @@ def parse_graph_text(text, path="<string>"):
 
 
 def read_graph_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read(), path=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read graph file: {exc}", str(path))
+    return parse_graph_text(text, path=str(path))

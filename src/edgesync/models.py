@@ -5,9 +5,6 @@ single scalar input channel. Built-in models: a linear pair, a
 saturating-perturbation model whose certificate conditions hold exactly
 (constant g, linear alpha, bounded Jacobian perturbation), and the
 three-state convective loop with a state-dependent input field.
-
-Single-state evaluators are defined through the batched ones so both
-paths produce identical floating-point results.
 """
 
 from dataclasses import dataclass, field
@@ -22,23 +19,31 @@ from .riccati import solve_ari
 class AgentModel:
     """Evaluator bundle for one agent's dynamics.
 
-    f, g, alpha, jac_f, jac_g act on a single state vector; f_all,
-    g_all, alpha_all act on an (N, n) stack of states, one row per
-    agent. The input is scalar (input_dim is fixed at 1).
+    f_all, g_all, alpha_all act on an (N, n) stack of states, one row
+    per agent; jac_f, jac_g act on a single state vector. The
+    single-state f, g and alpha evaluate the batched callables on a
+    one-row stack, so both paths give identical floating-point results.
+    The input is scalar.
     """
 
     name: str
     state_dim: int
     params: dict
-    f: callable
-    g: callable
-    alpha: callable
     jac_f: callable
     jac_g: callable
     f_all: callable
     g_all: callable
     alpha_all: callable
-    input_dim: int = 1
+    input_dim = 1
+
+    def f(self, x):
+        return self.f_all(np.asarray(x, dtype=float)[None, :])[0]
+
+    def g(self, x):
+        return self.g_all(np.asarray(x, dtype=float)[None, :])[0]
+
+    def alpha(self, x):
+        return float(self.alpha_all(np.asarray(x, dtype=float)[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -76,32 +81,6 @@ def _as_input_column(b, n):
     return b
 
 
-def _model_from_batched(name, state_dim, params, f_all, g_all, alpha_all,
-                        jac_f, jac_g):
-    def f(x):
-        return f_all(np.asarray(x, dtype=float)[None, :])[0]
-
-    def g(x):
-        return g_all(np.asarray(x, dtype=float)[None, :])[0]
-
-    def alpha(x):
-        return float(alpha_all(np.asarray(x, dtype=float)[None, :])[0])
-
-    return AgentModel(
-        name=name,
-        state_dim=state_dim,
-        params=params,
-        f=f,
-        g=g,
-        alpha=alpha,
-        jac_f=jac_f,
-        jac_g=jac_g,
-        f_all=f_all,
-        g_all=g_all,
-        alpha_all=alpha_all,
-    )
-
-
 def linear_model(a, b, k):
     """Linear agent: f(x) = A x, constant g = B, alpha(x) = K x."""
     a = np.asarray(a, dtype=float)
@@ -121,11 +100,15 @@ def linear_model(a, b, k):
     def alpha_all(xs):
         return xs @ kv
 
-    return _model_from_batched(
-        "linear", n, {"a": a, "b": bv, "k": kv},
-        f_all, g_all, alpha_all,
+    return AgentModel(
+        name="linear",
+        state_dim=n,
+        params={"a": a, "b": bv, "k": kv},
         jac_f=lambda x: a,
         jac_g=lambda x: zero,
+        f_all=f_all,
+        g_all=g_all,
+        alpha_all=alpha_all,
     )
 
 
@@ -161,11 +144,15 @@ def tanh_perturbed_model(a, b, gamma, k):
         sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
         return a + gamma * np.diag(sech2)
 
-    return _model_from_batched(
-        "tanh_perturbed", n, {"a": a, "b": bv, "k": kv, "gamma": gamma},
-        f_all, g_all, alpha_all,
+    return AgentModel(
+        name="tanh_perturbed",
+        state_dim=n,
+        params={"a": a, "b": bv, "k": kv, "gamma": gamma},
         jac_f=jac_f,
         jac_g=lambda x: zero,
+        f_all=f_all,
+        g_all=g_all,
+        alpha_all=alpha_all,
     )
 
 
@@ -197,9 +184,9 @@ def lorenz_model(a=10.0, b=8.0 / 3.0, c=28.0, alpha=None, rho=10.0, mu=0.5):
 
     Defaults follow the source experiment's parameter listing verbatim;
     note the chaotic regime for this drift layout is b=28, c=8/3, which
-    the shipped network scenario selects explicitly. When alpha is
-    omitted a linearization-based feedback with weighting rho and rate
-    mu is constructed.
+    the shipped network scenario selects explicitly. alpha is a
+    LinearFeedback; when omitted a linearization-based feedback with
+    weighting rho and rate mu is constructed.
     """
     a, b, c = float(a), float(b), float(c)
     if alpha is None:
@@ -217,14 +204,10 @@ def lorenz_model(a=10.0, b=8.0 / 3.0, c=28.0, alpha=None, rho=10.0, mu=0.5):
             np.zeros(n_rows),
         ))
 
-    if isinstance(alpha, LinearFeedback):
-        gain = alpha.gain
+    gain = alpha.gain
 
-        def alpha_all(xs):
-            return xs @ gain
-    else:
-        def alpha_all(xs):
-            return np.array([float(alpha(x)) for x in xs])
+    def alpha_all(xs):
+        return xs @ gain
 
     def jac_f(x):
         x1, x2, x3 = x
@@ -239,19 +222,10 @@ def lorenz_model(a=10.0, b=8.0 / 3.0, c=28.0, alpha=None, rho=10.0, mu=0.5):
         out[1, 0] = np.cos(x[0])
         return out
 
-    def f(x):
-        return f_all(np.asarray(x, dtype=float)[None, :])[0]
-
-    def g(x):
-        return g_all(np.asarray(x, dtype=float)[None, :])[0]
-
     return AgentModel(
         name="lorenz",
         state_dim=3,
         params={"a": a, "b": b, "c": c},
-        f=f,
-        g=g,
-        alpha=alpha,
         jac_f=jac_f,
         jac_g=jac_g,
         f_all=f_all,

@@ -34,6 +34,7 @@ Example::
     record_interval 0.05
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -52,13 +53,14 @@ from .graphs import (
 from .metric import MetricCertificate
 from .models import (
     LinearFeedback,
+    convective_linearization,
     default_lorenz_alpha,
     linear_model,
     lorenz_model,
     tanh_perturbed_model,
 )
 from .riccati import solve_ari
-from .simulate import perturbed_initial_conditions
+from .simulate import perturbed_initial_conditions, steps_per_record
 
 SECTIONS = (
     "graph", "model", "certificate", "controller", "initial",
@@ -119,9 +121,12 @@ class RunSetup:
 
 def _parse_float(tok, path, lineno):
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise ParseError(f"expected a number, got {tok!r}", path, lineno)
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {tok!r}", path, lineno)
+    return value
 
 
 def _parse_int(tok, path, lineno):
@@ -173,8 +178,11 @@ def _tokenize(text, path):
 
 def parse_scenario(path):
     """Parse a scenario file into a Scenario, raising line-numbered errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read scenario: {exc}", str(path))
     return parse_scenario_text(text, path=str(path))
 
 
@@ -189,6 +197,8 @@ def parse_scenario_text(text, path="<string>"):
         if key is None:
             seen_sections.add(section)
             continue
+        if not tokens:
+            raise ParseError(f"key {key!r} needs a value", path, lineno)
         if section == "graph":
             if key == "file":
                 if len(tokens) != 1:
@@ -315,6 +325,19 @@ def parse_scenario_text(text, path="<string>"):
     return sc
 
 
+def check_integration(sc):
+    """Reject step settings simulate would refuse, as a ParseError.
+
+    Called once the command line overrides are applied, so an --h that
+    divides record_interval can stand in for one in the file that does
+    not.
+    """
+    try:
+        steps_per_record(sc.h, sc.t_end, sc.record_interval)
+    except ValueError as exc:
+        raise ParseError(f"integration: {exc}", sc.path)
+
+
 def _build_model_and_certificate(sc):
     """Resolve the model, its feedback gain and the metric certificate."""
     approximate = False
@@ -324,7 +347,7 @@ def _build_model_and_certificate(sc):
         c = sc.model_scalars.get("c", 28.0)
         if sc.p_matrix is not None:
             cert = MetricCertificate.from_matrix(sc.p_matrix, sc.rho, sc.mu)
-            gain = np.array([1.0, 2.0, 0.0]) @ cert.p
+            gain = convective_linearization(a, b, c)[1] @ cert.p
             alpha = LinearFeedback(gain=gain)
         else:
             alpha = default_lorenz_alpha(sc.rho, sc.mu, a, b, c)
@@ -393,8 +416,7 @@ def realize(sc, require_connected=True):
         seed = sc.init_seed
 
     controller = make_controller(
-        graph, matrices, lift, model, sc.rho,
-        beta=sc.beta, beta_multiplier=sc.beta_multiplier)
+        matrices, lift, sc.rho, beta=sc.beta, beta_multiplier=sc.beta_multiplier)
 
     return RunSetup(
         name=sc.name,

@@ -18,14 +18,6 @@ DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class NetworkState:
-    """Stacked network state at one instant, agent-major layout."""
-
-    t: float
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled run record.
 
@@ -78,36 +70,15 @@ def _check_finite(x, t):
         raise DivergedError(f"state left the finite envelope at t = {t:.6g}", time=t)
 
 
-def rk4_step(state, h, g, model, beta):
-    """One Runge-Kutta step of the closed-loop network.
+def steps_per_record(h, t_end, record_interval):
+    """Validate the step settings and return the RK4 steps per record.
 
-    The coupling inputs are recomputed at each of the four stages.
-    Raises DivergedError when any component of the result exceeds 1e12
-    in magnitude or is non-finite.
+    Raises ValueError unless all three are finite, t_end > 0,
+    0 < h <= record_interval and record_interval is a whole multiple
+    of h.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    expected = g.n * model.state_dim
-    if state.x.shape != (expected,):
-        raise DimensionMismatchError(
-            f"state has shape {state.x.shape}, expected ({expected},)"
-        )
-    vector_field = _make_field(g, model, beta)
-    x_next = _rk4_update(state.x, h, vector_field)
-    t_next = state.t + h
-    _check_finite(x_next, t_next)
-    return NetworkState(t=t_next, x=x_next)
-
-
-def simulate(g, model, beta, x0, t_end, h, record_interval, monitors=None,
-             metadata=None):
-    """Integrate the network and record at a uniform interval.
-
-    monitors maps channel names to callables taking the (N, n) state
-    stack and returning a scalar. record_interval must be a whole
-    multiple of h. Deterministic: identical inputs give bitwise
-    identical trajectories.
-    """
+    if not np.all(np.isfinite([h, t_end, record_interval])):
+        raise ValueError("h, t_end and record_interval must be finite")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if h <= 0.0 or h > record_interval:
@@ -115,7 +86,19 @@ def simulate(g, model, beta, x0, t_end, h, record_interval, monitors=None,
     per_record = record_interval / h
     if abs(per_record - round(per_record)) > 1e-9:
         raise ValueError("record_interval must be a whole multiple of h")
-    per_record = int(round(per_record))
+    return int(round(per_record))
+
+
+def simulate(g, model, beta, x0, t_end, h, record_interval, monitors=None,
+             metadata=None):
+    """Integrate the network and record at a uniform interval.
+
+    monitors maps channel names to callables taking the (N, n) state
+    stack and returning a scalar. The step settings must pass
+    steps_per_record. Deterministic: identical inputs give bitwise
+    identical trajectories.
+    """
+    per_record = steps_per_record(h, t_end, record_interval)
     n_agents, n = g.n, model.state_dim
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     if x.shape[0] != n_agents * n:

@@ -57,8 +57,7 @@ def ball_samples(n, count, radius, seed):
 def network_checks(g, model, cert, multiplier, x0):
     m = es.build_matrices(g)
     lift = es.build_edge_lift(m)
-    ctrl = es.make_controller(g, m, lift, model, cert.rho,
-                              beta_multiplier=multiplier)
+    ctrl = es.make_controller(m, lift, cert.rho, beta_multiplier=multiplier)
     mon = es.make_monitors(g, cert.p)
     traj = es.simulate(g, model, ctrl.beta, x0, T_END, H, RECORD, monitors=mon)
     fit = es.fit_decay_rate(traj, "V", FIT_WINDOW)

@@ -218,3 +218,107 @@ class TestSweepVerb:
         assert main(["sweep", LINEAR_C3, "--out-dir", out]) == 0
         lines = open(os.path.join(out, "sweep_summary.csv")).read().splitlines()
         assert len(lines) == 1
+
+    def test_unit_multiplier_matches_run(self, tmp_path):
+        run_out = tmp_path / "run"
+        sweep_out = tmp_path / "sweep"
+        assert main(["run", LINEAR_C3, "--out-dir", str(run_out)]) == 0
+        assert main(["sweep", LINEAR_C3, "--out-dir", str(sweep_out),
+                     "--multipliers", "1"]) == 0
+        ran = (run_out / "trajectory.csv").read_bytes()
+        swept = (sweep_out / "run_m1" / "trajectory.csv").read_bytes()
+        assert swept == ran
+
+
+# every key the scenario parser accepts, by section
+SCENARIO_KEYS = {
+    "graph": ("file", "nodes", "edge"),
+    "model": ("kind", "a", "b", "c", "gamma"),
+    "certificate": ("rho", "mu", "p"),
+    "controller": ("beta", "beta_multiplier"),
+    "initial": ("base", "radius", "seed", "state"),
+    "integration": ("h", "t_end", "record_interval"),
+    "output": ("dir",),
+}
+
+C3_INLINE_GRAPH = "nodes 3\nedge 1 2 1.0\nedge 1 3 1.0\nedge 2 3 1.0\n"
+
+
+def c3_text():
+    with open(LINEAR_C3, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def expect_parse_error(capsys, argv):
+    """main() exits 2 with one 'error:' line on stderr; returns the line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, keys in SCENARIO_KEYS.items() for key in keys
+    ])
+    def test_key_without_value(self, tmp_path, capsys, section, key):
+        lines = (c3_text() + "\n[output]\n").splitlines()
+        lineno = lines.index(f"[{section}]") + 2
+        lines.insert(lineno - 1, key)
+        scn = tmp_path / "bare.scn"
+        scn.write_text("\n".join(lines) + "\n")
+        err = expect_parse_error(
+            capsys, ["run", str(scn), "--out-dir", str(tmp_path)])
+        assert f"{scn}:{lineno}:" in err
+
+    @pytest.mark.parametrize("h", ["nan", "0.003"])
+    def test_scenario_file_step(self, tmp_path, capsys, h):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(c3_text().replace("h 0.005", f"h {h}"))
+        expect_parse_error(capsys, ["run", str(scn), "--out-dir", str(tmp_path)])
+
+    def test_file_step_checked_after_override(self, tmp_path, capsys):
+        scn = tmp_path / "odd_h.scn"
+        scn.write_text(c3_text().replace("h 0.005", "h 0.003"))
+        assert main(["check", str(scn), "--out-dir", str(tmp_path / "c")]) == 0
+        assert main(["run", str(scn), "--out-dir", str(tmp_path / "r"),
+                     "--h", "0.005"]) == 0
+        assert os.path.exists(tmp_path / "r" / "trajectory.csv")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_graph_file_weight(self, tmp_path, capsys, weight):
+        (tmp_path / "c3.graph").write_text(
+            f"nodes 3\n1 2 1.0\n1 3 {weight}\n2 3 1.0\n")
+        scn = tmp_path / "filed.scn"
+        scn.write_text(c3_text().replace(C3_INLINE_GRAPH, "file c3.graph\n"))
+        err = expect_parse_error(
+            capsys, ["check", str(scn), "--out-dir", str(tmp_path)])
+        assert "c3.graph:3:" in err
+
+    def test_missing_scenario_file(self, tmp_path, capsys):
+        expect_parse_error(capsys, ["check", str(tmp_path / "nope.scn"),
+                                    "--out-dir", str(tmp_path)])
+
+    def test_missing_graph_file(self, tmp_path, capsys):
+        scn = tmp_path / "filed.scn"
+        scn.write_text(c3_text().replace(C3_INLINE_GRAPH, "file nope.graph\n"))
+        err = expect_parse_error(
+            capsys, ["check", str(scn), "--out-dir", str(tmp_path)])
+        assert "nope.graph" in err
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("flags", [
+        ["--h", "-1"],
+        ["--h", "0"],
+        ["--h", "0.003"],
+        ["--h", "0.1"],
+        ["--h", "nan"],
+        ["--t-end", "-1"],
+        ["--t-end", "inf"],
+    ], ids=" ".join)
+    def test_integration_flags(self, tmp_path, capsys, verb, flags):
+        err = expect_parse_error(
+            capsys, [verb, LINEAR_C3, "--out-dir", str(tmp_path)] + flags)
+        assert "integration" in err
+        assert not os.listdir(tmp_path)

@@ -154,23 +154,19 @@ class TestEdgeIndexArrays:
 class TestMakeController:
     def test_multiplier_path(self):
         m, lift = lift_for(C3)
-        model = scalar_identity_model()
-        cfg = make_controller(C3, m, lift, model, 1.0, beta_multiplier=2.0)
+        cfg = make_controller(m, lift, 1.0, beta_multiplier=2.0)
         assert cfg.beta == pytest.approx(2.0 / 6.0)
         assert not cfg.below_critical
 
     def test_absolute_below_critical_flagged(self):
         m, lift = lift_for(C3)
-        model = scalar_identity_model()
-        cfg = make_controller(C3, m, lift, model, 1.0, beta=0.01)
+        cfg = make_controller(m, lift, 1.0, beta=0.01)
         assert cfg.below_critical
         assert cfg.beta_star == pytest.approx(1.0 / 6.0)
 
     def test_exactly_one_spec(self):
         m, lift = lift_for(C3)
-        model = scalar_identity_model()
         with pytest.raises(ValueError):
-            make_controller(C3, m, lift, model, 1.0)
+            make_controller(m, lift, 1.0)
         with pytest.raises(ValueError):
-            make_controller(C3, m, lift, model, 1.0, beta=1.0,
-                            beta_multiplier=1.0)
+            make_controller(m, lift, 1.0, beta=1.0, beta_multiplier=1.0)

@@ -204,5 +204,5 @@ class TestParsing:
         assert read_graph_file(str(path)) == C3
 
     def test_read_missing_file(self, tmp_path):
-        with pytest.raises((ParseError, OSError)):
+        with pytest.raises(ParseError):
             read_graph_file(str(tmp_path / "nope.graph"))

@@ -5,6 +5,7 @@ from edgesync import (
     MetricCertificate,
     NonSymmetricError,
     NotPositiveDefiniteError,
+    default_lorenz_alpha,
     linear_model,
     lorenz_model,
     solve_ari,
@@ -96,8 +97,9 @@ class TestKillingIntegrability:
         assert integ <= 1e-6
 
     def test_lorenz_residuals_reported(self):
-        model = lorenz_model()
-        cert = model.alpha.design.certificate
+        fb = default_lorenz_alpha(10.0, 0.5)
+        model = lorenz_model(alpha=fb)
+        cert = fb.design.certificate
         killing, integ = verify_killing_integrability(
             cert, model, ball_samples(3, count=10, seed=4))
         # state-dependent g: both residuals are genuinely nonzero

@@ -2,16 +2,28 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesync import (
     DisconnectedGraphError,
     ParseError,
+    Scenario,
     parse_scenario,
     parse_scenario_text,
     realize,
 )
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def _read_scenario(name):
+    with open(os.path.join(SCENARIO_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+SHIPPED_TEXTS = tuple(_read_scenario(name)
+                      for name in ("linear_c3.scn", "tanh_p3.scn", "lorenz15.scn"))
 
 MINIMAL = """
 [graph]
@@ -148,6 +160,17 @@ class TestParseValidation:
         with pytest.raises(ParseError):
             parse_scenario_text(replace_section(MINIMAL, "initial", body))
 
+    @pytest.mark.parametrize("old,new", [
+        ("rho 1.0", "rho nan"),
+        ("h 0.005", "h inf"),
+        ("base 0 0", "base 0 -inf"),
+        ("edge 1 2 1.0", "edge 1 2 nan"),
+    ])
+    def test_nonfinite_number_carries_line(self, old, new):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario_text(MINIMAL.replace(old, new), path="case.scn")
+        assert exc.value.line == MINIMAL.splitlines().index(old) + 1
+
     def test_nonpositive_integration(self):
         with pytest.raises(ParseError):
             parse_scenario_text(MINIMAL.replace("h 0.005", "h 0"))
@@ -214,3 +237,39 @@ class TestRealize:
         assert setup.model.params["b"] == pytest.approx(8.0 / 3.0)
         assert setup.model.params["c"] == 28.0
         assert setup.approximate
+
+
+def _is_number(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def mutated_shipped_text(draw):
+    """A shipped scenario with one to three tokens dropped or replaced.
+
+    A number may become nan, inf, -inf or -1; any token may be dropped.
+    """
+    text = draw(st.sampled_from(SHIPPED_TEXTS))
+    lines = [line.split(" ") for line in text.splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i, j = draw(st.sampled_from(spots))
+        if _is_number(lines[i][j]):
+            lines[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "-1", ""]))
+        else:
+            lines[i][j] = ""
+    return "\n".join(" ".join(toks) for toks in lines)
+
+
+@given(mutated_shipped_text())
+@settings(max_examples=300, deadline=None)
+def test_mutated_scenario_parses_or_raises_parse_error(text):
+    try:
+        sc = parse_scenario_text(text)
+    except ParseError:
+        return
+    assert isinstance(sc, Scenario)

@@ -4,11 +4,9 @@ import pytest
 from edgesync import (
     DimensionMismatchError,
     DivergedError,
-    NetworkState,
     WeightedGraph,
     linear_model,
     perturbed_initial_conditions,
-    rk4_step,
     simulate,
     sync_error,
 )
@@ -24,28 +22,33 @@ def integrator_model():
     return linear_model(np.array([[0.0]]), np.array([1.0]), np.array([1.0]))
 
 
+def one_step(model, x0, h):
+    """A single RK4 step: simulate with t_end = h = record_interval."""
+    return simulate(P2, model, 0.0, x0, h, h, h)
+
+
 class TestRk4Step:
     def test_decay_polynomial_factor(self):
         # RK4 on xdot = -x contracts by the quartic Taylor polynomial of
         # exp(-h): 1 - 0.1 + 0.005 - 1/6000 + 1/240000 = 0.9048375
-        state = NetworkState(t=0.0, x=np.array([2.0, -3.0]))
-        out = rk4_step(state, 0.1, P2, decay_model(), 0.0)
-        assert np.allclose(out.x / state.x, 0.9048375, atol=1e-12)
-        assert out.t == 0.1
+        x0 = np.array([2.0, -3.0])
+        traj = one_step(decay_model(), x0, 0.1)
+        assert np.allclose(traj.states[-1] / x0, 0.9048375, atol=1e-12)
+        assert traj.times[-1] == 0.1
 
     def test_zero_field_fixed_point(self):
         model = linear_model(np.zeros((1, 1)), np.array([1.0]), np.array([0.0]))
-        state = NetworkState(t=0.0, x=np.array([1.5, -2.5]))
-        out = rk4_step(state, 0.05, P2, model, 0.0)
-        assert np.array_equal(out.x, state.x)
+        x0 = np.array([1.5, -2.5])
+        traj = one_step(model, x0, 0.05)
+        assert np.array_equal(traj.states[-1], x0)
 
     def test_shape_guard(self):
         with pytest.raises(DimensionMismatchError):
-            rk4_step(NetworkState(t=0.0, x=np.zeros(3)), 0.1, P2, decay_model(), 0.0)
+            one_step(decay_model(), np.zeros(3), 0.1)
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
-            rk4_step(NetworkState(t=0.0, x=np.zeros(2)), 0.0, P2, decay_model(), 0.0)
+            simulate(P2, decay_model(), 0.0, np.zeros(2), 0.1, 0.0, 0.1)
 
 
 class TestRichardson:
