@@ -21,6 +21,7 @@ from .controller import (
     accumulate_coupling,
     coupling_inputs,
     critical_gain,
+    edge_end_arrays,
     edge_index_arrays,
     make_controller,
 )
@@ -72,7 +73,12 @@ from .models import (
 )
 from .riccati import LinearDesign, bass_initial_gain, solve_ari
 from .scenario import RunSetup, Scenario, parse_scenario, parse_scenario_text, realize
-from .simulate import Trajectory, perturbed_initial_conditions, simulate
+from .simulate import (
+    Trajectory,
+    perturbed_initial_conditions,
+    simulate,
+    simulate_batch,
+)
 
 __version__ = "0.1.0"
 
@@ -113,6 +119,7 @@ __all__ = [
     "coupling_inputs",
     "critical_gain",
     "default_lorenz_alpha",
+    "edge_end_arrays",
     "edge_energy",
     "edge_index_arrays",
     "endpoint_correction_matrix",
@@ -131,6 +138,7 @@ __all__ = [
     "read_graph_file",
     "realize",
     "simulate",
+    "simulate_batch",
     "solve_ari",
     "solve_linear",
     "spectral_report",

@@ -3,7 +3,7 @@
 Verbs:
     run <scenario>     full pipeline: checks, simulation, analysis, files
     check <scenario>   construction and certificate checks only
-    sweep <scenario> --multipliers m1 m2 ...   one run per gain multiplier
+    sweep <scenario> --multipliers m1 m2 ...   all gain multipliers in one pass
 
 Artifacts are written atomically (temp file plus rename) into the output
 directory resolved as: --out-dir flag, else the scenario [output] dir,
@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from . import analysis
-from .errors import EdgeSyncError, ParseError
+from .errors import DivergedError, EdgeSyncError, ParseError
 from .metric import verify_ari_sampled, verify_killing_integrability
 from .scenario import check_integration, parse_scenario, realize
-from .simulate import simulate
+from .simulate import simulate, simulate_batch
 
 ENV_OUT_DIR = "EDGESYNC_OUT_DIR"
 CERT_SAMPLE_COUNT = 200
@@ -210,17 +210,15 @@ def _apply_overrides(sc, args):
         if sc.init_states is not None:
             raise ParseError(
                 "--seed cannot override explicit initial states", sc.path)
+        if args.seed < 0:
+            raise ParseError(f"--seed must be nonnegative, got {args.seed}",
+                             sc.path)
         sc.init_seed = args.seed
     check_integration(sc)
 
 
-def _simulate_one(setup, beta, monitors, out_dir, metadata):
-    """Simulate at one gain, analyse V and write trajectory.csv."""
-    traj = simulate(
-        setup.graph, setup.model, beta, setup.x0,
-        setup.t_end, setup.h, setup.record_interval, monitors=monitors,
-        metadata={"seed": setup.seed, "scenario": setup.name, **metadata},
-    )
+def _analyse_and_write(setup, traj, out_dir):
+    """Fit the V decay rate, check its monotonicity, write trajectory.csv."""
     fit = analysis.fit_decay_rate(traj, "V", (0.1 * setup.t_end, setup.t_end))
     uptick = analysis.check_monotone(traj, "V")
     _atomic_write(os.path.join(out_dir, "trajectory.csv"),
@@ -234,8 +232,12 @@ def cmd_run(args):
     setup = realize(sc, require_connected=True)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     monitors = analysis.make_monitors(setup.graph, setup.certificate.p)
-    fit, uptick, sync = _simulate_one(
-        setup, setup.controller.beta, monitors, out_dir, {})
+    traj = simulate(
+        setup.graph, setup.model, setup.controller.beta, setup.x0,
+        setup.t_end, setup.h, setup.record_interval, monitors=monitors,
+        metadata={"seed": setup.seed, "scenario": setup.name},
+    )
+    fit, uptick, sync = _analyse_and_write(setup, traj, out_dir)
     diag, warnings = certificate_checks(setup)
     _atomic_write(os.path.join(out_dir, "report.txt"),
                   report_text(setup, diag, warnings, fit, uptick,
@@ -277,13 +279,19 @@ def cmd_sweep(args):
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     rows = ["multiplier,rate,largest_uptick,final_sync_error,status"]
     monitors = analysis.make_monitors(setup.graph, setup.certificate.p)
-    for mult in args.multipliers:
-        beta = mult * setup.controller.beta_star
+    betas = [mult * setup.controller.beta_star for mult in args.multipliers]
+    results = simulate_batch(
+        setup.graph, setup.model, betas, np.tile(setup.x0, (len(betas), 1)),
+        setup.t_end, setup.h, setup.record_interval, monitors=monitors,
+        metadata={"seed": setup.seed, "scenario": setup.name},
+    )
+    for mult, result in zip(args.multipliers, results):
         run_dir = os.path.join(out_dir, f"run_m{mult:g}")
         os.makedirs(run_dir, exist_ok=True)
         try:
-            fit, uptick, sync = _simulate_one(
-                setup, beta, monitors, run_dir, {"multiplier": mult})
+            if isinstance(result, DivergedError):
+                raise result
+            fit, uptick, sync = _analyse_and_write(setup, result, run_dir)
             rows.append(f"{mult:g},{_fmt(fit.rate)},{_fmt(uptick)},"
                         f"{_fmt(sync[-1])},ok")
             print(f"sweep m={mult:g}: rate={fit.rate:.6g} "

@@ -64,19 +64,37 @@ def edge_index_arrays(g):
     return init, term, weights
 
 
-def accumulate_coupling(alphas, init, term, weights, beta):
+def edge_end_arrays(g, betas):
+    """Edge ends of B disjoint copies of g, copy b at gain betas[b].
+
+    Returns (ends, others, gains) over the stacked B*N agents, agent i
+    of copy b at index b*N + i. Edge end k stands for the contribution
+    gains[k] * (alpha[others[k]] - alpha[ends[k]]) to agent ends[k],
+    with gains[k] = beta_b * w_e. Within a copy the initial ends come
+    first and then the terminal ends, each in canonical edge order.
+    """
+    init, term, weights = edge_index_arrays(g)
+    betas = np.asarray(betas, dtype=float).reshape(-1, 1)
+    offsets = g.n * np.arange(betas.shape[0])[:, None]
+    ends = (offsets + np.concatenate((init, term))).ravel()
+    others = (offsets + np.concatenate((term, init))).ravel()
+    gains = np.tile(betas * weights, 2).ravel()
+    return ends, others, gains
+
+
+def accumulate_coupling(alphas, ends, others, gains):
     """Per-agent inputs from per-edge alpha differences.
 
-    Every edge contributes beta * w * (alpha_term - alpha_init) to its
-    initial node and the negative to its terminal node. Accumulation
-    order is fixed by the canonical edge order, so results are
-    deterministic.
+    alphas holds one feedback value per agent of a (possibly stacked)
+    network and (ends, others, gains) come from edge_end_arrays. Every
+    edge contributes beta * w * (alpha_term - alpha_init) to its initial
+    node and beta * w * (alpha_init - alpha_term), the same number
+    negated, to its terminal node. One bincount adds the contributions
+    in the order of the edge ends, so results are deterministic and a
+    copy's inputs do not depend on the other copies.
     """
-    u = np.zeros(alphas.shape[0])
-    diffs = beta * weights * (alphas[term] - alphas[init])
-    np.add.at(u, init, diffs)
-    np.add.at(u, term, -diffs)
-    return u
+    diffs = gains * (alphas[others] - alphas[ends])
+    return np.bincount(ends, weights=diffs, minlength=alphas.shape[0])
 
 
 def coupling_inputs(states, g, model, beta):
@@ -96,9 +114,7 @@ def coupling_inputs(states, g, model, beta):
             f"state dimension {states.shape[1]} does not match model "
             f"dimension {model.state_dim}"
         )
-    alphas = model.alpha_all(states)
-    init, term, weights = edge_index_arrays(g)
-    return accumulate_coupling(alphas, init, term, weights, beta)
+    return accumulate_coupling(model.alpha_all(states), *edge_end_arrays(g, [beta]))
 
 
 def make_controller(m, lift, rho, beta=None, beta_multiplier=None):

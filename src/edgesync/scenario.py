@@ -136,6 +136,12 @@ def _parse_int(tok, path, lineno):
         raise ParseError(f"expected an integer, got {tok!r}", path, lineno)
 
 
+def _nonnegative(key, value, path, lineno):
+    if value < 0:
+        raise ParseError(f"{key} must be nonnegative, got {value!r}", path, lineno)
+    return value
+
+
 def _parse_matrix(tokens, path, lineno):
     rows = []
     current = []
@@ -237,7 +243,8 @@ def parse_scenario_text(text, path="<string>"):
             elif key == "c":
                 sc.model_scalars["c"] = _parse_float(tokens[0], path, lineno)
             elif key == "gamma":
-                sc.model_scalars["gamma"] = _parse_float(tokens[0], path, lineno)
+                sc.model_scalars["gamma"] = _nonnegative(
+                    "gamma", _parse_float(tokens[0], path, lineno), path, lineno)
             else:
                 raise ParseError(f"unknown model key {key!r}", path, lineno)
         elif section == "certificate":
@@ -261,9 +268,11 @@ def parse_scenario_text(text, path="<string>"):
                 sc.init_base = np.array(
                     [_parse_float(t, path, lineno) for t in tokens])
             elif key == "radius":
-                sc.init_radius = _parse_float(tokens[0], path, lineno)
+                sc.init_radius = _nonnegative(
+                    "radius", _parse_float(tokens[0], path, lineno), path, lineno)
             elif key == "seed":
-                sc.init_seed = _parse_int(tokens[0], path, lineno)
+                sc.init_seed = _nonnegative(
+                    "seed", _parse_int(tokens[0], path, lineno), path, lineno)
             elif key == "state":
                 idx = _parse_int(tokens[0], path, lineno)
                 state_rows[idx] = (

@@ -219,6 +219,24 @@ class TestSweepVerb:
         lines = open(os.path.join(out, "sweep_summary.csv")).read().splitlines()
         assert len(lines) == 1
 
+    def test_members_match_separate_runs(self, tmp_path):
+        # one batched sweep against a separate run per multiplier, each
+        # from the scenario text with its beta_multiplier edited
+        multipliers = ["0.5", "2", "5"]
+        sweep_out = tmp_path / "sweep"
+        assert main(["sweep", LINEAR_C3, "--out-dir", str(sweep_out),
+                     "--t-end", "2", "--multipliers"] + multipliers) == 0
+        for mult in multipliers:
+            scn = tmp_path / f"m{mult}.scn"
+            scn.write_text(c3_text().replace(
+                "beta_multiplier 1.0", f"beta_multiplier {mult}"))
+            run_out = tmp_path / f"run{mult}"
+            assert main(["run", str(scn), "--out-dir", str(run_out),
+                         "--t-end", "2"]) == 0
+            ran = (run_out / "trajectory.csv").read_bytes()
+            swept = (sweep_out / f"run_m{mult}" / "trajectory.csv").read_bytes()
+            assert swept == ran
+
     def test_unit_multiplier_matches_run(self, tmp_path):
         run_out = tmp_path / "run"
         sweep_out = tmp_path / "sweep"
@@ -286,6 +304,45 @@ class TestMalformedInput:
                      "--h", "0.005"]) == 0
         assert os.path.exists(tmp_path / "r" / "trajectory.csv")
 
+    @pytest.mark.parametrize("scenario,old,new", [
+        (LINEAR_C3, "radius 5.0", "radius -1"),
+        (LINEAR_C3, "seed 11", "seed -1"),
+        (TANH_P3, "gamma 0.05", "gamma -1"),
+    ], ids=["radius", "seed", "gamma"])
+    def test_negative_scenario_value(self, tmp_path, capsys, scenario, old, new):
+        with open(scenario, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lineno = lines.index(old) + 1
+        lines[lineno - 1] = new
+        scn = tmp_path / "negative.scn"
+        scn.write_text("\n".join(lines) + "\n")
+        for verb in ("check", "run"):
+            err = expect_parse_error(
+                capsys, [verb, str(scn), "--out-dir", str(tmp_path / verb)])
+            assert f"{scn}:{lineno}:" in err
+            assert "nonnegative" in err
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_negative_seed_flag(self, tmp_path, capsys, verb):
+        err = expect_parse_error(
+            capsys, [verb, LINEAR_C3, "--out-dir", str(tmp_path), "--seed", "-1"])
+        assert "--seed" in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("h,record_interval", [
+        ("1e-300", "1e-300"),
+        ("1e-7", "1e-7"),
+        ("1e-300", "0.05"),
+    ])
+    def test_step_budget(self, tmp_path, capsys, h, record_interval):
+        scn = tmp_path / "tiny_h.scn"
+        scn.write_text(c3_text().replace("h 0.005", f"h {h}").replace(
+            "record_interval 0.05", f"record_interval {record_interval}"))
+        err = expect_parse_error(
+            capsys, ["run", str(scn), "--out-dir", str(tmp_path / "out")])
+        assert "steps" in err
+        assert not os.path.exists(tmp_path / "out")
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_graph_file_weight(self, tmp_path, capsys, weight):
         (tmp_path / "c3.graph").write_text(
@@ -316,6 +373,8 @@ class TestMalformedInput:
         ["--h", "nan"],
         ["--t-end", "-1"],
         ["--t-end", "inf"],
+        ["--h", "1e-300"],
+        ["--t-end", "1e5"],
     ], ids=" ".join)
     def test_integration_flags(self, tmp_path, capsys, verb, flags):
         err = expect_parse_error(

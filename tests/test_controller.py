@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from edgesync import (
     DimensionMismatchError,
     WeightedGraph,
+    accumulate_coupling,
     build_edge_lift,
     build_matrices,
     coupling_inputs,
     critical_gain,
+    edge_end_arrays,
     edge_index_arrays,
     linear_model,
     make_controller,
@@ -97,6 +99,17 @@ class TestCouplingInputs:
                 oracle = -beta * m.laplacian @ states[:, 0]
                 scale = max(1.0, float(np.max(np.abs(oracle))))
                 assert np.max(np.abs(u - oracle)) <= 1e-12 * scale
+            # a stack of B copies at their own gains: copy b is the
+            # oracle at beta_b, and bitwise the copy on its own
+            betas = rng.uniform(0.1, 5.0, size=4)
+            alphas = rng.standard_normal((4, g.n))
+            u = accumulate_coupling(alphas.ravel(), *edge_end_arrays(g, betas))
+            for beta, alpha, u_b in zip(betas, alphas, u.reshape(4, g.n)):
+                oracle = -beta * m.laplacian @ alpha
+                scale = max(1.0, float(np.max(np.abs(oracle))))
+                assert np.max(np.abs(u_b - oracle)) <= 1e-12 * scale
+                alone = accumulate_coupling(alpha, *edge_end_arrays(g, [beta]))
+                assert np.array_equal(u_b, alone)
 
     def test_distributed_bitwise(self):
         # u_i ignores non-neighbors down to the last bit

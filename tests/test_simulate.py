@@ -6,12 +6,17 @@ from edgesync import (
     DivergedError,
     WeightedGraph,
     linear_model,
+    lorenz_model,
+    make_monitors,
     perturbed_initial_conditions,
     simulate,
+    simulate_batch,
     sync_error,
+    tanh_perturbed_model,
 )
+from edgesync.simulate import MAX_STEPS, steps_per_record
 
-from helpers import P2, P3
+from helpers import C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P2, P3
 
 
 def decay_model(rate=1.0):
@@ -81,6 +86,17 @@ class TestSimulate:
         assert md["beta"] == 0.2 and md["h"] == 0.1
         assert md["tag"] == 7
 
+    def test_step_budget(self):
+        assert steps_per_record(1.0, float(MAX_STEPS), 1.0) == 1
+        with pytest.raises(ValueError):
+            steps_per_record(1.0, float(MAX_STEPS + 1), 1.0)
+        with pytest.raises(ValueError):
+            steps_per_record(1.0, 1.0, float(MAX_STEPS + 1))
+        with pytest.raises(ValueError):
+            steps_per_record(1e-300, 1.0, 1e-300)
+        with pytest.raises(ValueError):
+            steps_per_record(1e-320, 1e-316, 1.0)
+
     def test_interval_must_divide(self):
         with pytest.raises(ValueError):
             simulate(P2, decay_model(), 0.0, np.ones(2), 1.0, 0.03, 0.1)
@@ -128,6 +144,83 @@ class TestSimulate:
         traj = simulate(P2, decay_model(), 0.0, np.ones(2), 1.0, 0.1, 0.5)
         with pytest.raises(KeyError):
             traj.channel("nope")
+
+
+RING4 = WeightedGraph(4, ((1, 2, 1.0), (1, 4, 0.3), (2, 3, 0.5), (3, 4, 2.0)))
+
+
+def batch_cases():
+    """(graph, model, betas, base state, t_end, h, record_interval)."""
+    k = np.array([0.8, 1.7])
+    return {
+        "linear": (C3, linear_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, k),
+                   [0.05, 0.5, 2.0], np.zeros(2), 3.0, 0.01, 0.1),
+        "tanh": (P3, tanh_perturbed_model(DOUBLE_INTEGRATOR_A,
+                                          DOUBLE_INTEGRATOR_B, 0.05, k),
+                 [0.3, 1.0, 4.0], np.zeros(2), 3.0, 0.01, 0.1),
+        "lorenz": (RING4, lorenz_model(10.0, 28.0, 8.0 / 3.0),
+                   [0.0, 5.0, 30.0], np.array([6.7, 1.3, 31.2]), 0.3, 0.001,
+                   0.01),
+    }
+
+
+def assert_same_trajectory(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.inputs, b.inputs)
+    assert a.monitors.keys() == b.monitors.keys()
+    for name in a.monitors:
+        assert np.array_equal(a.channel(name), b.channel(name)), name
+    assert a.metadata == b.metadata
+
+
+class TestSimulateBatch:
+    @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
+    def test_member_matches_single_run(self, kind):
+        g, model, betas, base, t_end, h, interval = batch_cases()[kind]
+        mon = make_monitors(g, np.eye(model.state_dim))
+        x0s = np.array([perturbed_initial_conditions(base, g.n, 1.0, seed)
+                        for seed in range(len(betas))])
+        batch = simulate_batch(g, model, betas, x0s, t_end, h, interval,
+                               monitors=mon, metadata={"tag": 1})
+        assert len(batch) == len(betas)
+        for beta, x0, member in zip(betas, x0s, batch):
+            single = simulate(g, model, beta, x0, t_end, h, interval,
+                              monitors=mon, metadata={"tag": 1})
+            assert_same_trajectory(member, single)
+
+    def test_diverging_member_leaves_neighbours_alone(self):
+        model = integrator_model()
+        betas = [0.5, 1000.0, 2.0]
+        x0 = np.array([0.0, 1.0, 3.0])
+        mon = {"sync_error": sync_error}
+        batch = simulate_batch(P3, model, betas, np.tile(x0, (3, 1)), 2.0,
+                               0.01, 0.1, monitors=mon)
+        with pytest.raises(DivergedError) as alone:
+            simulate(P3, model, betas[1], x0, 2.0, 0.01, 0.1, monitors=mon)
+        assert isinstance(batch[1], DivergedError)
+        assert 0.0 < batch[1].time < 2.0
+        assert batch[1].time == alone.value.time
+        assert str(batch[1]) == str(alone.value)
+        for i in (0, 2):
+            single = simulate(P3, model, betas[i], x0, 2.0, 0.01, 0.1,
+                              monitors=mon)
+            assert_same_trajectory(batch[i], single)
+
+    def test_member_outside_envelope_at_start(self):
+        x0s = np.array([[1.0, 2.0], [1e13, 0.0]])
+        batch = simulate_batch(P2, decay_model(), [0.1, 0.1], x0s, 1.0, 0.1, 0.5)
+        assert batch[0].n_samples == 3
+        assert isinstance(batch[1], DivergedError) and batch[1].time == 0.0
+
+    def test_empty_batch(self):
+        assert simulate_batch(P2, decay_model(), [], np.zeros((0, 2)),
+                              1.0, 0.1, 0.5) == []
+
+    def test_x0s_shape_guard(self):
+        with pytest.raises(DimensionMismatchError):
+            simulate_batch(P2, decay_model(), [0.1, 0.2], np.zeros((1, 2)),
+                           1.0, 0.1, 0.5)
 
 
 class TestPerturbedInitialConditions:
