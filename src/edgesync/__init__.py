@@ -9,11 +9,9 @@ tool driven by scenario files.
 
 from .analysis import (
     DecayFit,
-    SyncMetrics,
     check_monotone,
     edge_energy,
     fit_decay_rate,
-    make_monitors,
     sync_error,
 )
 from .controller import (
@@ -106,7 +104,6 @@ __all__ = [
     "Scenario",
     "SingularMatrixError",
     "SpectralReport",
-    "SyncMetrics",
     "Trajectory",
     "WeightedGraph",
     "accumulate_coupling",
@@ -128,7 +125,6 @@ __all__ = [
     "lorenz_model",
     "lyapunov_solve",
     "make_controller",
-    "make_monitors",
     "nullspace_sym_psd",
     "parse_graph_text",
     "parse_scenario",

@@ -1,4 +1,4 @@
-"""Monitors and post-hoc analysis of network runs.
+"""Post-hoc analysis of recorded network states.
 
 sync_error is the sum of pairwise state distances over unordered agent
 pairs. The edge energy V weighs each edge's squared disagreement by the
@@ -7,7 +7,10 @@ certificate metric and the edge weight:
     V = sum_i w_i (x_li - x_ki)^T P (x_li - x_ki) = x^T (L kron P) x
 
 which decays exponentially at rate at least 2 mu under a valid
-certificate and a gain at or above critical.
+certificate and a gain at or above critical. Both play no part in the
+closed-loop dynamics: they act on states of shape (..., N, n), so one
+call covers a single state stack or a whole (R, N, n) record, and each
+stack gets the same bits either way.
 """
 
 from dataclasses import dataclass
@@ -19,17 +22,10 @@ from .linalg import sym_eig
 
 
 @dataclass(frozen=True)
-class SyncMetrics:
-    sync_error: float
-    edge_energy: float
-    per_edge: np.ndarray
-
-
-@dataclass(frozen=True)
 class DecayFit:
-    """Least-squares exponential fit of a positive channel.
+    """Least-squares exponential fit of a positive series.
 
-    rate is the negated slope of log(channel) against time, so channel
+    rate is the negated slope of log(values) against time, so the
     values follow value ~ exp(-rate * t) on the window. clipped is set
     when nonpositive samples forced a shorter window than requested.
     """
@@ -40,21 +36,29 @@ class DecayFit:
     clipped: bool = False
 
 
-def _as_state_stack(states):
+def _state_stacks(states):
+    """(R, N, n) float view of states shaped (..., N, n), and the leading shape.
+
+    A 1-D array is one stack of N scalar agents.
+    """
     states = np.asarray(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
-    return states
+    return states.reshape((-1,) + states.shape[-2:]), states.shape[:-2]
 
 
 def sync_error(states):
-    """Sum of distances over unordered agent pairs; zero iff all agree."""
-    xs = _as_state_stack(states)
-    total = 0.0
-    for i in range(xs.shape[0] - 1):
-        diffs = xs[i + 1:] - xs[i]
-        total += float(np.sqrt((diffs * diffs).sum(axis=1)).sum())
-    return total
+    """Sum of distances over unordered agent pairs; zero iff all agree.
+
+    Returns a float for one (N, n) stack and an array of the leading
+    shape for states shaped (..., N, n).
+    """
+    xs, lead = _state_stacks(states)
+    total = np.zeros(xs.shape[0])
+    for i in range(xs.shape[1] - 1):
+        diffs = xs[:, i + 1:] - xs[:, i:i + 1]
+        total += np.sqrt((diffs * diffs).sum(axis=2)).sum(axis=1)
+    return total.reshape(lead)[()]
 
 
 def _validated_metric(p):
@@ -65,58 +69,34 @@ def _validated_metric(p):
     return p
 
 
-def _edge_terms(xs, edges, p):
-    """Weighted total and per-edge e^T P e, with e = x_l - x_k.
-
-    The total accumulates in canonical edge order, so every caller gets
-    the same bits.
-    """
-    per_edge = []
-    total = 0.0
-    for k, l, w in edges:
-        e = xs[l - 1] - xs[k - 1]
-        quad = float(e @ p @ e)
-        per_edge.append(quad)
-        total += w * quad
-    return total, per_edge
-
-
 def edge_energy(states, g, p):
-    """Metric-weighted disagreement energy over the edge set.
+    """Metric-weighted disagreement energy V over the edge set.
 
     Uses the canonical orientation (terminal minus initial state per
     edge); the energy is orientation-free since each difference enters
-    quadratically.
+    quadratically. The sum runs in canonical edge order. Returns a float
+    for one (N, n) stack and an array of the leading shape for states
+    shaped (..., N, n).
     """
-    xs = _as_state_stack(states)
-    total, per_edge = _edge_terms(xs, g.edges, _validated_metric(p))
-    return SyncMetrics(
-        sync_error=sync_error(xs),
-        edge_energy=total,
-        per_edge=np.array(per_edge, dtype=float),
-    )
-
-
-def make_monitors(g, p):
-    """Standard monitor channels: edge energy V and pairwise sync error."""
     p = _validated_metric(p)
+    xs, lead = _state_stacks(states)
+    total = np.zeros(xs.shape[0])
+    for k, l, w in g.edges:
+        e = xs[:, l - 1] - xs[:, k - 1]
+        total += w * ((e @ p)[:, None, :] @ e[:, :, None])[:, 0, 0]
+    return total.reshape(lead)[()]
 
-    def v_channel(xs):
-        return _edge_terms(xs, g.edges, p)[0]
 
-    return {"V": v_channel, "sync_error": sync_error}
+def fit_decay_rate(times, values, window):
+    """Fit log(values) = a - rate * t by least squares on a time window.
 
-
-def fit_decay_rate(traj, channel, window):
-    """Fit log(channel) = a - rate * t by least squares on a time window.
-
-    Nonpositive channel values cannot enter the log fit; when present,
-    the window is shrunk to the longest strictly positive prefix and the
-    result is marked clipped. Raises EmptyWindowError when fewer than
-    two usable samples remain.
+    times and values are matching 1-D series. Nonpositive values cannot
+    enter the log fit; when present, the window is shrunk to the longest
+    strictly positive prefix and the result is marked clipped. Raises
+    EmptyWindowError when fewer than two usable samples remain.
     """
-    values = traj.channel(channel)
-    t = traj.times
+    t = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     t0, t1 = window
     mask = (t >= t0) & (t <= t1)
     if not np.any(mask):
@@ -145,14 +125,14 @@ def fit_decay_rate(traj, channel, window):
     )
 
 
-def check_monotone(traj, channel, tol=1e-6):
-    """Largest relative uptick between consecutive samples.
+def check_monotone(values):
+    """Largest relative uptick between consecutive samples of a series.
 
     Differences are normalized by max(1, previous value) so the check is
-    meaningful both near zero and at large energies. A channel passes
-    the monotone-decay check when the return value is at most tol.
+    meaningful both near zero and at large energies. A nonpositive
+    return means the series never rises.
     """
-    values = traj.channel(channel)
+    values = np.asarray(values, dtype=float)
     if values.shape[0] < 2:
         return 0.0
     diffs = values[1:] - values[:-1]

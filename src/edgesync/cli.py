@@ -150,23 +150,20 @@ def certificate_checks(setup):
     return diag, warnings
 
 
-def trajectory_csv(traj, n_agents, state_dim):
+def trajectory_csv(traj, v, sync):
+    """One row per record: time, states, inputs, V and sync error."""
+    n_agents = traj.inputs.shape[1]
+    state_dim = traj.states.shape[1] // n_agents
     header = ["t"]
     for i in range(1, n_agents + 1):
         for j in range(1, state_dim + 1):
             header.append(f"x_{i}_{j}")
     header += [f"u_{i}" for i in range(1, n_agents + 1)]
     header += ["V", "sync_error"]
-    rows = [",".join(header)]
-    v = traj.channel("V")
-    s = traj.channel("sync_error")
-    for idx in range(traj.n_samples):
-        cells = [_fmt(traj.times[idx])]
-        cells += [_fmt(x) for x in traj.states[idx]]
-        cells += [_fmt(u) for u in traj.inputs[idx]]
-        cells.append(_fmt(v[idx]))
-        cells.append(_fmt(s[idx]))
-        rows.append(",".join(cells))
+    table = np.column_stack((traj.times, traj.states, traj.inputs, v, sync))
+    # "%.17g" writes the same digits as _fmt
+    row = ",".join(["%.17g"] * table.shape[1])
+    rows = [",".join(header)] + [row % tuple(cells.tolist()) for cells in table]
     return "\n".join(rows) + "\n"
 
 
@@ -218,12 +215,19 @@ def _apply_overrides(sc, args):
 
 
 def _analyse_and_write(setup, traj, out_dir):
-    """Fit the V decay rate, check its monotonicity, write trajectory.csv."""
-    fit = analysis.fit_decay_rate(traj, "V", (0.1 * setup.t_end, setup.t_end))
-    uptick = analysis.check_monotone(traj, "V")
+    """V and sync error per record, V's decay fit and uptick, trajectory.csv.
+
+    Returns the fit, the uptick and the sync error series.
+    """
+    stacks = traj.states.reshape(traj.n_samples, setup.graph.n,
+                                 setup.model.state_dim)
+    v = analysis.edge_energy(stacks, setup.graph, setup.certificate.p)
+    sync = analysis.sync_error(stacks)
+    fit = analysis.fit_decay_rate(traj.times, v, (0.1 * setup.t_end, setup.t_end))
+    uptick = analysis.check_monotone(v)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"),
-                  trajectory_csv(traj, setup.graph.n, setup.model.state_dim))
-    return fit, uptick, traj.channel("sync_error")
+                  trajectory_csv(traj, v, sync))
+    return fit, uptick, sync
 
 
 def cmd_run(args):
@@ -231,10 +235,9 @@ def cmd_run(args):
     _apply_overrides(sc, args)
     setup = realize(sc, require_connected=True)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
-    monitors = analysis.make_monitors(setup.graph, setup.certificate.p)
     traj = simulate(
         setup.graph, setup.model, setup.controller.beta, setup.x0,
-        setup.t_end, setup.h, setup.record_interval, monitors=monitors,
+        setup.t_end, setup.h, setup.record_interval,
         metadata={"seed": setup.seed, "scenario": setup.name},
     )
     fit, uptick, sync = _analyse_and_write(setup, traj, out_dir)
@@ -278,11 +281,10 @@ def cmd_sweep(args):
     setup = realize(sc, require_connected=True)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     rows = ["multiplier,rate,largest_uptick,final_sync_error,status"]
-    monitors = analysis.make_monitors(setup.graph, setup.certificate.p)
     betas = [mult * setup.controller.beta_star for mult in args.multipliers]
     results = simulate_batch(
         setup.graph, setup.model, betas, np.tile(setup.x0, (len(betas), 1)),
-        setup.t_end, setup.h, setup.record_interval, monitors=monitors,
+        setup.t_end, setup.h, setup.record_interval,
         metadata={"seed": setup.seed, "scenario": setup.name},
     )
     for mult, result in zip(args.multipliers, results):

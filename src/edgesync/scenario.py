@@ -42,7 +42,7 @@ import numpy as np
 
 from .controller import make_controller
 from .edge_lift import build_edge_lift, verify_endpoint_identities
-from .errors import DisconnectedGraphError, ParseError
+from .errors import DimensionMismatchError, DisconnectedGraphError, ParseError
 from .graphs import (
     WeightedGraph,
     build_matrices,
@@ -324,7 +324,13 @@ def parse_scenario_text(text, path="<string>"):
         count = max(state_rows)
         if sorted(state_rows) != list(range(1, count + 1)):
             raise ParseError("explicit states must cover agents 1..N", path)
-        sc.init_states = np.vstack([state_rows[i][0] for i in range(1, count + 1)])
+        rows = [state_rows[i] for i in range(1, count + 1)]
+        width = rows[0][0].shape[0]
+        for agent, (values, lineno) in enumerate(rows, start=1):
+            if values.shape[0] != width:
+                raise ParseError(f"state of agent {agent} has {values.shape[0]} "
+                                 f"entries, agent 1 has {width}", path, lineno)
+        sc.init_states = np.vstack([values for values, _ in rows])
     elif sc.init_base is None or sc.init_radius is None or sc.init_seed is None:
         raise ParseError("initial section needs base, radius and seed "
                          "(or explicit state lines)", path)
@@ -347,6 +353,16 @@ def check_integration(sc):
         raise ParseError(f"integration: {exc}", sc.path)
 
 
+def _certificate_from_matrix(sc, n):
+    """The scenario's explicit P as a certificate; P must be n x n."""
+    cert = MetricCertificate.from_matrix(sc.p_matrix, sc.rho, sc.mu)
+    if cert.p.shape[0] != n:
+        raise DimensionMismatchError(
+            f"certificate p is {cert.p.shape[0]}x{cert.p.shape[1]}, model "
+            f"state dimension is {n}")
+    return cert
+
+
 def _build_model_and_certificate(sc):
     """Resolve the model, its feedback gain and the metric certificate."""
     approximate = False
@@ -355,7 +371,7 @@ def _build_model_and_certificate(sc):
         b = sc.model_scalars.get("b", 8.0 / 3.0)
         c = sc.model_scalars.get("c", 28.0)
         if sc.p_matrix is not None:
-            cert = MetricCertificate.from_matrix(sc.p_matrix, sc.rho, sc.mu)
+            cert = _certificate_from_matrix(sc, 3)
             gain = convective_linearization(a, b, c)[1] @ cert.p
             alpha = LinearFeedback(gain=gain)
         else:
@@ -367,8 +383,12 @@ def _build_model_and_certificate(sc):
     if sc.model_a is None or sc.model_b is None:
         raise ParseError(f"model kind {sc.model_kind!r} needs matrix 'a' and "
                          "vector 'b'", sc.path)
+    n = sc.model_a.shape[0]
+    if sc.model_b.shape[0] != n:
+        raise DimensionMismatchError(
+            f"b has {sc.model_b.shape[0]} entries, model state dimension is {n}")
     if sc.p_matrix is not None:
-        cert = MetricCertificate.from_matrix(sc.p_matrix, sc.rho, sc.mu)
+        cert = _certificate_from_matrix(sc, n)
         gain = sc.model_b @ cert.p
     else:
         design = solve_ari(sc.model_a, sc.model_b, sc.rho, sc.mu)

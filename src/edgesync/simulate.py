@@ -9,7 +9,10 @@ the monotonicity tolerances simple; there is no adaptive stepping.
 One RK4 loop serves a single run and an ensemble alike: B members that
 share the graph, the model and the step but differ in beta and initial
 state advance together as a (B, N*n) stack, and a single run is the
-B = 1 case.
+B = 1 case. A run records times, states and coupling inputs only;
+quantities that analyse a trajectory, such as the edge energy and the
+sync error, are computed from the recorded states afterwards (see
+analysis).
 """
 
 from dataclasses import dataclass, field
@@ -31,24 +34,17 @@ class Trajectory:
     """Uniformly sampled run record.
 
     states rows follow the agent-major stacked layout; inputs holds the
-    N coupling inputs recomputed at each sample; monitors maps channel
-    name to a per-sample array.
+    N coupling inputs recomputed at each sample.
     """
 
     times: np.ndarray
     states: np.ndarray
     inputs: np.ndarray
-    monitors: dict
     metadata: dict = field(default_factory=dict)
 
     @property
     def n_samples(self):
         return self.times.shape[0]
-
-    def channel(self, name):
-        if name not in self.monitors:
-            raise KeyError(f"no monitor channel {name!r}")
-        return self.monitors[name]
 
 
 def steps_per_record(h, t_end, record_interval):
@@ -74,26 +70,24 @@ def steps_per_record(h, t_end, record_interval):
     return int(round(per_record))
 
 
-def simulate(g, model, beta, x0, t_end, h, record_interval, monitors=None,
-             metadata=None):
+def simulate(g, model, beta, x0, t_end, h, record_interval, metadata=None):
     """Integrate the network and record at a uniform interval.
 
-    monitors maps channel names to callables taking the (N, n) state
-    stack and returning a scalar. The step settings must pass
-    steps_per_record. Deterministic: identical inputs give bitwise
-    identical trajectories. Raises DivergedError, with its time, when
-    the state leaves the finite envelope.
+    The step settings must pass steps_per_record. Deterministic:
+    identical inputs give bitwise identical trajectories. Raises
+    DivergedError, with its time, when the state leaves the finite
+    envelope.
     """
     x0s = np.asarray(x0, dtype=float).reshape(1, -1)
     [result] = simulate_batch(g, model, [beta], x0s, t_end, h, record_interval,
-                              monitors, metadata)
+                              metadata)
     if isinstance(result, DivergedError):
         raise result
     return result
 
 
 def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
-                   monitors=None, metadata=None):
+                   metadata=None):
     """Integrate B copies of the network that differ only in beta and x0.
 
     betas holds the B gains and x0s is the (B, N*n) stack of their
@@ -117,7 +111,6 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
         raise DimensionMismatchError(
             f"x0s has shape {x.shape}, expected ({n_members}, {width})"
         )
-    monitors = dict(monitors or {})
     n_steps = int(round(t_end / h))
     n_records = n_steps // per_record
 
@@ -129,17 +122,12 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
     times = np.empty(n_records + 1)
     states = np.empty((n_members, n_records + 1, width))
     inputs = np.empty((n_members, n_records + 1, n_agents))
-    channels = {name: np.empty((n_members, n_records + 1)) for name in monitors}
 
     def record(idx, t, x, active, coupling):
         times[idx] = t
         states[active, idx] = x
         u = accumulate_coupling(model.alpha_all(x.reshape(-1, n)), *coupling)
         inputs[active, idx] = u.reshape(-1, n_agents)
-        for member, row in zip(active, x):
-            xs = row.reshape(n_agents, n)
-            for name, fn in monitors.items():
-                channels[name][member, idx] = fn(xs)
 
     results = [None] * n_members
     active = np.arange(n_members)
@@ -173,7 +161,6 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
             times=times.copy(),
             states=states[member],
             inputs=inputs[member],
-            monitors={name: chan[member] for name, chan in channels.items()},
             metadata={
                 "graph_hash": g.short_hash(),
                 "model": model.name,

@@ -58,11 +58,12 @@ def network_checks(g, model, cert, multiplier, x0):
     m = es.build_matrices(g)
     lift = es.build_edge_lift(m)
     ctrl = es.make_controller(m, lift, cert.rho, beta_multiplier=multiplier)
-    mon = es.make_monitors(g, cert.p)
-    traj = es.simulate(g, model, ctrl.beta, x0, T_END, H, RECORD, monitors=mon)
-    fit = es.fit_decay_rate(traj, "V", FIT_WINDOW)
-    uptick = es.check_monotone(traj, "V")
-    sync = traj.channel("sync_error")
+    traj = es.simulate(g, model, ctrl.beta, x0, T_END, H, RECORD)
+    stacks = traj.states.reshape(traj.n_samples, g.n, model.state_dim)
+    v = es.edge_energy(stacks, g, cert.p)
+    fit = es.fit_decay_rate(traj.times, v, FIT_WINDOW)
+    uptick = es.check_monotone(v)
+    sync = es.sync_error(stacks)
     label = f"{g.n} nodes, multiplier {multiplier:g}"
     assert uptick <= UPTICK_TOL, f"{label}: uptick {uptick:.3e}"
     assert fit.rate >= RATE_FLOOR, f"{label}: rate {fit.rate:.4f}"

@@ -4,28 +4,16 @@ import pytest
 from edgesync import (
     EmptyWindowError,
     NotPositiveDefiniteError,
-    Trajectory,
     WeightedGraph,
     build_matrices,
     check_monotone,
     edge_energy,
     fit_decay_rate,
-    make_monitors,
+    random_connected_graph,
     sync_error,
 )
 
 from helpers import C3, P3
-
-
-def synthetic_traj(times, values, name="V"):
-    times = np.asarray(times, dtype=float)
-    return Trajectory(
-        times=times,
-        states=np.zeros((times.size, 1)),
-        inputs=np.zeros((times.size, 1)),
-        monitors={name: np.asarray(values, dtype=float)},
-        metadata={},
-    )
 
 
 class TestSyncError:
@@ -45,16 +33,13 @@ class TestSyncError:
 
 class TestEdgeEnergy:
     def test_zero_on_agreement(self):
-        out = edge_energy(np.tile([2.0, -1.0], (3, 1)), C3, np.eye(2))
-        assert out.edge_energy == 0.0
-        assert np.array_equal(out.per_edge, np.zeros(3))
+        assert edge_energy(np.tile([2.0, -1.0], (3, 1)), C3, np.eye(2)) == 0.0
 
     def test_single_edge_by_hand(self):
         g = WeightedGraph(2, ((1, 2, 2.0),))
-        out = edge_energy(np.array([[0.0], [1.0]]), g, np.eye(1))
-        assert out.edge_energy == 2.0
-        assert out.per_edge[0] == 1.0
-        assert out.sync_error == 1.0
+        xs = np.array([[0.0], [1.0]])
+        assert edge_energy(xs, g, np.eye(1)) == 2.0
+        assert sync_error(xs) == 1.0
 
     def test_matches_kron_form(self):
         rng = np.random.default_rng(6)
@@ -62,37 +47,89 @@ class TestEdgeEnergy:
         m = build_matrices(C3)
         for _ in range(10):
             xs = rng.standard_normal((3, 2))
-            out = edge_energy(xs, C3, p)
             big = np.kron(m.laplacian, p)
             oracle = float(xs.reshape(-1) @ big @ xs.reshape(-1))
-            assert abs(out.edge_energy - oracle) <= 1e-10 * max(1.0, abs(oracle))
+            assert abs(edge_energy(xs, C3, p) - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
     def test_rejects_indefinite_metric(self):
         with pytest.raises(NotPositiveDefiniteError):
             edge_energy(np.zeros((3, 2)), C3, np.diag([1.0, -1.0]))
 
 
-class TestMonitors:
-    def test_channels_present(self):
-        mon = make_monitors(P3, np.eye(2))
-        assert set(mon) == {"V", "sync_error"}
-        xs = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        assert mon["V"](xs) == edge_energy(xs, P3, np.eye(2)).edge_energy
-        assert mon["sync_error"](xs) == sync_error(xs)
+def loop_sync_error(xs):
+    """Per-stack reference: the sum over pairs, one agent at a time."""
+    total = 0.0
+    for i in range(xs.shape[0] - 1):
+        diffs = xs[i + 1:] - xs[i]
+        total += float(np.sqrt((diffs * diffs).sum(axis=1)).sum())
+    return total
+
+
+def loop_edge_energy(xs, g, p):
+    """Per-stack reference: w e^T P e summed in canonical edge order."""
+    total = 0.0
+    for k, l, w in g.edges:
+        e = xs[l - 1] - xs[k - 1]
+        total += w * float(e @ p @ e)
+    return total
+
+
+def series_cases():
+    """(graph, metric, (R, N, n) record) triples, seeded."""
+    rng = np.random.default_rng(17)
+    big = random_connected_graph(150, 0.05, (0.1, 6.0), seed=5)
+    p3 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+    return {
+        "c3": (C3, np.array([[2.0, 0.5], [0.5, 1.0]]),
+               rng.standard_normal((7, 3, 2))),
+        "p3_scalar": (P3, np.eye(1), rng.standard_normal((5, 3, 1))),
+        "n150": (big, p3, 10.0 * rng.standard_normal((6, 150, 3))),
+    }
+
+
+class TestSeriesForms:
+    """V and sync error over a record equal per-stack calls bit for bit."""
+
+    @pytest.mark.parametrize("case", ["c3", "p3_scalar", "n150"])
+    def test_record_matches_single_stacks(self, case):
+        g, p, record = series_cases()[case]
+        v = edge_energy(record, g, p)
+        sync = sync_error(record)
+        assert v.shape == sync.shape == (record.shape[0],)
+        for r, xs in enumerate(record):
+            assert v[r] == edge_energy(xs, g, p)
+            assert sync[r] == sync_error(xs)
+            assert v[r] == loop_edge_energy(xs, g, p)
+            assert sync[r] == loop_sync_error(xs)
+
+    def test_leading_shape_kept(self):
+        g, p, record = series_cases()["c3"]
+        grid = record[:6].reshape(2, 3, 3, 2)
+        assert np.array_equal(edge_energy(grid, g, p),
+                              edge_energy(record[:6], g, p).reshape(2, 3))
+        assert np.array_equal(sync_error(grid),
+                              sync_error(record[:6]).reshape(2, 3))
+
+    @pytest.mark.parametrize("case", ["c3", "p3_scalar", "n150"])
+    def test_v_matches_kron_form(self, case):
+        g, p, record = series_cases()[case]
+        big = np.kron(build_matrices(g).laplacian, p)
+        for xs, v in zip(record, edge_energy(record, g, p)):
+            oracle = float(xs.reshape(-1) @ big @ xs.reshape(-1))
+            assert abs(v - oracle) <= 1e-10 * abs(oracle)
 
 
 class TestFitDecayRate:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 5.0, 200)
-        traj = synthetic_traj(t, 5.0 * np.exp(-2.0 * t))
-        fit = fit_decay_rate(traj, "V", (0.0, 5.0))
+        fit = fit_decay_rate(t, 5.0 * np.exp(-2.0 * t), (0.0, 5.0))
         assert fit.rate == pytest.approx(2.0, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert not fit.clipped
 
     def test_constant_channel(self):
         t = np.linspace(0.0, 1.0, 50)
-        fit = fit_decay_rate(synthetic_traj(t, np.full(50, 3.0)), "V", (0.0, 1.0))
+        fit = fit_decay_rate(t, np.full(50, 3.0), (0.0, 1.0))
         assert fit.rate == pytest.approx(0.0, abs=1e-12)
         assert fit.r_squared == 1.0
 
@@ -100,7 +137,7 @@ class TestFitDecayRate:
         t = np.linspace(0.0, 10.0, 101)
         v = np.exp(-t)
         v[:50] = 1.0  # flat early segment outside the window
-        fit = fit_decay_rate(synthetic_traj(t, v), "V", (5.0, 10.0))
+        fit = fit_decay_rate(t, v, (5.0, 10.0))
         assert fit.rate == pytest.approx(1.0, abs=1e-9)
         assert fit.window[0] >= 5.0
 
@@ -108,31 +145,29 @@ class TestFitDecayRate:
         t = np.linspace(0.0, 4.0, 41)
         v = np.exp(-t)
         v[30:] = 0.0
-        fit = fit_decay_rate(synthetic_traj(t, v), "V", (0.0, 4.0))
+        fit = fit_decay_rate(t, v, (0.0, 4.0))
         assert fit.clipped
         assert fit.rate == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_window(self):
         t = np.linspace(0.0, 1.0, 10)
         with pytest.raises(EmptyWindowError):
-            fit_decay_rate(synthetic_traj(t, np.exp(-t)), "V", (5.0, 6.0))
+            fit_decay_rate(t, np.exp(-t), (5.0, 6.0))
 
     def test_all_nonpositive(self):
         t = np.linspace(0.0, 1.0, 10)
         with pytest.raises(EmptyWindowError):
-            fit_decay_rate(synthetic_traj(t, np.zeros(10)), "V", (0.0, 1.0))
+            fit_decay_rate(t, np.zeros(10), (0.0, 1.0))
 
 
 class TestCheckMonotone:
     def test_strict_decay_negative(self):
         t = np.linspace(0.0, 2.0, 30)
-        assert check_monotone(synthetic_traj(t, np.exp(-t)), "V") < 0.0
+        assert check_monotone(np.exp(-t)) < 0.0
 
     def test_constant_zero(self):
-        t = np.linspace(0.0, 1.0, 5)
-        assert check_monotone(synthetic_traj(t, np.ones(5)), "V") == 0.0
+        assert check_monotone(np.ones(5)) == 0.0
 
     def test_uptick_measured_relative(self):
-        traj = synthetic_traj([0.0, 1.0, 2.0], [10.0, 4.0, 4.2])
         # jump of 0.2 against max(1, 4)
-        assert check_monotone(traj, "V") == pytest.approx(0.05)
+        assert check_monotone([10.0, 4.0, 4.2]) == pytest.approx(0.05)

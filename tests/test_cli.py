@@ -8,6 +8,7 @@ from edgesync.cli import main, parse_graph_check
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 LINEAR_C3 = os.path.join(SCENARIO_DIR, "linear_c3.scn")
 TANH_P3 = os.path.join(SCENARIO_DIR, "tanh_p3.scn")
+LORENZ15 = os.path.join(SCENARIO_DIR, "lorenz15.scn")
 
 DISCONNECTED = """
 [graph]
@@ -321,6 +322,40 @@ class TestMalformedInput:
                 capsys, [verb, str(scn), "--out-dir", str(tmp_path / verb)])
             assert f"{scn}:{lineno}:" in err
             assert "nonnegative" in err
+
+    @pytest.mark.parametrize("scenario,edits", [
+        (LINEAR_C3, [("mu 0.2", "mu 0.2\np 1 0 0 ; 0 1 0 ; 0 0 1")]),
+        (TANH_P3, [("mu 0.2", "mu 0.2\np 1 0 0 ; 0 1 0 ; 0 0 1")]),
+        (LORENZ15, [("mu 0.5", "mu 0.5\np 1 0 ; 0 1")]),
+        (LINEAR_C3, [("mu 0.2", "mu 0.2\np 1 0 ; 0 1"), ("b 0 1", "b 0 1 0")]),
+    ], ids=["linear", "tanh", "lorenz", "linear_b"])
+    def test_certificate_size_mismatch(self, tmp_path, capsys, scenario, edits):
+        with open(scenario, encoding="utf-8") as fh:
+            text = fh.read().replace(
+                "file lorenz15.graph",
+                f"file {os.path.abspath(SCENARIO_DIR)}/lorenz15.graph")
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        scn = tmp_path / "mismatch.scn"
+        scn.write_text(text)
+        for verb in ("check", "run"):
+            out = tmp_path / verb
+            assert main([verb, str(scn), "--out-dir", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "state dimension" in err
+            assert not os.path.exists(out)
+
+    def test_ragged_state_lines(self, tmp_path, capsys):
+        lines = c3_text().splitlines()
+        first = lines.index("base 0 0")
+        lines[first:first + 3] = ["state 1 0 0", "state 2 2 0", "state 3 3 1 1"]
+        scn = tmp_path / "ragged.scn"
+        scn.write_text("\n".join(lines) + "\n")
+        err = expect_parse_error(
+            capsys, ["check", str(scn), "--out-dir", str(tmp_path)])
+        assert f"{scn}:{first + 3}:" in err
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_negative_seed_flag(self, tmp_path, capsys, verb):

@@ -7,7 +7,6 @@ from edgesync import (
     WeightedGraph,
     linear_model,
     lorenz_model,
-    make_monitors,
     perturbed_initial_conditions,
     simulate,
     simulate_batch,
@@ -113,9 +112,8 @@ class TestSimulate:
         # beta = 0, zero drift: sync error stays exactly put
         model = integrator_model()
         x0 = np.array([0.0, 1.0, 3.0])
-        mon = {"sync_error": lambda xs: sync_error(xs)}
-        traj = simulate(P3, model, 0.0, x0, 2.0, 0.01, 0.5, monitors=mon)
-        chan = traj.channel("sync_error")
+        traj = simulate(P3, model, 0.0, x0, 2.0, 0.01, 0.5)
+        chan = sync_error(traj.states.reshape(traj.n_samples, 3, 1))
         assert np.array_equal(chan, np.full(5, chan[0]))
         assert chan[0] == 6.0
 
@@ -140,11 +138,6 @@ class TestSimulate:
             simulate(P2, growth, 0.0, np.full(2, 1e3), 10.0, 0.01, 0.1)
         assert 0.0 < exc.value.time <= 10.0
 
-    def test_unknown_channel(self):
-        traj = simulate(P2, decay_model(), 0.0, np.ones(2), 1.0, 0.1, 0.5)
-        with pytest.raises(KeyError):
-            traj.channel("nope")
-
 
 RING4 = WeightedGraph(4, ((1, 2, 1.0), (1, 4, 0.3), (2, 3, 0.5), (3, 4, 2.0)))
 
@@ -168,9 +161,6 @@ def assert_same_trajectory(a, b):
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.inputs, b.inputs)
-    assert a.monitors.keys() == b.monitors.keys()
-    for name in a.monitors:
-        assert np.array_equal(a.channel(name), b.channel(name)), name
     assert a.metadata == b.metadata
 
 
@@ -178,33 +168,30 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
     def test_member_matches_single_run(self, kind):
         g, model, betas, base, t_end, h, interval = batch_cases()[kind]
-        mon = make_monitors(g, np.eye(model.state_dim))
         x0s = np.array([perturbed_initial_conditions(base, g.n, 1.0, seed)
                         for seed in range(len(betas))])
         batch = simulate_batch(g, model, betas, x0s, t_end, h, interval,
-                               monitors=mon, metadata={"tag": 1})
+                               metadata={"tag": 1})
         assert len(batch) == len(betas)
         for beta, x0, member in zip(betas, x0s, batch):
             single = simulate(g, model, beta, x0, t_end, h, interval,
-                              monitors=mon, metadata={"tag": 1})
+                              metadata={"tag": 1})
             assert_same_trajectory(member, single)
 
     def test_diverging_member_leaves_neighbours_alone(self):
         model = integrator_model()
         betas = [0.5, 1000.0, 2.0]
         x0 = np.array([0.0, 1.0, 3.0])
-        mon = {"sync_error": sync_error}
         batch = simulate_batch(P3, model, betas, np.tile(x0, (3, 1)), 2.0,
-                               0.01, 0.1, monitors=mon)
+                               0.01, 0.1)
         with pytest.raises(DivergedError) as alone:
-            simulate(P3, model, betas[1], x0, 2.0, 0.01, 0.1, monitors=mon)
+            simulate(P3, model, betas[1], x0, 2.0, 0.01, 0.1)
         assert isinstance(batch[1], DivergedError)
         assert 0.0 < batch[1].time < 2.0
         assert batch[1].time == alone.value.time
         assert str(batch[1]) == str(alone.value)
         for i in (0, 2):
-            single = simulate(P3, model, betas[i], x0, 2.0, 0.01, 0.1,
-                              monitors=mon)
+            single = simulate(P3, model, betas[i], x0, 2.0, 0.01, 0.1)
             assert_same_trajectory(batch[i], single)
 
     def test_member_outside_envelope_at_start(self):
