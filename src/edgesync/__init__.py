@@ -20,7 +20,6 @@ from .controller import (
     coupling_inputs,
     critical_gain,
     edge_end_arrays,
-    edge_index_arrays,
     make_controller,
 )
 from .edge_lift import (
@@ -118,7 +117,6 @@ __all__ = [
     "default_lorenz_alpha",
     "edge_end_arrays",
     "edge_energy",
-    "edge_index_arrays",
     "endpoint_correction_matrix",
     "fit_decay_rate",
     "linear_model",

@@ -81,8 +81,8 @@ def edge_energy(states, g, p):
     p = _validated_metric(p)
     xs, lead = _state_stacks(states)
     total = np.zeros(xs.shape[0])
-    for k, l, w in g.edges:
-        e = xs[:, l - 1] - xs[:, k - 1]
+    for k, l, w in zip(g.init, g.term, g.weights):
+        e = xs[:, l] - xs[:, k]
         total += w * ((e @ p)[:, None, :] @ e[:, :, None])[:, 0, 0]
     return total.reshape(lead)[()]
 

@@ -42,26 +42,14 @@ def critical_gain(m, lift, rho):
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if m.weight_diag.shape[0] == 0:
+    if m.weights.size == 0:
         raise DimensionMismatchError("graph has no edges; no coupling to scale")
     lam_low = float(lift.pd_margin)
     if not lam_low > 0.0:
         raise NotPositiveDefiniteError(
             f"lift symmetric part has nonpositive minimal eigenvalue {lam_low:.3e}"
         )
-    w_max = float(np.max(np.diag(m.weight_diag)))
-    return rho * w_max / (2.0 * lam_low)
-
-
-def edge_index_arrays(g):
-    """Zero-based endpoint index arrays and weights, in canonical order."""
-    if g.q == 0:
-        z = np.zeros(0, dtype=int)
-        return z, z, np.zeros(0)
-    init = np.array([k - 1 for k, _, _ in g.edges], dtype=int)
-    term = np.array([l - 1 for _, l, _ in g.edges], dtype=int)
-    weights = np.array([w for _, _, w in g.edges])
-    return init, term, weights
+    return rho * float(m.weights.max()) / (2.0 * lam_low)
 
 
 def edge_end_arrays(g, betas):
@@ -73,12 +61,11 @@ def edge_end_arrays(g, betas):
     with gains[k] = beta_b * w_e. Within a copy the initial ends come
     first and then the terminal ends, each in canonical edge order.
     """
-    init, term, weights = edge_index_arrays(g)
     betas = np.asarray(betas, dtype=float).reshape(-1, 1)
     offsets = g.n * np.arange(betas.shape[0])[:, None]
-    ends = (offsets + np.concatenate((init, term))).ravel()
-    others = (offsets + np.concatenate((term, init))).ravel()
-    gains = np.tile(betas * weights, 2).ravel()
+    ends = (offsets + np.concatenate((g.init, g.term))).ravel()
+    others = (offsets + np.concatenate((g.term, g.init))).ravel()
+    gains = np.tile(betas * g.weights, 2).ravel()
     return ends, others, gains
 
 

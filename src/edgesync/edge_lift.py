@@ -28,9 +28,9 @@ MAX_HALVINGS = 60
 class EdgeLift:
     """Constructed lift with its certificate quantities.
 
-    pd_margin is the smallest eigenvalue of (W U + U^T W) / 2; kernel
-    basis and mu reconstruct the lift exactly as
-    edge_laplacian + mu * kernel_basis @ kernel_basis.T.
+    pd_margin is the smallest eigenvalue of (W U + U^T W) / 2, inf for
+    an edgeless graph; kernel basis and mu reconstruct the lift exactly
+    as edge_laplacian + mu * kernel_basis @ kernel_basis.T.
     """
 
     lift: np.ndarray
@@ -41,9 +41,15 @@ class EdgeLift:
     kernel_basis: np.ndarray
 
 
-def _symmetric_part_min_eig(weight_diag, candidate):
-    s = 0.5 * (weight_diag @ candidate + candidate.T @ weight_diag)
-    return float(sym_eig(s).eigenvalues[0])
+def _symmetric_part(weights, c):
+    """(W C + C^T W) / 2 with W = diag(weights), as row and column scalings."""
+    return 0.5 * (weights[:, None] * c + c.T * weights)
+
+
+def _symmetric_part_min_eig(weights, candidate):
+    """Smallest eigenvalue of _symmetric_part, inf for an edgeless graph."""
+    eigs = sym_eig(_symmetric_part(weights, candidate)).eigenvalues
+    return float(eigs.min(initial=np.inf))
 
 
 def build_edge_lift(m):
@@ -59,32 +65,20 @@ def build_edge_lift(m):
     fails the search therefore halves downward from the seed. Exhausting
     both schedules raises LiftSearchError to flag a numerical defect.
     """
-    q = m.edge_laplacian.shape[0]
-    n = m.incidence.shape[0]
-    if q == 0:
-        return EdgeLift(
-            lift=np.zeros((0, 0)),
-            mu=0.0,
-            omega=np.zeros((0, n)),
-            pd_margin=np.inf,
-            kernel_dim=0,
-            kernel_basis=np.zeros((0, 0)),
-        )
     gram = m.incidence.T @ m.incidence
     kernel = nullspace_sym_psd(gram)
     kdim = kernel.shape[1]
     if kdim == 0:
         lift = m.edge_laplacian.copy()
         mu = 0.0
-        margin = _symmetric_part_min_eig(m.weight_diag, lift)
+        margin = _symmetric_part_min_eig(m.weights, lift)
     else:
         lap_eigs = sym_eig(m.laplacian).eigenvalues
         lam_max = float(lap_eigs[-1])
         positive = lap_eigs[lap_eigs > 1e-9 * max(1.0, lam_max)]
         # a graph with edges always has a positive Laplacian eigenvalue
         mu0 = float(positive[0])
-        w_max = float(np.max(np.diag(m.weight_diag)))
-        floor = MARGIN_FLOOR_RTOL * w_max
+        floor = MARGIN_FLOOR_RTOL * float(m.weights.max())
         projector = kernel @ kernel.T
         lift = None
         exponents = list(range(MAX_DOUBLINGS + 1))
@@ -92,7 +86,7 @@ def build_edge_lift(m):
         for j in exponents:
             mu_try = mu0 * (2.0 ** j)
             cand = m.edge_laplacian + mu_try * projector
-            margin_try = _symmetric_part_min_eig(m.weight_diag, cand)
+            margin_try = _symmetric_part_min_eig(m.weights, cand)
             if margin_try > floor:
                 lift, mu, margin = cand, mu_try, margin_try
                 break
@@ -121,9 +115,11 @@ def endpoint_correction_matrix(m, lift):
 def verify_endpoint_identities(m, u):
     """Max-norm residuals of both endpoint identities.
 
-    Checks E_k^T L = U E_k^T + Omega and E_l^T L = U E_l^T + Omega;
-    their difference is exactly the intertwining relation, so both
-    residuals are round-off small for any valid lift.
+    Checks E_k^T L = U E_k^T + Omega and E_l^T L = U E_l^T + Omega,
+    where the 0/1 endpoint splits E_k and E_l mark the negative and the
+    positive entries of the incidence matrix. Their difference is
+    exactly the intertwining relation, so both residuals are round-off
+    small for any valid lift.
     """
 
     def _residual(split):
@@ -131,4 +127,5 @@ def verify_endpoint_identities(m, u):
         r = st @ m.laplacian - (u.lift @ st + u.omega)
         return float(np.max(np.abs(r))) if r.size else 0.0
 
-    return _residual(m.incidence_initial), _residual(m.incidence_terminal)
+    return (_residual((m.incidence < 0.0).astype(float)),
+            _residual((m.incidence > 0.0).astype(float)))

@@ -5,15 +5,43 @@ the list sorted by increasing k then increasing l. Column j of the
 incidence matrix carries -1 at the initial node k_j and +1 at the
 terminal node l_j; the smaller index is always the initial node, fixed
 once so every derived object is reproducible.
+
+The diagonal edge-weight matrix W is never formed: products with it are
+row or column scalings by the graph's weight vector.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError
 from .linalg import sym_eig
+
+
+# node indices above this do not fit the 0-based index arrays
+MAX_NODES = int(np.iinfo(np.intp).max)
+
+
+def _edge_problem(k, l, w, n, prev):
+    """Why edge (k, l, w) may not follow the pair prev on n nodes, or None.
+
+    The one per-edge rule, shared by WeightedGraph and parse_graph_text.
+    """
+    top = min(n, MAX_NODES)
+    if not 1 <= k < l <= top:
+        return f"edge ({k},{l}) violates 1 <= k < l <= {top}"
+    if not (w > 0.0 and np.isfinite(w)):
+        return f"edge ({k},{l}) weight must be positive and finite, got {w}"
+    if prev is not None and (k, l) <= prev:
+        return f"edge ({k},{l}) duplicated or out of canonical order"
+    return None
+
+
+def _frozen(values, dtype):
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -22,31 +50,31 @@ class WeightedGraph:
 
     edges is a tuple of (k, l, w) with 1-based node indices, 1 <= k < l <= n,
     w > 0, sorted by (k, l), no duplicates. An empty edge list is legal
-    (isolated nodes only).
+    (isolated nodes only). The same edges, in the same order, are kept as
+    read-only arrays for vectorised use: init and term hold the 0-based
+    initial and terminal nodes (k - 1 and l - 1) and weights the w.
     """
 
     n: int
     edges: tuple
+    init: np.ndarray = field(init=False, repr=False, compare=False)
+    term: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
-        object.__setattr__(self, "edges", tuple(
-            (int(k), int(l), float(w)) for k, l, w in self.edges
-        ))
-        seen = set()
+        edges = tuple((int(k), int(l), float(w)) for k, l, w in self.edges)
         prev = None
-        for k, l, w in self.edges:
-            if not (1 <= k < l <= self.n):
-                raise ValueError(f"edge ({k},{l}) violates 1 <= k < l <= {self.n}")
-            if w <= 0.0 or not np.isfinite(w):
-                raise ValueError(f"edge ({k},{l}) has non-positive weight {w}")
-            if (k, l) in seen:
-                raise ValueError(f"duplicate edge ({k},{l})")
-            if prev is not None and (k, l) < prev:
-                raise ValueError("edge list is not in canonical sorted order")
-            seen.add((k, l))
+        for k, l, w in edges:
+            problem = _edge_problem(k, l, w, self.n, prev)
+            if problem:
+                raise ValueError(problem)
             prev = (k, l)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "init", _frozen([k - 1 for k, _, _ in edges], np.intp))
+        object.__setattr__(self, "term", _frozen([l - 1 for _, l, _ in edges], np.intp))
+        object.__setattr__(self, "weights", _frozen([w for _, _, w in edges], float))
 
     @classmethod
     def from_pairs(cls, n, weighted_pairs):
@@ -72,14 +100,13 @@ class WeightedGraph:
 class GraphMatrices:
     """Incidence and Laplacian family of a weighted graph.
 
-    incidence = incidence_terminal - incidence_initial, one column per
-    edge; laplacian = E W E^T; edge_laplacian = E^T E W.
+    incidence has one column per edge, -1 at the initial and +1 at the
+    terminal node. W = diag(weights) is only ever applied as a row or
+    column scaling: laplacian = E W E^T and edge_laplacian = E^T E W.
     """
 
     incidence: np.ndarray
-    incidence_initial: np.ndarray
-    incidence_terminal: np.ndarray
-    weight_diag: np.ndarray
+    weights: np.ndarray
     laplacian: np.ndarray
     edge_laplacian: np.ndarray
 
@@ -93,24 +120,17 @@ class SpectralReport:
 
 
 def build_matrices(g):
-    """Assemble incidence, weight, Laplacian and edge Laplacian matrices."""
-    n, q = g.n, g.q
-    e_init = np.zeros((n, q))
-    e_term = np.zeros((n, q))
-    for j, (k, l, _) in enumerate(g.edges):
-        e_init[k - 1, j] = 1.0
-        e_term[l - 1, j] = 1.0
-    incidence = e_term - e_init
-    weight_diag = np.diag([w for _, _, w in g.edges]) if q else np.zeros((0, 0))
-    laplacian = incidence @ weight_diag @ incidence.T
-    edge_laplacian = incidence.T @ incidence @ weight_diag
+    """Assemble the incidence, Laplacian and edge Laplacian of g."""
+    incidence = np.zeros((g.n, g.q))
+    cols = np.arange(g.q)
+    incidence[g.init, cols] = -1.0
+    incidence[g.term, cols] = 1.0
+    w = g.weights
     return GraphMatrices(
         incidence=incidence,
-        incidence_initial=e_init,
-        incidence_terminal=e_term,
-        weight_diag=weight_diag,
-        laplacian=laplacian,
-        edge_laplacian=edge_laplacian,
+        weights=w,
+        laplacian=(incidence * w) @ incidence.T,
+        edge_laplacian=(incidence.T @ incidence) * w,
     )
 
 
@@ -139,12 +159,9 @@ def spectral_report(m, g):
     symmetrized form and stays inside the symmetric eigensolver.
     """
     lap_eigs = sym_eig(m.laplacian).eigenvalues
-    if g.q:
-        w_sqrt = np.sqrt(np.diag(m.weight_diag))
-        sym_edge = (m.incidence.T @ m.incidence) * np.outer(w_sqrt, w_sqrt)
-        edge_eigs = sym_eig(sym_edge).eigenvalues
-    else:
-        edge_eigs = np.zeros(0)
+    w_sqrt = np.sqrt(m.weights)
+    sym_edge = (m.incidence.T @ m.incidence) * np.outer(w_sqrt, w_sqrt)
+    edge_eigs = sym_eig(sym_edge).eigenvalues
     lambda2 = float(lap_eigs[1]) if g.n >= 2 else 0.0
     return SpectralReport(
         laplacian_eigs=lap_eigs,
@@ -220,13 +237,9 @@ def parse_graph_text(text, path="<string>"):
             k, l, w = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(f"bad edge line {line!r}", path, lineno)
-        if not 1 <= k < l <= n:
-            raise ParseError(f"edge ({k},{l}) violates 1 <= k < l <= {n}", path, lineno)
-        if w <= 0 or not np.isfinite(w):
-            raise ParseError(f"edge weight must be positive and finite, got {w}",
-                             path, lineno)
-        if prev is not None and (k, l) <= prev:
-            raise ParseError("edges out of canonical order or duplicated", path, lineno)
+        problem = _edge_problem(k, l, w, n, prev)
+        if problem:
+            raise ParseError(problem, path, lineno)
         prev = (k, l)
         edges.append((k, l, w))
     if n is None:

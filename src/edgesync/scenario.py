@@ -47,6 +47,7 @@ from .graphs import (
     WeightedGraph,
     build_matrices,
     components,
+    parse_graph_text,
     read_graph_file,
     spectral_report,
 )
@@ -195,8 +196,7 @@ def parse_scenario(path):
 def parse_scenario_text(text, path="<string>"):
     sc = Scenario(name=os.path.splitext(os.path.basename(path))[0], path=path)
     seen_sections = set()
-    inline_nodes = None
-    inline_edges = []
+    graph_lines = {}
     state_rows = {}
 
     for section, key, tokens, lineno in _tokenize(text, path):
@@ -210,17 +210,10 @@ def parse_scenario_text(text, path="<string>"):
                 if len(tokens) != 1:
                     raise ParseError("file takes one path", path, lineno)
                 sc.graph_file = tokens[0]
-            elif key == "nodes":
-                inline_nodes = _parse_int(tokens[0], path, lineno)
-            elif key == "edge":
-                if len(tokens) != 3:
-                    raise ParseError("edge takes 'k l w'", path, lineno)
-                inline_edges.append((
-                    _parse_int(tokens[0], path, lineno),
-                    _parse_int(tokens[1], path, lineno),
-                    _parse_float(tokens[2], path, lineno),
-                    lineno,
-                ))
+            elif key in ("nodes", "edge"):
+                # graph-file syntax: 'nodes N', then one 'k l w' per edge
+                graph_lines[lineno] = " ".join(
+                    tokens if key == "edge" else [key] + tokens)
             else:
                 raise ParseError(f"unknown graph key {key!r}", path, lineno)
         elif section == "model":
@@ -300,13 +293,10 @@ def parse_scenario_text(text, path="<string>"):
     if missing:
         raise ParseError(f"missing sections: {', '.join(missing)}", path)
 
-    if inline_nodes is not None:
-        try:
-            sc.graph_inline = WeightedGraph(
-                inline_nodes, tuple((k, l, w) for k, l, w, _ in inline_edges))
-        except ValueError as exc:
-            bad_line = inline_edges[0][3] if inline_edges else None
-            raise ParseError(str(exc), path, bad_line)
+    if graph_lines:
+        # parsed as a graph file whose lines keep their scenario line numbers
+        sc.graph_inline = parse_graph_text("\n".join(
+            graph_lines.get(i, "") for i in range(1, max(graph_lines) + 1)), path)
     if (sc.graph_file is None) == (sc.graph_inline is None):
         raise ParseError("graph section needs exactly one of 'file' or inline "
                          "'nodes'/'edge' lines", path)

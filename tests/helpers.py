@@ -1,6 +1,9 @@
 """Shared fixtures-in-plain-functions for the test suite."""
 
+import os
+
 import numpy as np
+from hypothesis import strategies as st
 
 from edgesync import WeightedGraph, random_connected_graph
 
@@ -11,6 +14,17 @@ C3 = WeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
 
 DOUBLE_INTEGRATOR_A = np.array([[0.0, 1.0], [0.0, 0.0]])
 DOUBLE_INTEGRATOR_B = np.array([0.0, 1.0])
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SHIPPED_NAMES = ("linear_c3.scn", "tanh_p3.scn", "lorenz15.scn")
+
+
+def read_shipped(name):
+    with open(os.path.join(SCENARIO_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+SHIPPED_TEXTS = tuple(read_shipped(name) for name in SHIPPED_NAMES)
 
 
 def shifted_union(g1, g2):
@@ -46,3 +60,29 @@ def graph_family(count=100):
                 n, float(rng.uniform(0.0, 0.9)), (0.1, 6.0),
                 int(rng.integers(0, 2**31))))
     return graphs
+
+
+def _is_number(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def mutated_text(draw, texts):
+    """One of texts with one to three space-separated tokens dropped or replaced.
+
+    A number may become nan, inf, -inf or -1; any token may be dropped.
+    """
+    text = draw(st.sampled_from(texts))
+    lines = [line.split(" ") for line in text.splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i, j = draw(st.sampled_from(spots))
+        if _is_number(lines[i][j]):
+            lines[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "-1", ""]))
+        else:
+            lines[i][j] = ""
+    return "\n".join(" ".join(toks) for toks in lines)

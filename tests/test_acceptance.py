@@ -88,7 +88,7 @@ def test_criterion_2_graph_identities():
     with criterion(2, "graph identities", 10.0):
         for g in graph_family(100):
             m = es.build_matrices(g)
-            w = m.weight_diag
+            w = np.diag(m.weights)
             assert np.max(np.abs(
                 m.laplacian - m.incidence @ w @ m.incidence.T)) <= 1e-12
             assert np.max(np.abs(

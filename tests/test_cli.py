@@ -1,11 +1,18 @@
+import contextlib
+import io
+import math
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from edgesync.cli import main, parse_graph_check
+from edgesync.cli import _fmt, _table_lines, main, parse_graph_check
 
-SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+from helpers import SCENARIO_DIR, SHIPPED_TEXTS, mutated_text
+
 LINEAR_C3 = os.path.join(SCENARIO_DIR, "linear_c3.scn")
 TANH_P3 = os.path.join(SCENARIO_DIR, "tanh_p3.scn")
 LORENZ15 = os.path.join(SCENARIO_DIR, "lorenz15.scn")
@@ -277,6 +284,16 @@ def expect_parse_error(capsys, argv):
     return err
 
 
+def test_table_lines_match_fmt():
+    values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, math.inf, -math.inf, math.nan,
+              1.0 / 3.0, -2.0 / 3.0, 0, 7, -12, 2**53 + 1]
+    assert _table_lines(values, " ") == [" ".join(_fmt(v) for v in values)]
+    rows = [values, values[::-1]]
+    assert _table_lines(rows, ",") == [",".join(_fmt(v) for v in r) for r in rows]
+    assert _table_lines(np.zeros(0), " ") == [""]
+    assert _table_lines(np.zeros((2, 0)), " ") == ["", ""]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("section,key", [
         (section, key) for section, keys in SCENARIO_KEYS.items() for key in keys
@@ -416,3 +433,31 @@ class TestMalformedInput:
             capsys, [verb, LINEAR_C3, "--out-dir", str(tmp_path)] + flags)
         assert "integration" in err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("verb", ["run", "check", "sweep"])
+    def test_out_dir_not_creatable(self, tmp_path, capsys, verb):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        for out in (blocker, blocker / "sub"):
+            err = expect_parse_error(
+                capsys, [verb, LINEAR_C3, "--out-dir", str(out)])
+            assert "output directory" in err
+        scn = tmp_path / "out.scn"
+        scn.write_text(c3_text() + f"\n[output]\ndir {blocker}\n")
+        err = expect_parse_error(capsys, [verb, str(scn)])
+        assert "output directory" in err
+        assert blocker.read_text() == "not a directory\n"
+
+
+@given(mutated_text(SHIPPED_TEXTS))
+@settings(max_examples=200, deadline=None)
+def test_mutated_scenario_check_exits_with_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(os.path.join(SCENARIO_DIR, "lorenz15.graph"), tmp)
+        scn = os.path.join(tmp, "mutated.scn")
+        with open(scn, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", scn, "--out-dir", os.path.join(tmp, "out")])
+    assert code == 0 or 2 <= code <= 10

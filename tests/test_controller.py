@@ -12,7 +12,6 @@ from edgesync import (
     coupling_inputs,
     critical_gain,
     edge_end_arrays,
-    edge_index_arrays,
     linear_model,
     make_controller,
     random_connected_graph,
@@ -154,14 +153,16 @@ class TestCouplingInputs:
 
 class TestEdgeIndexArrays:
     def test_canonical_zero_based(self):
-        init, term, weights = edge_index_arrays(C3)
-        assert init.tolist() == [0, 0, 1]
-        assert term.tolist() == [1, 2, 2]
-        assert weights.tolist() == [1.0, 1.0, 1.0]
+        assert C3.init.tolist() == [0, 0, 1]
+        assert C3.term.tolist() == [1, 2, 2]
+        assert C3.weights.tolist() == [1.0, 1.0, 1.0]
+        # the graph's arrays are shared, so they are read-only
+        with pytest.raises(ValueError):
+            C3.weights[0] = 2.0
 
     def test_empty(self):
-        init, term, weights = edge_index_arrays(WeightedGraph(2, ()))
-        assert init.size == 0 and term.size == 0 and weights.size == 0
+        g = WeightedGraph(2, ())
+        assert g.init.size == 0 and g.term.size == 0 and g.weights.size == 0
 
 
 class TestMakeController:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesync import (
@@ -14,7 +14,17 @@ from edgesync import (
     spectral_report,
 )
 
-from helpers import C3, P2, P3, graph_family, shifted_union
+from edgesync.edge_lift import _symmetric_part, build_edge_lift
+
+from helpers import (
+    C3,
+    P2,
+    P3,
+    graph_family,
+    mutated_text,
+    read_shipped,
+    shifted_union,
+)
 
 
 class TestWeightedGraph:
@@ -83,22 +93,49 @@ class TestMatrices:
 
     def test_incidence_split(self):
         m = build_matrices(C3)
-        assert np.array_equal(m.incidence,
-                              m.incidence_terminal - m.incidence_initial)
-        # indicator matrices are 0/1 with one nonzero per column
-        for part in (m.incidence_initial, m.incidence_terminal):
-            assert set(np.unique(part)) <= {0.0, 1.0}
-            assert np.array_equal(part.sum(axis=0), np.ones(C3.q))
+        cols = np.arange(C3.q)
+        # one -1 at the initial and one +1 at the terminal node per column
+        assert np.array_equal(m.incidence[C3.init, cols], -np.ones(C3.q))
+        assert np.array_equal(m.incidence[C3.term, cols], np.ones(C3.q))
+        assert np.array_equal(np.abs(m.incidence).sum(axis=0), 2.0 * np.ones(C3.q))
+        assert np.array_equal(m.weights, C3.weights)
 
     def test_defining_products_on_family(self):
         for g in graph_family(24):
             m = build_matrices(g)
-            w = m.weight_diag
+            w = np.diag(m.weights)
             assert np.max(np.abs(m.laplacian - m.incidence @ w @ m.incidence.T)) <= 1e-12
             assert np.max(np.abs(m.edge_laplacian - m.incidence.T @ m.incidence @ w)) <= 1e-12
-            assert np.array_equal(np.diag(np.diag(w)), w)
+            assert m.weights.tolist() == [wt for _, _, wt in g.edges]
             # row sums of L vanish
             assert np.max(np.abs(m.laplacian.sum(axis=1))) <= 1e-12
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestDenseDiagonalReference:
+    """Scaling by the weight vector gives the bits of the products with diag(w)."""
+
+    GRAPHS = [WeightedGraph(4, ()), P2, C3] + [
+        random_connected_graph(n, p, (0.1, 6.0), seed)
+        for n, p, seed in ((6, 0.0, 1), (9, 0.5, 2), (14, 0.3, 3), (25, 0.2, 4))
+    ]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}q{g.q}")
+    def test_matrices_and_symmetric_part(self, g):
+        m = build_matrices(g)
+        e = m.incidence
+        w = np.diag(m.weights)
+        assert_same_bits(m.laplacian, e @ w @ e.T)
+        assert_same_bits(m.edge_laplacian, e.T @ e @ w)
+        # the candidates the lift search scales; a -0.0 entry in C would
+        # give +0.0 in the dense product but keep its sign when scaled
+        for c in (m.edge_laplacian, build_edge_lift(m).lift):
+            assert_same_bits(_symmetric_part(m.weights, c), 0.5 * (w @ c + c.T @ w))
 
 
 class TestComponents:
@@ -206,3 +243,35 @@ class TestParsing:
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             read_graph_file(str(tmp_path / "nope.graph"))
+
+
+NODE_TOKENS = ("0", "1", "2", "3", "-1", "99999999999999999999")
+WEIGHT_TOKENS = ("0.5", "1_0", "1e-320", "0", "-1", "1e309", "nan", "inf", "x")
+
+
+@st.composite
+def random_graph_text(draw):
+    """Header and edge lines of boundary tokens, mixed with stray junk lines."""
+    node = st.sampled_from(NODE_TOKENS)
+    edge = st.tuples(node, node, st.sampled_from(WEIGHT_TOKENS)).map(" ".join)
+    junk = st.lists(st.sampled_from(NODE_TOKENS + WEIGHT_TOKENS + ("nodes", "#")),
+                    max_size=4).map(" ".join)
+    lines = draw(st.lists(st.one_of(edge, junk), max_size=8))
+    if draw(st.booleans()):
+        lines.insert(0, "nodes " + draw(node))
+    return "\n".join(lines)
+
+
+GRAPH_TEXTS = (read_shipped("lorenz15.graph"), C3.canonical_text())
+
+
+@given(st.one_of(random_graph_text(), mutated_text(GRAPH_TEXTS)))
+# node indices that do not fit the 0-based index arrays
+@example("nodes 99999999999999999999\n1 99999999999999999999 0.5")
+@settings(max_examples=300, deadline=None)
+def test_graph_text_parses_or_raises_parse_error(text):
+    try:
+        g = parse_graph_text(text)
+    except ParseError:
+        return
+    assert isinstance(g, WeightedGraph)

@@ -3,7 +3,6 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from edgesync import (
     DisconnectedGraphError,
@@ -14,16 +13,7 @@ from edgesync import (
     realize,
 )
 
-SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-
-
-def _read_scenario(name):
-    with open(os.path.join(SCENARIO_DIR, name), encoding="utf-8") as fh:
-        return fh.read()
-
-
-SHIPPED_TEXTS = tuple(_read_scenario(name)
-                      for name in ("linear_c3.scn", "tanh_p3.scn", "lorenz15.scn"))
+from helpers import SCENARIO_DIR, SHIPPED_TEXTS, mutated_text
 
 MINIMAL = """
 [graph]
@@ -129,6 +119,31 @@ class TestParseValidation:
             parse_scenario_text(bad, path="case.scn")
         assert "case.scn:" in str(exc.value)
         assert "wobble" in str(exc.value)
+
+    @pytest.mark.parametrize("bad_edge,message", [
+        ("edge 4 5 1.0", "violates"),
+        ("edge 3 3 1.0", "violates"),
+        ("edge 1 3 1.0", "canonical order"),
+        ("edge 2 3 2.0", "duplicate"),
+        ("edge 3 4 0", "positive"),
+        ("edge 3 4 -1", "positive"),
+    ], ids=["bound", "self_loop", "order", "duplicate", "zero_weight",
+            "negative_weight"])
+    def test_inline_edge_error_carries_its_line(self, bad_edge, message):
+        text = replace_section(
+            MINIMAL, "graph", f"nodes 4\nedge 1 2 1.0\nedge 2 3 1.0\n{bad_edge}")
+        lineno = text.splitlines().index(bad_edge) + 1
+        with pytest.raises(ParseError) as exc:
+            parse_scenario_text(text, path="inl.scn")
+        assert exc.value.line == lineno
+        assert f"inl.scn:{lineno}:" in str(exc.value)
+        assert message in str(exc.value)
+
+    def test_inline_node_count_carries_line(self):
+        text = replace_section(MINIMAL, "graph", "nodes 1")
+        with pytest.raises(ParseError) as exc:
+            parse_scenario_text(text)
+        assert exc.value.line == text.splitlines().index("nodes 1") + 1
 
     def test_bad_number(self):
         with pytest.raises(ParseError):
@@ -239,33 +254,7 @@ class TestRealize:
         assert setup.approximate
 
 
-def _is_number(tok):
-    try:
-        float(tok)
-    except ValueError:
-        return False
-    return True
-
-
-@st.composite
-def mutated_shipped_text(draw):
-    """A shipped scenario with one to three tokens dropped or replaced.
-
-    A number may become nan, inf, -inf or -1; any token may be dropped.
-    """
-    text = draw(st.sampled_from(SHIPPED_TEXTS))
-    lines = [line.split(" ") for line in text.splitlines()]
-    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        i, j = draw(st.sampled_from(spots))
-        if _is_number(lines[i][j]):
-            lines[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "-1", ""]))
-        else:
-            lines[i][j] = ""
-    return "\n".join(" ".join(toks) for toks in lines)
-
-
-@given(mutated_shipped_text())
+@given(mutated_text(SHIPPED_TEXTS))
 @settings(max_examples=300, deadline=None)
 def test_mutated_scenario_parses_or_raises_parse_error(text):
     try:
