@@ -53,7 +53,7 @@ from .graphs import (
     read_graph_file,
     spectral_report,
 )
-from .linalg import lyapunov_solve, nullspace_sym_psd, solve_linear, sym_eig
+from .linalg import lyapunov_solve, nullspace_sym_psd, sym_eig
 from .metric import (
     MetricCertificate,
     verify_ari_sampled,
@@ -134,7 +134,6 @@ __all__ = [
     "simulate",
     "simulate_batch",
     "solve_ari",
-    "solve_linear",
     "spectral_report",
     "sym_eig",
     "sync_error",

@@ -20,14 +20,22 @@ import numpy as np
 from .errors import EmptyWindowError, NotPositiveDefiniteError
 from .linalg import sym_eig
 
+# V is quadratic in the disagreement, a difference of states that carry
+# rounding errors of eps times their size. At 1e-20 of its peak, V holds
+# a disagreement 1e-10 of its peak, still good to eps * 1e10 = 2e-6 times
+# the ratio of state size to disagreement (tens on lorenz15). Below it
+# the log fit follows round-off: lorenz15's V is exactly 0 from t = 9.57.
+FIT_FLOOR_RTOL = 1e-20
+
 
 @dataclass(frozen=True)
 class DecayFit:
     """Least-squares exponential fit of a positive series.
 
     rate is the negated slope of log(values) against time, so the
-    values follow value ~ exp(-rate * t) on the window. clipped is set
-    when nonpositive samples forced a shorter window than requested.
+    values follow value ~ exp(-rate * t) on the window, which holds the
+    first and last sample times fitted. clipped is set when samples at
+    the round-off floor forced a shorter window than requested.
     """
 
     rate: float
@@ -90,9 +98,9 @@ def edge_energy(states, g, p):
 def fit_decay_rate(times, values, window):
     """Fit log(values) = a - rate * t by least squares on a time window.
 
-    times and values are matching 1-D series. Nonpositive values cannot
-    enter the log fit; when present, the window is shrunk to the longest
-    strictly positive prefix and the result is marked clipped. Raises
+    times and values are matching 1-D series. The window ends before
+    the first sample at or below FIT_FLOOR_RTOL times the peak of the
+    series (or at or below zero), which the result marks clipped. Raises
     EmptyWindowError when fewer than two usable samples remain.
     """
     t = np.asarray(times, dtype=float)
@@ -103,11 +111,12 @@ def fit_decay_rate(times, values, window):
         raise EmptyWindowError(f"window {window} selects no samples")
     tw = t[mask]
     vw = values[mask]
+    floor = max(0.0, FIT_FLOOR_RTOL * float(np.max(values)))
     clipped = False
-    nonpos = np.nonzero(vw <= 0.0)[0]
-    if nonpos.size:
-        vw = vw[: nonpos[0]]
-        tw = tw[: nonpos[0]]
+    low = np.nonzero(vw <= floor)[0]
+    if low.size:
+        vw = vw[: low[0]]
+        tw = tw[: low[0]]
         clipped = True
     if tw.shape[0] < 2:
         raise EmptyWindowError("fewer than two positive samples in the window")

@@ -184,6 +184,7 @@ def report_text(setup, diag, warnings, fit, uptick, sync0, sync1):
         f"integrability_residual {_fmt(diag['integrability_residual'])}",
         f"rate {_fmt(fit.rate)}",
         f"r_squared {_fmt(fit.r_squared)}",
+        f"fit_window {_fmt(fit.window[0])} {_fmt(fit.window[1])}",
         f"largest_uptick {_fmt(uptick)}",
         f"initial_sync_error {_fmt(sync0)}",
         f"final_sync_error {_fmt(sync1)}",

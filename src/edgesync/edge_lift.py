@@ -62,7 +62,10 @@ def build_edge_lift(m):
     feasible window below the seed: on ker(E) the symmetric part grows
     like mu * V^T W^-1 V while the indefinite cross terms grow with mu,
     so small shifts always work but large ones may not. When doubling
-    fails the search therefore halves downward from the seed. Exhausting
+    fails the search therefore halves downward from the seed. The margin
+    is concave in mu (the smallest eigenvalue of an affine symmetric
+    family), so once a failing doubling lowers it every larger shift
+    fails too and the search goes straight to the halvings. Exhausting
     both schedules raises LiftSearchError to flag a numerical defect.
     """
     gram = m.incidence.T @ m.incidence
@@ -81,15 +84,18 @@ def build_edge_lift(m):
         floor = MARGIN_FLOOR_RTOL * float(m.weights.max())
         projector = kernel @ kernel.T
         lift = None
-        exponents = list(range(MAX_DOUBLINGS + 1))
-        exponents += [-j for j in range(1, MAX_HALVINGS + 1)]
-        for j in exponents:
+        j, previous = 0, -np.inf
+        while j >= -MAX_HALVINGS:
             mu_try = mu0 * (2.0 ** j)
             cand = m.edge_laplacian + mu_try * projector
             margin_try = _symmetric_part_min_eig(m.weights, cand)
             if margin_try > floor:
                 lift, mu, margin = cand, mu_try, margin_try
                 break
+            if 0 <= j < MAX_DOUBLINGS and margin_try >= previous:
+                j, previous = j + 1, margin_try
+            else:
+                j = min(j, 0) - 1
         if lift is None:
             raise LiftSearchError(
                 f"no shift within 2^-{MAX_HALVINGS}..2^{MAX_DOUBLINGS} of "

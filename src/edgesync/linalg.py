@@ -21,7 +21,6 @@ from .errors import (
 
 SYMMETRY_RTOL = 1e-9
 NULLSPACE_RTOL = 1e-9
-PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,44 +85,24 @@ def nullspace_sym_psd(a, rel_tol=NULLSPACE_RTOL):
     return dec.eigenvectors[:, keep]
 
 
-def solve_linear(a, b):
-    """Solve a x = b by LU with partial pivoting.
-
-    Raises SingularMatrixError when any pivot magnitude falls below
-    1e-12 * max-entry of a.
-    """
-    a = _as_square(a)
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatchError(
-            f"rhs has {b.shape[0]} rows, matrix has {a.shape[0]}"
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    floor = PIVOT_RTOL * max(1.0, np.max(np.abs(a)) if a.size else 0.0)
-    if a.size and np.min(pivots) < floor:
-        raise SingularMatrixError(
-            f"pivot magnitude {np.min(pivots):.3e} below floor {floor:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b)
-
-
 def lyapunov_solve(a, q):
-    """Solve a^T X + X a + q = 0 for symmetric q.
+    """Solve a^T X + X a + q = 0 for symmetric q by Bartels-Stewart.
 
-    Assembled as the n^2 x n^2 Kronecker linear system and solved by
-    solve_linear, so a shared eigenvalue between a and -a^T surfaces as
-    SingularMatrixError. The result is symmetrized exactly.
+    Raises SingularMatrixError where LAPACK's trsyl has to perturb the
+    Schur form of a: the equation is then singular to working precision,
+    as when an eigenvalue pair of a sums to zero, and scipy would only
+    warn and solve the perturbed equation. The result is symmetrized
+    exactly.
     """
     a = _as_square(a)
     q = _as_square(q, "q")
     n = a.shape[0]
     if q.shape[0] != n:
         raise DimensionMismatchError(f"q has shape {q.shape}, expected ({n}, {n})")
-    eye = np.eye(n)
-    m = np.kron(eye, a.T) + np.kron(a.T, eye)
-    x = solve_linear(m, -q.flatten(order="F"))
-    x = x.reshape((n, n), order="F")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            x = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+        except RuntimeWarning as exc:
+            raise SingularMatrixError(f"Lyapunov operator is singular: {exc}") from exc
     return 0.5 * (x + x.T)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,14 @@ from edgesync import (
     check_monotone,
     edge_energy,
     fit_decay_rate,
+    parse_scenario,
     random_connected_graph,
+    realize,
+    simulate_batch,
     sync_error,
 )
 
-from helpers import C3, P3
+from helpers import C3, P3, SCENARIO_DIR
 
 
 class TestSyncError:
@@ -148,6 +153,34 @@ class TestFitDecayRate:
         fit = fit_decay_rate(t, v, (0.0, 4.0))
         assert fit.clipped
         assert fit.rate == pytest.approx(1.0, abs=1e-9)
+
+    def test_clips_at_round_off_floor(self):
+        # below 1e-20 of the peak the samples are noise the fit must skip
+        t = np.linspace(0.0, 60.0, 601)
+        v = 3.0 * np.exp(-t)
+        rng = np.random.default_rng(0)
+        v[t > 40.0] = 1e-21 * rng.uniform(0.5, 2.0, int(np.sum(t > 40.0)))
+        fit = fit_decay_rate(t, v, (10.0, 60.0))
+        assert fit.clipped
+        assert fit.window == (10.0, pytest.approx(40.0))
+        assert fit.rate == pytest.approx(1.0, abs=1e-9)
+
+    def test_lorenz15_rate_ignores_round_off(self):
+        # V on lorenz15 reaches exactly 0; perturbing x0 by one part in
+        # 1e15 must not move the rate fitted on the shipped window
+        setup = realize(parse_scenario(os.path.join(SCENARIO_DIR, "lorenz15.scn")))
+        x0s = np.stack([setup.x0, setup.x0 * (1.0 + 1e-15)])
+        trajs = simulate_batch(setup.graph, setup.model, [setup.controller.beta] * 2,
+                               x0s, setup.t_end, setup.h, setup.record_interval)
+        rates = []
+        for traj in trajs:
+            stacks = traj.states.reshape(traj.n_samples, setup.graph.n,
+                                         setup.model.state_dim)
+            v = edge_energy(stacks, setup.graph, setup.certificate.p)
+            fit = fit_decay_rate(traj.times, v, (0.1 * setup.t_end, setup.t_end))
+            assert fit.clipped
+            rates.append(fit.rate)
+        assert rates[1] == pytest.approx(rates[0], rel=1e-6)
 
     def test_empty_window(self):
         t = np.linspace(0.0, 1.0, 10)

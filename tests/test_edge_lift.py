@@ -5,7 +5,11 @@ from edgesync import (
     WeightedGraph,
     build_edge_lift,
     build_matrices,
+    edge_lift,
     endpoint_correction_matrix,
+    nullspace_sym_psd,
+    random_connected_graph,
+    sym_eig,
     verify_endpoint_identities,
 )
 
@@ -127,8 +131,6 @@ class TestShiftWindow:
         # dense graph whose weight spread pushes the feasible shift window
         # below the smallest positive Laplacian eigenvalue; the search must
         # come back down instead of doubling away from it
-        from edgesync import sym_eig
-
         g = list(graph_family(100))[81]
         m = build_matrices(g)
         lift = build_edge_lift(m)
@@ -139,3 +141,32 @@ class TestShiftWindow:
         assert lift.pd_margin > 0.0
         res = np.max(np.abs(lift.lift @ m.incidence.T - m.incidence.T @ m.laplacian))
         assert res <= 1e-8 * max(1.0, np.max(np.abs(m.laplacian)))
+
+    def test_doubling_stops_at_first_drop(self, monkeypatch):
+        # mu0 and 2 mu0 both fail with a falling margin, so by concavity
+        # every doubling fails; the search must halve right away and land
+        # on the shift the full doubling-then-halving schedule finds
+        m = build_matrices(random_connected_graph(6, 0.5, (0.05, 10.0), 3))
+        min_eig = edge_lift._symmetric_part_min_eig
+        kernel = nullspace_sym_psd(m.incidence.T @ m.incidence)
+        eigs = sym_eig(m.laplacian).eigenvalues
+        mu0 = float(eigs[eigs > 1e-9 * max(1.0, float(eigs[-1]))][0])
+        floor = edge_lift.MARGIN_FLOOR_RTOL * float(m.weights.max())
+        schedule = list(range(edge_lift.MAX_DOUBLINGS + 1))
+        schedule += [-j for j in range(1, edge_lift.MAX_HALVINGS + 1)]
+        expected = next(
+            mu0 * 2.0 ** j for j in schedule
+            if min_eig(m.weights, m.edge_laplacian
+                       + mu0 * 2.0 ** j * (kernel @ kernel.T)) > floor)
+        calls = []
+
+        def counting(weights, candidate):
+            calls.append(1)
+            return min_eig(weights, candidate)
+
+        monkeypatch.setattr(edge_lift, "_symmetric_part_min_eig", counting)
+        lift = build_edge_lift(m)
+        assert len(calls) == 4
+        assert lift.mu == expected < mu0
+        assert np.array_equal(
+            lift.lift, m.edge_laplacian + expected * (kernel @ kernel.T))

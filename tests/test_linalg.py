@@ -10,7 +10,6 @@ from edgesync import (
     SingularMatrixError,
     lyapunov_solve,
     nullspace_sym_psd,
-    solve_linear,
     sym_eig,
 )
 
@@ -96,30 +95,6 @@ class TestNullspace:
         assert basis.shape == (cols, cols - rank)
         if basis.shape[1]:
             assert np.max(np.abs(e @ basis)) <= 1e-7
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(solve_linear(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        x = solve_linear(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0]))
-        assert np.allclose(x, [1.0, 2.0])
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1),
-           st.integers(min_value=1, max_value=9))
-    @settings(max_examples=40, deadline=None)
-    def test_residual(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n)) + n * np.eye(n)
-        b = rng.standard_normal(n)
-        x = solve_linear(a, b)
-        assert np.max(np.abs(a @ x - b)) <= 1e-9 * max(1.0, np.max(np.abs(b)))
 
 
 class TestLyapunov:

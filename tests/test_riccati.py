@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesync import (
@@ -44,6 +45,9 @@ class TestBassInitialGain:
     @given(st.integers(min_value=0, max_value=2**31 - 1),
            st.integers(min_value=1, max_value=5))
     @settings(max_examples=25, deadline=None)
+    @example(seed=199085, n=5)
+    @example(seed=456, n=5)
+    @example(seed=790, n=5)
     def test_random_controllable_pairs(self, seed, n):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
@@ -112,6 +116,10 @@ class TestSolveAri:
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
+    @example(seed=1345)
+    @example(seed=372223)
+    @example(seed=1000000001)
+    @example(seed=18230)  # max |P_j - P_j-1| grows from 27 to 31 mid-way
     def test_random_designs_satisfy_ari(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
@@ -128,3 +136,6 @@ class TestSolveAri:
         # p @ a + a.T @ p is symmetric only up to round-off when P is large
         res = 0.5 * (res + res.T)
         assert float(sym_eig(-res).eigenvalues[0]) >= -1e-6
+        oracle = scipy.linalg.solve_continuous_are(
+            a + mu * np.eye(n), b * np.sqrt(rho), np.eye(n), np.eye(1))
+        assert np.max(np.abs(p - oracle)) <= 1e-7 * np.max(np.abs(oracle))
