@@ -61,9 +61,7 @@ from .metric import (
 )
 from .models import (
     AgentModel,
-    LinearFeedback,
     convective_linearization,
-    default_lorenz_alpha,
     linear_model,
     lorenz_model,
     tanh_perturbed_model,
@@ -92,7 +90,6 @@ __all__ = [
     "GraphMatrices",
     "LiftSearchError",
     "LinearDesign",
-    "LinearFeedback",
     "MetricCertificate",
     "NoConvergenceError",
     "NonSymmetricError",
@@ -114,7 +111,6 @@ __all__ = [
     "convective_linearization",
     "coupling_inputs",
     "critical_gain",
-    "default_lorenz_alpha",
     "edge_end_arrays",
     "edge_energy",
     "endpoint_correction_matrix",

@@ -48,10 +48,16 @@ def _table_lines(table, sep):
 
 
 def _atomic_write(path, text):
+    """Write text to path through a temp file; a ParseError if that fails."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise ParseError(f"cannot write artifact: {exc}")
 
 
 def _matrix_block(name, mat):
@@ -59,7 +65,7 @@ def _matrix_block(name, mat):
     return [f"matrix {name} {mat.shape[0]} {mat.shape[1]}"] + _table_lines(mat, " ")
 
 
-def graph_check_text(setup, rho):
+def graph_check_text(setup):
     """Machine-parseable construction report.
 
     Carries the matrices themselves so the critical gain can be
@@ -68,20 +74,18 @@ def graph_check_text(setup, rho):
     """
     m = setup.matrices
     lift = setup.lift
-    residual = float(np.max(np.abs(
-        lift.lift @ m.incidence.T - m.incidence.T @ m.laplacian), initial=0.0))
     lines = [
         f"nodes {setup.graph.n}",
         f"edges {setup.graph.q}",
         f"components {setup.spectral.components}",
         f"lambda2 {_fmt(setup.spectral.lambda2)}",
-        f"rho {_fmt(rho)}",
+        f"rho {_fmt(setup.certificate.rho)}",
         f"lift_mu {_fmt(lift.mu)}",
         f"lift_kernel_dim {lift.kernel_dim}",
         f"lift_pd_margin {_fmt(lift.pd_margin)}",
-        f"lift_residual {_fmt(residual)}",
-        f"endpoint_residual_initial {_fmt(setup.endpoint_residuals[0])}",
-        f"endpoint_residual_terminal {_fmt(setup.endpoint_residuals[1])}",
+        f"lift_residual {_fmt(setup.residuals[0])}",
+        f"endpoint_residual_initial {_fmt(setup.residuals[1])}",
+        f"endpoint_residual_terminal {_fmt(setup.residuals[2])}",
         f"beta_star {_fmt(setup.controller.beta_star)}",
         "laplacian_eigs " + _table_lines(setup.spectral.laplacian_eigs, " ")[0],
         "edge_laplacian_eigs " + _table_lines(
@@ -257,7 +261,7 @@ def cmd_run(args):
                   report_text(setup, diag, warnings, fit, uptick,
                               sync[0], sync[-1]))
     _atomic_write(os.path.join(out_dir, "graph_check.txt"),
-                  graph_check_text(setup, sc.rho))
+                  graph_check_text(setup))
     ratio = sync[-1] / sync[0] if sync[0] > 0 else 0.0
     print(f"run {setup.name}: beta={setup.controller.beta:.6g} "
           f"beta_star={setup.controller.beta_star:.6g}")
@@ -274,7 +278,7 @@ def cmd_check(args):
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     diag, warnings = certificate_checks(setup)
     _atomic_write(os.path.join(out_dir, "graph_check.txt"),
-                  graph_check_text(setup, sc.rho))
+                  graph_check_text(setup))
     print(f"check {setup.name}: nodes={setup.graph.n} edges={setup.graph.q} "
           f"components={setup.spectral.components}")
     print(f"  lift_pd_margin={setup.lift.pd_margin:.6g} "

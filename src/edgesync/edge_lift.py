@@ -9,7 +9,8 @@ constructed as U = E^T E W + mu * sum_i v_i v_i^T over an orthonormal
 basis {v_i} of ker(E). Trees have full column rank incidence, so U is
 the edge Laplacian itself with mu = 0; cycles require a positive kernel
 shift found by a doubling search. The endpoint correction Omega relates
-the lift to the per-endpoint incidence splits.
+the lift to the per-endpoint incidence splits; it is only needed to
+verify the lift, so verify_endpoint_identities forms it there.
 """
 
 from dataclasses import dataclass
@@ -29,16 +30,15 @@ class EdgeLift:
     """Constructed lift with its certificate quantities.
 
     pd_margin is the smallest eigenvalue of (W U + U^T W) / 2, inf for
-    an edgeless graph; kernel basis and mu reconstruct the lift exactly
-    as edge_laplacian + mu * kernel_basis @ kernel_basis.T.
+    an edgeless graph. The lift is edge_laplacian + mu * V V^T, with V
+    the orthonormal kernel basis nullspace_sym_psd(E^T E) of kernel_dim
+    columns.
     """
 
     lift: np.ndarray
     mu: float
-    omega: np.ndarray
     pd_margin: float
     kernel_dim: int
-    kernel_basis: np.ndarray
 
 
 def _symmetric_part(weights, c):
@@ -101,15 +101,7 @@ def build_edge_lift(m):
                 f"no shift within 2^-{MAX_HALVINGS}..2^{MAX_DOUBLINGS} of "
                 f"{mu0:.3e} achieved a positive-definite symmetric part"
             )
-    omega = endpoint_correction_matrix(m, lift)
-    return EdgeLift(
-        lift=lift,
-        mu=mu,
-        omega=omega,
-        pd_margin=margin,
-        kernel_dim=kdim,
-        kernel_basis=kernel,
-    )
+    return EdgeLift(lift=lift, mu=mu, pd_margin=margin, kernel_dim=kdim)
 
 
 def endpoint_correction_matrix(m, lift):
@@ -119,19 +111,24 @@ def endpoint_correction_matrix(m, lift):
 
 
 def verify_endpoint_identities(m, u):
-    """Max-norm residuals of both endpoint identities.
+    """Max-norm residuals of the intertwining and both endpoint identities.
 
-    Checks E_k^T L = U E_k^T + Omega and E_l^T L = U E_l^T + Omega,
-    where the 0/1 endpoint splits E_k and E_l mark the negative and the
-    positive entries of the incidence matrix. Their difference is
-    exactly the intertwining relation, so both residuals are round-off
-    small for any valid lift.
+    Returns the residuals of U E^T = E^T L, of E_k^T L = U E_k^T + Omega
+    and of E_l^T L = U E_l^T + Omega, where the 0/1 endpoint splits E_k
+    and E_l mark the negative and the positive entries of the incidence
+    matrix. The difference of the endpoint identities is exactly the
+    intertwining relation, so all three are round-off small for any
+    valid lift.
     """
+    omega = endpoint_correction_matrix(m, u.lift)
+    intertwining = float(np.max(np.abs(
+        u.lift @ m.incidence.T - m.incidence.T @ m.laplacian), initial=0.0))
 
     def _residual(split):
         st = split.T
-        r = st @ m.laplacian - (u.lift @ st + u.omega)
+        r = st @ m.laplacian - (u.lift @ st + omega)
         return float(np.max(np.abs(r))) if r.size else 0.0
 
-    return (_residual((m.incidence < 0.0).astype(float)),
+    return (intertwining,
+            _residual((m.incidence < 0.0).astype(float)),
             _residual((m.incidence > 0.0).astype(float)))

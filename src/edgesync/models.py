@@ -7,12 +7,11 @@ saturating-perturbation model whose certificate conditions hold exactly
 three-state convective loop with a state-dependent input field.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .riccati import solve_ari
 
 
 @dataclass(frozen=True)
@@ -44,17 +43,6 @@ class AgentModel:
 
     def alpha(self, x):
         return float(self.alpha_all(np.asarray(x, dtype=float)[None, :])[0])
-
-
-@dataclass(frozen=True)
-class LinearFeedback:
-    """Linear feedback primitive alpha(x) = k x with its design record."""
-
-    gain: np.ndarray
-    design: object = field(repr=False, default=None)
-
-    def __call__(self, x):
-        return float(self.gain @ np.asarray(x, dtype=float))
 
 
 def _as_gain_row(k, n):
@@ -163,34 +151,18 @@ def convective_linearization(a, b, c):
     return a_lin, b_lin
 
 
-def default_lorenz_alpha(rho, mu, a=10.0, b=8.0 / 3.0, c=28.0):
-    """Reproducible linear stand-in for a learned feedback primitive.
-
-    Linearizes the drift at the origin, freezes g at its origin value,
-    runs the Riccati design there and returns alpha(x) = (B^T P) x. The
-    attached certificate is only exact for the linearization; callers
-    treating the nonlinear system should flag it as approximate.
-    """
-    a_lin, b_lin = convective_linearization(a, b, c)
-    design = solve_ari(a_lin, b_lin, rho, mu)
-    return LinearFeedback(gain=design.gain[0], design=design)
-
-
-def lorenz_model(a=10.0, b=8.0 / 3.0, c=28.0, alpha=None, rho=10.0, mu=0.5):
+def lorenz_model(a, b, c, k):
     """Three-state convective loop with a state-dependent input field.
 
         f(x) = ( a (x2 - x1),  x1 (b - x3) - x2,  x1 x2 - c x3 )
         g(x) = ( 1,  2 + sin(x1),  0 )
+        alpha(x) = K x
 
-    Defaults follow the source experiment's parameter listing verbatim;
-    note the chaotic regime for this drift layout is b=28, c=8/3, which
-    the shipped network scenario selects explicitly. alpha is a
-    LinearFeedback; when omitted a linearization-based feedback with
-    weighting rho and rate mu is constructed.
+    The chaotic regime for this drift layout is b=28, c=8/3. The gain K
+    is usually designed on convective_linearization(a, b, c).
     """
     a, b, c = float(a), float(b), float(c)
-    if alpha is None:
-        alpha = default_lorenz_alpha(rho, mu, a, b, c)
+    kv = _as_gain_row(k, 3)
 
     def f_all(xs):
         x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
@@ -204,10 +176,8 @@ def lorenz_model(a=10.0, b=8.0 / 3.0, c=28.0, alpha=None, rho=10.0, mu=0.5):
             np.zeros(n_rows),
         ))
 
-    gain = alpha.gain
-
     def alpha_all(xs):
-        return xs @ gain
+        return xs @ kv
 
     def jac_f(x):
         x1, x2, x3 = x
@@ -225,7 +195,7 @@ def lorenz_model(a=10.0, b=8.0 / 3.0, c=28.0, alpha=None, rho=10.0, mu=0.5):
     return AgentModel(
         name="lorenz",
         state_dim=3,
-        params={"a": a, "b": b, "c": c},
+        params={"a": a, "b": b, "c": c, "k": kv},
         jac_f=jac_f,
         jac_g=jac_g,
         f_all=f_all,

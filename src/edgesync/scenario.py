@@ -53,9 +53,7 @@ from .graphs import (
 )
 from .metric import MetricCertificate
 from .models import (
-    LinearFeedback,
     convective_linearization,
-    default_lorenz_alpha,
     linear_model,
     lorenz_model,
     tanh_perturbed_model,
@@ -69,6 +67,12 @@ SECTIONS = (
 )
 
 MODEL_KINDS = ("linear", "tanh", "lorenz")
+
+# keys that take exactly one token; the others take a list or a matrix
+ONE_TOKEN_KEYS = (
+    "file", "kind", "c", "gamma", "rho", "mu", "beta", "beta_multiplier",
+    "radius", "seed", "h", "t_end", "record_interval", "dir",
+)
 
 
 @dataclass
@@ -107,7 +111,7 @@ class RunSetup:
     matrices: object
     spectral: object
     lift: object
-    endpoint_residuals: tuple
+    residuals: tuple
     model: object
     certificate: MetricCertificate
     controller: object
@@ -205,10 +209,11 @@ def parse_scenario_text(text, path="<string>"):
             continue
         if not tokens:
             raise ParseError(f"key {key!r} needs a value", path, lineno)
+        if key in ONE_TOKEN_KEYS and len(tokens) != 1:
+            raise ParseError(f"key {key!r} takes one value, got {len(tokens)}",
+                             path, lineno)
         if section == "graph":
             if key == "file":
-                if len(tokens) != 1:
-                    raise ParseError("file takes one path", path, lineno)
                 sc.graph_file = tokens[0]
             elif key in ("nodes", "edge"):
                 # graph-file syntax: 'nodes N', then one 'k l w' per edge
@@ -355,21 +360,16 @@ def _certificate_from_matrix(sc, n):
 
 def _build_model_and_certificate(sc):
     """Resolve the model, its feedback gain and the metric certificate."""
-    approximate = False
     if sc.model_kind == "lorenz":
         a = sc.model_scalars.get("a", 10.0)
         b = sc.model_scalars.get("b", 8.0 / 3.0)
         c = sc.model_scalars.get("c", 28.0)
+        a_lin, b_lin = convective_linearization(a, b, c)
         if sc.p_matrix is not None:
             cert = _certificate_from_matrix(sc, 3)
-            gain = convective_linearization(a, b, c)[1] @ cert.p
-            alpha = LinearFeedback(gain=gain)
         else:
-            alpha = default_lorenz_alpha(sc.rho, sc.mu, a, b, c)
-            cert = alpha.design.certificate
-        model = lorenz_model(a, b, c, alpha=alpha)
-        approximate = True
-        return model, cert, approximate
+            cert = solve_ari(a_lin, b_lin, sc.rho, sc.mu).certificate
+        return lorenz_model(a, b, c, b_lin @ cert.p), cert, True
     if sc.model_a is None or sc.model_b is None:
         raise ParseError(f"model kind {sc.model_kind!r} needs matrix 'a' and "
                          "vector 'b'", sc.path)
@@ -389,7 +389,7 @@ def _build_model_and_certificate(sc):
     else:
         gamma = sc.model_scalars.get("gamma", 0.0)
         model = tanh_perturbed_model(sc.model_a, sc.model_b, gamma, gain)
-    return model, cert, approximate
+    return model, cert, False
 
 
 def realize(sc, require_connected=True):
@@ -443,7 +443,7 @@ def realize(sc, require_connected=True):
         matrices=matrices,
         spectral=spectral,
         lift=lift,
-        endpoint_residuals=residuals,
+        residuals=residuals,
         model=model,
         certificate=cert,
         controller=controller,

@@ -116,7 +116,7 @@ def test_criterion_3_endpoint_identities():
         for g in graph_family(100):
             m = es.build_matrices(g)
             lift = es.build_edge_lift(m)
-            res_init, res_term = es.verify_endpoint_identities(m, lift)
+            _, res_init, res_term = es.verify_endpoint_identities(m, lift)
             assert res_init <= 1e-8 and res_term <= 1e-8
 
 

@@ -448,6 +448,17 @@ class TestMalformedInput:
         assert "output directory" in err
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["run", LINEAR_C3, "--t-end", "1"],
+        ["check", LINEAR_C3],
+    ], ids=["run", "check"])
+    def test_artifact_not_writable(self, tmp_path, capsys, argv):
+        artifact = "report.txt" if argv[0] == "run" else "graph_check.txt"
+        (tmp_path / artifact).mkdir()
+        err = expect_parse_error(capsys, argv + ["--out-dir", str(tmp_path)])
+        assert "cannot write artifact" in err
+        assert not list(tmp_path.glob("*.tmp*"))
+
 
 @given(mutated_text(SHIPPED_TEXTS))
 @settings(max_examples=200, deadline=None)

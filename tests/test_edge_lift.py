@@ -46,14 +46,16 @@ class TestCycleCase:
         eigs = np.sort(np.linalg.eigvals(lift.lift).real)
         assert np.allclose(eigs, [3.0, 3.0, 3.0], atol=1e-9)
         assert lift.pd_margin == pytest.approx(3.0, abs=1e-9)
-        v = lift.kernel_basis[:, 0]
+        v = nullspace_sym_psd(m.incidence.T @ m.incidence)[:, 0]
         assert np.allclose(np.abs(v), 1.0 / np.sqrt(3.0), atol=1e-12)
 
     def test_reconstruction_from_parts(self):
         m = build_matrices(C3)
         lift = build_edge_lift(m)
-        rebuilt = m.edge_laplacian + lift.mu * lift.kernel_basis @ lift.kernel_basis.T
-        assert np.max(np.abs(rebuilt - lift.lift)) <= 1e-12
+        kernel = nullspace_sym_psd(m.incidence.T @ m.incidence)
+        assert kernel.shape[1] == lift.kernel_dim
+        rebuilt = m.edge_laplacian + lift.mu * (kernel @ kernel.T)
+        assert np.array_equal(rebuilt, lift.lift)
 
 
 class TestDegenerateCases:
@@ -97,22 +99,29 @@ class TestEndpointCorrection:
     def test_p2_by_hand(self):
         m = build_matrices(P2)
         lift = build_edge_lift(m)
-        assert np.array_equal(lift.omega, [[-1.0, -1.0]])
+        assert np.array_equal(endpoint_correction_matrix(m, lift.lift),
+                              [[-1.0, -1.0]])
         res = verify_endpoint_identities(m, lift)
         assert max(res) <= 1e-12
 
     def test_omega_matches_formula(self):
+        # the endpoint residuals are taken against endpoint_correction_matrix
         for g in (P3, C3):
             m = build_matrices(g)
             lift = build_edge_lift(m)
-            assert np.array_equal(lift.omega,
-                                  endpoint_correction_matrix(m, lift.lift))
+            omega = endpoint_correction_matrix(m, lift.lift)
+            res = verify_endpoint_identities(m, lift)
+            for i, split in ((1, m.incidence < 0.0), (2, m.incidence > 0.0)):
+                st = split.astype(float).T
+                r = st @ m.laplacian - (lift.lift @ st + omega)
+                assert res[i] == float(np.max(np.abs(r)))
 
     def test_identities_on_family(self):
         for g in graph_family(24):
             m = build_matrices(g)
             lift = build_edge_lift(m)
             res = verify_endpoint_identities(m, lift)
+            assert res[0] == intertwining_residual(m, lift)
             assert max(res) <= 1e-8
 
     def test_corruption_is_detected(self):

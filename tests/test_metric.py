@@ -5,7 +5,7 @@ from edgesync import (
     MetricCertificate,
     NonSymmetricError,
     NotPositiveDefiniteError,
-    default_lorenz_alpha,
+    convective_linearization,
     linear_model,
     lorenz_model,
     solve_ari,
@@ -97,9 +97,10 @@ class TestKillingIntegrability:
         assert integ <= 1e-6
 
     def test_lorenz_residuals_reported(self):
-        fb = default_lorenz_alpha(10.0, 0.5)
-        model = lorenz_model(alpha=fb)
-        cert = fb.design.certificate
+        a, b, c = 10.0, 8.0 / 3.0, 28.0
+        design = solve_ari(*convective_linearization(a, b, c), 10.0, 0.5)
+        model = lorenz_model(a, b, c, design.gain[0])
+        cert = design.certificate
         killing, integ = verify_killing_integrability(
             cert, model, ball_samples(3, count=10, seed=4))
         # state-dependent g: both residuals are genuinely nonzero

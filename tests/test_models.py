@@ -6,15 +6,21 @@ from hypothesis import strategies as st
 from edgesync import (
     DimensionMismatchError,
     convective_linearization,
-    default_lorenz_alpha,
     linear_model,
     lorenz_model,
+    solve_ari,
     tanh_perturbed_model,
 )
 
 from helpers import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B
 
 FD_STEP = 1e-6
+LORENZ = (10.0, 8.0 / 3.0, 28.0)
+
+
+def lorenz_gain(rho, a=10.0, b=8.0 / 3.0, c=28.0):
+    """The Riccati gain of the convective loop's origin linearization."""
+    return solve_ari(*convective_linearization(a, b, c), rho, 0.5).gain[0]
 
 
 def fd_jacobian(fn, x, m_out):
@@ -102,28 +108,28 @@ class TestTanhModel:
 
 class TestLorenzModel:
     def test_drift_equilibrium_at_origin(self):
-        m = lorenz_model()
+        m = lorenz_model(*LORENZ, np.zeros(3))
         assert np.array_equal(m.f(np.zeros(3)), np.zeros(3))
 
     def test_input_field_at_origin(self):
-        m = lorenz_model()
+        m = lorenz_model(*LORENZ, np.zeros(3))
         assert np.array_equal(m.g(np.zeros(3)), [1.0, 2.0, 0.0])
 
     def test_drift_at_ones(self):
-        m = lorenz_model()
+        m = lorenz_model(*LORENZ, np.zeros(3))
         assert np.allclose(m.f(np.ones(3)), [0.0, 8.0 / 3.0 - 2.0, -27.0],
                            atol=1e-12)
 
     @given(bounded_states)
     @settings(max_examples=30, deadline=None)
     def test_jacobians_match_fd(self, x):
-        m = lorenz_model()
+        m = lorenz_model(*LORENZ, np.zeros(3))
         assert np.allclose(m.jac_f(x), fd_jacobian(m.f, x, 3),
                            atol=1e-5 * max(1.0, np.max(np.abs(x))))
         assert np.allclose(m.jac_g(x), fd_jacobian(m.g, x, 3), atol=1e-8)
 
     def test_input_field_bounded(self):
-        m = lorenz_model()
+        m = lorenz_model(*LORENZ, np.zeros(3))
         rng = np.random.default_rng(1)
         for x in rng.standard_normal((50, 3)) * 20:
             g = m.g(x)
@@ -140,7 +146,7 @@ class TestConvectiveLinearization:
         assert np.array_equal(b_lin, [1.0, 2.0, 0.0])
 
     def test_matches_model_jacobian_at_origin(self):
-        m = lorenz_model()
+        m = lorenz_model(*LORENZ, np.zeros(3))
         a_lin, b_lin = convective_linearization(10.0, 8.0 / 3.0, 28.0)
         assert np.allclose(m.jac_f(np.zeros(3)), a_lin, atol=1e-12)
         assert np.array_equal(m.g(np.zeros(3)), b_lin)
@@ -148,34 +154,37 @@ class TestConvectiveLinearization:
 
 class TestDefaultFeedback:
     def test_gain_oracles(self):
-        fb = default_lorenz_alpha(10.0, 0.5)
-        assert np.allclose(fb.gain, [0.14307232, 0.41272257, 0.0], atol=1e-6)
-        fb_chaotic = default_lorenz_alpha(10.0, 0.5, 10.0, 28.0, 8.0 / 3.0)
-        assert np.allclose(fb_chaotic.gain, [1.01149486, 0.82415773, 0.0],
+        assert np.allclose(lorenz_gain(10.0), [0.14307232, 0.41272257, 0.0],
                            atol=1e-6)
+        assert np.allclose(lorenz_gain(10.0, 10.0, 28.0, 8.0 / 3.0),
+                           [1.01149486, 0.82415773, 0.0], atol=1e-6)
 
     def test_alpha_linear_odd(self):
-        fb = default_lorenz_alpha(10.0, 0.5)
+        m = lorenz_model(*LORENZ, lorenz_gain(10.0))
         x = np.array([1.0, -2.0, 3.0])
-        assert fb(np.zeros(3)) == 0.0
-        assert fb(-x) == -fb(x)
+        assert m.alpha(np.zeros(3)) == 0.0
+        assert m.alpha(-x) == -m.alpha(x)
 
     def test_scaled_closed_loop_is_hurwitz(self):
         # the design guarantees A - rho b b^T P stable, i.e. beta = rho
-        fb = default_lorenz_alpha(10.0, 0.5)
-        a_lin, b_lin = convective_linearization(10.0, 8.0 / 3.0, 28.0)
-        closed = a_lin - 10.0 * np.outer(b_lin, fb.gain)
+        a_lin, b_lin = convective_linearization(*LORENZ)
+        closed = a_lin - 10.0 * np.outer(b_lin, lorenz_gain(10.0))
         assert np.max(np.linalg.eigvals(closed).real) < 0
 
     def test_unit_rho_closed_loop_at_beta_one(self):
         # with rho = 1 the same property reads A - b K at unit gain
-        fb = default_lorenz_alpha(1.0, 0.5)
-        a_lin, b_lin = convective_linearization(10.0, 8.0 / 3.0, 28.0)
-        closed = a_lin - np.outer(b_lin, fb.gain)
+        a_lin, b_lin = convective_linearization(*LORENZ)
+        closed = a_lin - np.outer(b_lin, lorenz_gain(1.0))
         assert np.max(np.linalg.eigvals(closed).real) < 0
 
     def test_custom_alpha_passthrough(self):
-        fb = default_lorenz_alpha(10.0, 0.5)
-        m = lorenz_model(alpha=fb)
+        k = lorenz_gain(10.0)
+        m = lorenz_model(*LORENZ, k)
         x = np.array([0.3, 0.1, -0.2])
-        assert m.alpha(x) == fb(x)
+        assert m.alpha(x) == float(k @ x)
+
+    @pytest.mark.parametrize("k", [np.ones(2), np.ones((3, 1)), np.ones((1, 4))],
+                             ids=["short", "column", "wide_row"])
+    def test_wrong_gain_shape_rejected(self, k):
+        with pytest.raises(DimensionMismatchError):
+            lorenz_model(*LORENZ, k)

@@ -8,10 +8,13 @@ from edgesync import (
     DisconnectedGraphError,
     ParseError,
     Scenario,
+    convective_linearization,
     parse_scenario,
     parse_scenario_text,
     realize,
+    solve_ari,
 )
+from edgesync.scenario import ONE_TOKEN_KEYS
 
 from helpers import SCENARIO_DIR, SHIPPED_TEXTS, mutated_text
 
@@ -42,6 +45,24 @@ h 0.005
 t_end 1.0
 record_interval 0.05
 """
+
+# key -> (line of MINIMAL, replacement that gives the key a second token)
+ONE_TOKEN_CASES = {
+    "file": ("nodes 2\nedge 1 2 1.0", "file a.graph b.graph"),
+    "kind": ("kind linear", "kind linear tanh"),
+    "c": ("kind linear", "kind linear\nc 1.0 2.0"),
+    "gamma": ("kind linear", "kind linear\ngamma 0.1 0.2"),
+    "rho": ("rho 1.0", "rho 1.0 7.5"),
+    "mu": ("mu 0.2", "mu 0.2 0.3"),
+    "beta": ("beta_multiplier 1.0", "beta 2.0 3.0"),
+    "beta_multiplier": ("beta_multiplier 1.0", "beta_multiplier 1.0 2.0"),
+    "radius": ("radius 5.0", "radius 5.0 6.0"),
+    "seed": ("seed 11", "seed 11 12"),
+    "h": ("h 0.005", "h 0.005 oops"),
+    "t_end": ("t_end 1.0", "t_end 1.0 2.0"),
+    "record_interval": ("record_interval 0.05", "record_interval 0.05 0.1"),
+    "dir": ("record_interval 0.05", "record_interval 0.05\n[output]\ndir a b"),
+}
 
 
 def replace_section(text, header, body):
@@ -95,6 +116,11 @@ class TestShippedScenarios:
         weights = [w for _, _, w in setup.graph.edges]
         assert sorted(weights)[:2] == [0.1, 0.1]
         assert max(weights) == 6.0
+        # the feedback is the Riccati gain of the origin linearization
+        design = solve_ari(*convective_linearization(10.0, 28.0, 8.0 / 3.0),
+                           10.0, 0.5)
+        xs = np.random.default_rng(0).standard_normal((5, 3))
+        assert np.array_equal(setup.model.alpha_all(xs), xs @ design.gain[0])
 
 
 class TestParseValidation:
@@ -193,6 +219,19 @@ class TestParseValidation:
     def test_unknown_model_kind(self):
         with pytest.raises(ParseError):
             parse_scenario_text(MINIMAL.replace("kind linear", "kind vortex"))
+
+    @pytest.mark.parametrize("key", sorted(ONE_TOKEN_KEYS))
+    def test_one_token_key_rejects_a_second(self, key):
+        old, new = ONE_TOKEN_CASES[key]
+        text = MINIMAL.replace(old, new)
+        bad = next(line for line in new.splitlines() if line.split()[0] == key)
+        with pytest.raises(ParseError) as exc:
+            parse_scenario_text(text, path="case.scn")
+        assert exc.value.line == text.splitlines().index(bad) + 1
+        assert repr(key) in str(exc.value)
+
+    def test_one_token_cases_cover_the_keys(self):
+        assert set(ONE_TOKEN_CASES) == set(ONE_TOKEN_KEYS)
 
     def test_ragged_matrix(self):
         with pytest.raises(ParseError):

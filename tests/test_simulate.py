@@ -151,7 +151,7 @@ def batch_cases():
         "tanh": (P3, tanh_perturbed_model(DOUBLE_INTEGRATOR_A,
                                           DOUBLE_INTEGRATOR_B, 0.05, k),
                  [0.3, 1.0, 4.0], np.zeros(2), 3.0, 0.01, 0.1),
-        "lorenz": (RING4, lorenz_model(10.0, 28.0, 8.0 / 3.0),
+        "lorenz": (RING4, lorenz_model(10.0, 28.0, 8.0 / 3.0, [1.0, 0.8, 0.0]),
                    [0.0, 5.0, 30.0], np.array([6.7, 1.3, 31.2]), 0.3, 0.001,
                    0.01),
     }
