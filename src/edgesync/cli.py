@@ -37,22 +37,22 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
-def _table_lines(table, sep):
+def _table_lines(table, sep, end=""):
     """Rows of a table as lines of cells joined by sep, each as _fmt writes it.
 
     One "%.17g" template formats a whole row, much faster than _fmt per cell.
     """
     table = np.atleast_2d(np.asarray(table, dtype=float))
-    row = sep.join(["%.17g"] * table.shape[1])
+    row = sep.join(["%.17g"] * table.shape[1]) + end
     return [row % tuple(cells.tolist()) for cells in table]
 
 
-def _atomic_write(path, text):
-    """Write text to path through a temp file; a ParseError if that fails."""
+def _atomic_write(path, chunks):
+    """Write the text chunks to path through a temp file; a ParseError if that fails."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.isfile(tmp):
@@ -160,7 +160,10 @@ def certificate_checks(setup):
 
 
 def trajectory_csv(traj, v, sync):
-    """One row per record: time, states, inputs, V and sync error."""
+    """Header line, then one line per record: time, states, inputs, V, sync error.
+
+    A list of lines: the file is written without joining them into one text.
+    """
     n_agents = traj.inputs.shape[1]
     state_dim = traj.states.shape[1] // n_agents
     header = ["t"]
@@ -170,7 +173,7 @@ def trajectory_csv(traj, v, sync):
     header += [f"u_{i}" for i in range(1, n_agents + 1)]
     header += ["V", "sync_error"]
     table = np.column_stack((traj.times, traj.states, traj.inputs, v, sync))
-    return "\n".join([",".join(header)] + _table_lines(table, ",")) + "\n"
+    return [",".join(header) + "\n"] + _table_lines(table, ",", "\n")
 
 
 def report_text(setup, diag, warnings, fit, uptick, sync0, sync1):
@@ -258,10 +261,10 @@ def cmd_run(args):
     fit, uptick, sync = _analyse_and_write(setup, traj, out_dir)
     diag, warnings = certificate_checks(setup)
     _atomic_write(os.path.join(out_dir, "report.txt"),
-                  report_text(setup, diag, warnings, fit, uptick,
-                              sync[0], sync[-1]))
+                  [report_text(setup, diag, warnings, fit, uptick,
+                               sync[0], sync[-1])])
     _atomic_write(os.path.join(out_dir, "graph_check.txt"),
-                  graph_check_text(setup))
+                  [graph_check_text(setup)])
     ratio = sync[-1] / sync[0] if sync[0] > 0 else 0.0
     print(f"run {setup.name}: beta={setup.controller.beta:.6g} "
           f"beta_star={setup.controller.beta_star:.6g}")
@@ -278,7 +281,7 @@ def cmd_check(args):
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     diag, warnings = certificate_checks(setup)
     _atomic_write(os.path.join(out_dir, "graph_check.txt"),
-                  graph_check_text(setup))
+                  [graph_check_text(setup)])
     print(f"check {setup.name}: nodes={setup.graph.n} edges={setup.graph.q} "
           f"components={setup.spectral.components}")
     print(f"  lift_pd_margin={setup.lift.pd_margin:.6g} "
@@ -316,7 +319,7 @@ def cmd_sweep(args):
             rows.append(f"{mult:g},nan,nan,nan,{type(exc).__name__}")
             print(f"sweep m={mult:g}: failed ({type(exc).__name__}: {exc})")
     _atomic_write(os.path.join(out_dir, "sweep_summary.csv"),
-                  "\n".join(rows) + "\n")
+                  ["\n".join(rows) + "\n"])
     print(f"summary in {out_dir}/sweep_summary.csv")
     return 0
 

@@ -22,7 +22,8 @@ class AgentModel:
     per agent; jac_f, jac_g act on a single state vector. The
     single-state f, g and alpha evaluate the batched callables on a
     one-row stack, so both paths give identical floating-point results.
-    The input is scalar.
+    f_all and g_all return fresh (N, n) arrays that the integrator
+    overwrites. The input is scalar.
     """
 
     name: str
@@ -83,7 +84,9 @@ def linear_model(a, b, k):
         return xs @ a.T
 
     def g_all(xs):
-        return np.broadcast_to(bv, (xs.shape[0], n)).copy()
+        out = np.empty(xs.shape)
+        out[...] = bv
+        return out
 
     def alpha_all(xs):
         return xs @ kv
@@ -123,7 +126,9 @@ def tanh_perturbed_model(a, b, gamma, k):
         return xs @ a.T + gamma * np.tanh(xs)
 
     def g_all(xs):
-        return np.broadcast_to(bv, (xs.shape[0], n)).copy()
+        out = np.empty(xs.shape)
+        out[...] = bv
+        return out
 
     def alpha_all(xs):
         return xs @ kv
@@ -164,17 +169,21 @@ def lorenz_model(a, b, c, k):
     a, b, c = float(a), float(b), float(c)
     kv = _as_gain_row(k, 3)
 
+    # columns written in place: the operations of stacking them, less overhead
     def f_all(xs):
         x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
-        return np.column_stack((a * (x2 - x1), x1 * (b - x3) - x2, x1 * x2 - c * x3))
+        out = np.empty(xs.shape)
+        np.multiply(a, x2 - x1, out=out[:, 0])
+        np.subtract(x1 * (b - x3), x2, out=out[:, 1])
+        np.subtract(x1 * x2, c * x3, out=out[:, 2])
+        return out
 
     def g_all(xs):
-        n_rows = xs.shape[0]
-        return np.column_stack((
-            np.ones(n_rows),
-            2.0 + np.sin(xs[:, 0]),
-            np.zeros(n_rows),
-        ))
+        out = np.zeros(xs.shape)
+        out[:, 0] = 1.0
+        col1 = np.sin(xs[:, 0], out=out[:, 1])
+        col1 += 2.0
+        return out
 
     def alpha_all(xs):
         return xs @ kv

@@ -188,3 +188,65 @@ class TestDefaultFeedback:
     def test_wrong_gain_shape_rejected(self, k):
         with pytest.raises(DimensionMismatchError):
             lorenz_model(*LORENZ, k)
+
+
+def same_bits(a, b):
+    """Equal shape and equal IEEE bits: tells -0.0 from 0.0 and NaN payloads apart."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def kernel_stacks(n):
+    """A random (40, n) stack and rows of signed zeros, huge and non-finite values."""
+    rng = np.random.default_rng(8)
+    special = np.array([0.0, -0.0, 1e200, -1e200, np.inf, -np.inf, np.nan])
+    rows = [np.resize(np.roll(special, shift), n) for shift in range(special.size)]
+    return [rng.standard_normal((40, n)) * 20.0, np.array(rows)]
+
+
+def batched_models():
+    k2 = np.array([1.0, 2.0])
+    return {
+        "linear": linear_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, k2),
+        "tanh": tanh_perturbed_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B,
+                                     0.2, k2),
+        "lorenz": lorenz_model(*LORENZ, np.array([1.0, 0.8, 0.0])),
+    }
+
+
+class TestBatchedKernels:
+    """The batched f_all/g_all against the stacking formulas they replaced."""
+
+    def test_lorenz_matches_column_stack(self):
+        a, b, c = LORENZ
+        m = lorenz_model(a, b, c, np.zeros(3))
+        for xs in kernel_stacks(3):
+            x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                f_old = np.column_stack((a * (x2 - x1), x1 * (b - x3) - x2,
+                                         x1 * x2 - c * x3))
+                g_old = np.column_stack((np.ones(len(xs)), 2.0 + np.sin(x1),
+                                         np.zeros(len(xs))))
+                f_new, g_new = m.f_all(xs), m.g_all(xs)
+            assert same_bits(f_new, f_old)
+            assert same_bits(g_new, g_old)
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh"])
+    def test_constant_input_field_matches_broadcast(self, kind):
+        m = batched_models()[kind]
+        bv = m.params["b"]
+        for xs in kernel_stacks(2):
+            g_old = np.broadcast_to(bv, xs.shape).copy()
+            assert same_bits(m.g_all(xs), g_old)
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
+    def test_fields_return_fresh_writable_arrays(self, kind):
+        # the integrator accumulates the stage derivative in these arrays
+        m = batched_models()[kind]
+        xs = np.random.default_rng(3).standard_normal((6, m.state_dim))
+        for field in (m.f_all, m.g_all):
+            out, again = field(xs), field(xs)
+            assert out.shape == xs.shape and out.dtype == np.float64
+            assert out.flags.c_contiguous and out.flags.writeable
+            assert not np.shares_memory(out, xs)
+            assert not np.shares_memory(out, again)

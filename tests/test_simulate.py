@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from edgesync import (
     sync_error,
     tanh_perturbed_model,
 )
-from edgesync.simulate import MAX_STEPS, steps_per_record
+from edgesync.controller import accumulate_coupling, edge_end_arrays
+from edgesync.simulate import DIVERGENCE_LIMIT, MAX_STEPS, steps_per_record
 
 from helpers import C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P2, P3
 
@@ -208,6 +211,99 @@ class TestSimulateBatch:
         with pytest.raises(DimensionMismatchError):
             simulate_batch(P2, decay_model(), [0.1, 0.2], np.zeros((1, 2)),
                            1.0, 0.1, 0.5)
+
+
+def reference_batch(g, model, betas, x0s, t_end, h, record_interval):
+    """simulate_batch's RK4 loop written with whole-array expressions.
+
+    Returns per member (times, states, inputs) or the divergence time.
+    """
+    per_record = steps_per_record(h, t_end, record_interval)
+    n = model.state_dim
+    betas = np.asarray(betas, dtype=float)
+    x = np.array(x0s, dtype=float)
+    active = np.arange(len(betas))
+    records = {member: ([], [], []) for member in active}
+    diverged = {}
+    coupling = edge_end_arrays(g, betas)
+
+    def field(x):
+        xs = x.reshape(-1, n)
+        u = accumulate_coupling(model.alpha_all(xs), *coupling)
+        return (model.f_all(xs) + model.g_all(xs) * u[:, None]).reshape(x.shape)
+
+    n_steps = int(round(t_end / h))
+    for step in range(n_steps + 1):
+        t = step * h
+        inside = np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT
+        for member in active[~inside]:
+            diverged[member] = t
+        active, x = active[inside], x[inside]
+        if active.size == 0:
+            break
+        coupling = edge_end_arrays(g, betas[active])
+        if step % per_record == 0:
+            u = accumulate_coupling(model.alpha_all(x.reshape(-1, n)), *coupling)
+            for row, member in enumerate(active):
+                times, states, inputs = records[member]
+                times.append(t)
+                states.append(x[row])
+                inputs.append(u.reshape(-1, g.n)[row])
+        if step == n_steps:
+            break
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return [diverged[member] if member in diverged
+            else tuple(np.array(seq) for seq in records[member])
+            for member in range(len(betas))]
+
+
+def assert_matches_reference(batch, reference):
+    for result, expected in zip(batch, reference, strict=True):
+        if isinstance(result, DivergedError):
+            assert result.time == expected
+        else:
+            assert np.array_equal(result.times, expected[0])
+            assert np.array_equal(result.states, expected[1])
+            assert np.array_equal(result.inputs, expected[2])
+
+
+class TestStageArithmetic:
+    """The in-place RK4 stages give the bits of the whole-array expressions."""
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
+    def test_batch_matches_reference(self, kind):
+        g, model, betas, base, t_end, h, interval = batch_cases()[kind]
+        x0s = np.array([perturbed_initial_conditions(base, g.n, 1.0, seed)
+                        for seed in range(len(betas))])
+        assert_matches_reference(
+            simulate_batch(g, model, betas, x0s, t_end, h, interval),
+            reference_batch(g, model, betas, x0s, t_end, h, interval))
+
+    def test_diverging_member_matches_reference(self):
+        args = (P3, integrator_model(), [0.5, 1000.0, 2.0],
+                np.tile([0.0, 1.0, 3.0], (3, 1)), 2.0, 0.01, 0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = reference_batch(*args)
+        assert not isinstance(reference[1], tuple)
+        assert_matches_reference(simulate_batch(*args), reference)
+
+    def test_overflowing_member_warns_nothing(self):
+        # at beta = 1e290 the coupling overflows in the first stage; the
+        # guard reports that member and numpy must not warn about it
+        g, model, _, base, _, h, interval = batch_cases()["lorenz"]
+        betas = [5.0, 1e290, 30.0]
+        x0s = np.tile(perturbed_initial_conditions(base, g.n, 1.0, 0), (3, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = simulate_batch(g, model, betas, x0s, 0.05, h, interval)
+        assert isinstance(batch[1], DivergedError) and batch[1].time == h
+        for i in (0, 2):
+            single = simulate(g, model, betas[i], x0s[i], 0.05, h, interval)
+            assert_same_trajectory(batch[i], single)
 
 
 class TestPerturbedInitialConditions:
