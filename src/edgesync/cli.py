@@ -65,6 +65,14 @@ def _matrix_block(name, mat):
     return [f"matrix {name} {mat.shape[0]} {mat.shape[1]}"] + _table_lines(mat, " ")
 
 
+def _diag_block(name, diag):
+    """_matrix_block(name, np.diag(diag)), written without forming the matrix."""
+    q = len(diag)
+    return [f"matrix {name} {q} {q}"] + [
+        "0 " * i + "%.17g" % w + " 0" * (q - 1 - i)
+        for i, w in enumerate(np.asarray(diag, dtype=float).tolist())]
+
+
 def graph_check_text(setup):
     """Machine-parseable construction report.
 
@@ -92,7 +100,7 @@ def graph_check_text(setup):
             setup.spectral.edge_laplacian_eigs, " ")[0],
     ]
     lines += _matrix_block("incidence", m.incidence)
-    lines += _matrix_block("weight_diag", np.diag(m.weights))
+    lines += _diag_block("weight_diag", m.weights)
     lines += _matrix_block("laplacian", m.laplacian)
     lines += _matrix_block("lift", lift.lift)
     return "\n".join(lines) + "\n"
@@ -293,9 +301,23 @@ def cmd_check(args):
     return 0
 
 
+def _check_multipliers(multipliers):
+    """Each multiplier finite, and no two sharing a run_m{M:g} directory."""
+    labels = {}
+    for mult in multipliers:
+        if not np.isfinite(mult):
+            raise ParseError(f"--multipliers must be finite, got {mult:g}")
+        label = f"{mult:g}"
+        if label in labels:
+            raise ParseError(f"--multipliers {labels[label]!r} and {mult!r} "
+                             f"share the run directory run_m{label}")
+        labels[label] = mult
+
+
 def cmd_sweep(args):
     sc = parse_scenario(args.scenario)
     _apply_overrides(sc, args)
+    _check_multipliers(args.multipliers)
     setup = realize(sc, require_connected=True)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     rows = ["multiplier,rate,largest_uptick,final_sync_error,status"]

@@ -4,7 +4,9 @@ All agents in a network share one model (homogeneous dynamics) with a
 single scalar input channel. Built-in models: a linear pair, a
 saturating-perturbation model whose certificate conditions hold exactly
 (constant g, linear alpha, bounded Jacobian perturbation), and the
-three-state convective loop with a state-dependent input field.
+three-state convective loop with a state-dependent input field. Each
+model also gives the closed-loop field f + g u of a whole stack in one
+call, field_all, which the integrator uses at every stage.
 """
 
 from dataclasses import dataclass
@@ -22,8 +24,13 @@ class AgentModel:
     per agent; jac_f, jac_g act on a single state vector. The
     single-state f, g and alpha evaluate the batched callables on a
     one-row stack, so both paths give identical floating-point results.
-    f_all and g_all return fresh (N, n) arrays that the integrator
-    overwrites. The input is scalar.
+    field_all(xs, u) is the closed-loop field f(x_i) + g(x_i) u_i of
+    every row, the only model call of an integrator stage besides
+    alpha_all. It applies the per-element operations of
+    f_all(xs) + g_all(xs) * u[:, None], so it has the same bits, except
+    that a component whose g is identically 0 is f alone. It returns a
+    fresh (N, n) array that the integrator overwrites. The input is
+    scalar.
     """
 
     name: str
@@ -34,6 +41,7 @@ class AgentModel:
     f_all: callable
     g_all: callable
     alpha_all: callable
+    field_all: callable
     input_dim = 1
 
     def f(self, x):
@@ -89,7 +97,12 @@ def linear_model(a, b, k):
         return out
 
     def alpha_all(xs):
-        return xs @ kv
+        return xs.dot(kv)
+
+    def field_all(xs, u):
+        out = xs @ a.T
+        out += u[:, None] * bv
+        return out
 
     return AgentModel(
         name="linear",
@@ -100,6 +113,7 @@ def linear_model(a, b, k):
         f_all=f_all,
         g_all=g_all,
         alpha_all=alpha_all,
+        field_all=field_all,
     )
 
 
@@ -131,7 +145,12 @@ def tanh_perturbed_model(a, b, gamma, k):
         return out
 
     def alpha_all(xs):
-        return xs @ kv
+        return xs.dot(kv)
+
+    def field_all(xs, u):
+        out = f_all(xs)
+        out += u[:, None] * bv
+        return out
 
     def jac_f(x):
         sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
@@ -146,6 +165,7 @@ def tanh_perturbed_model(a, b, gamma, k):
         f_all=f_all,
         g_all=g_all,
         alpha_all=alpha_all,
+        field_all=field_all,
     )
 
 
@@ -186,7 +206,27 @@ def lorenz_model(a, b, c, k):
         return out
 
     def alpha_all(xs):
-        return xs @ kv
+        return xs.dot(kv)
+
+    # f + g u column by column: u is added to column 0 and (sin x1 + 2) u
+    # to column 1; column 2, whose g is 0, is the drift alone
+    def field_all(xs, u):
+        x1, x2, x3 = xs.T
+        out = np.empty(xs.shape)
+        o1, o2, o3 = out.T
+        np.subtract(x2, x1, out=o1)
+        o1 *= a
+        o1 += u
+        np.subtract(b, x3, out=o2)
+        o2 *= x1
+        o2 -= x2
+        gu = np.sin(x1)
+        gu += 2.0
+        gu *= u
+        o2 += gu
+        np.multiply(x1, x2, out=o3)
+        o3 -= c * x3
+        return out
 
     def jac_f(x):
         x1, x2, x3 = x
@@ -210,4 +250,5 @@ def lorenz_model(a, b, c, k):
         f_all=f_all,
         g_all=g_all,
         alpha_all=alpha_all,
+        field_all=field_all,
     )

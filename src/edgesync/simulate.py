@@ -2,17 +2,18 @@
 
 The closed-loop vector field stacks all agents: for each agent i,
 dx_i/dt = f(x_i) + g(x_i) u_i with u_i the distributed coupling input,
-re-evaluated at every integrator stage. Classical fourth-order
-Runge-Kutta with a fixed step keeps runs bit-for-bit reproducible and
-the monotonicity tolerances simple; there is no adaptive stepping.
+re-evaluated at every integrator stage; the model's field_all evaluates
+f + g u for all agents in one call. Classical fourth-order Runge-Kutta
+with a fixed step keeps runs bit-for-bit reproducible and the
+monotonicity tolerances simple; there is no adaptive stepping.
 
 One RK4 loop serves a single run and an ensemble alike: B members that
 share the graph, the model and the step but differ in beta and initial
-state advance together as a (B, N*n) stack, and a single run is the
-B = 1 case. A run records times, states and coupling inputs only;
-quantities that analyse a trajectory, such as the edge energy and the
-sync error, are computed from the recorded states afterwards (see
-analysis).
+state advance together as one (B*N, n) stack of agent states, and a
+single run is the B = 1 case. A run records times, states and coupling
+inputs only; quantities that analyse a trajectory, such as the edge
+energy and the sync error, are computed from the recorded states
+afterwards (see analysis).
 """
 
 from dataclasses import dataclass, field
@@ -91,13 +92,14 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
     """Integrate B copies of the network that differ only in beta and x0.
 
     betas holds the B gains and x0s is the (B, N*n) stack of their
-    initial states. One RK4 loop advances every member: each stage
-    evaluates the model once on the (B*N, n) stack of all agents of all
-    members still running. A member whose state leaves the finite
-    envelope is dropped at that step and the others run on. Returns one
-    entry per member, in order: its Trajectory, or the DivergedError it
-    hit, with its time. Member b is bitwise equal to simulate at
-    betas[b] and x0s[b].
+    initial states. One RK4 loop advances every member on the (B*N, n)
+    stack of all agents of all members still running: each stage calls
+    model.alpha_all once for the coupling inputs u and model.field_all
+    once for f + g u, and a step's first stage shares its u with the
+    record. A member whose state leaves the finite envelope is dropped
+    at that step and the others run on. Returns one entry per member,
+    in order: its Trajectory, or the DivergedError it hit, with its
+    time. Member b is bitwise equal to simulate at betas[b] and x0s[b].
     """
     per_record = steps_per_record(h, t_end, record_interval)
     n_agents, n = g.n, model.state_dim
@@ -111,31 +113,21 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
         raise DimensionMismatchError(
             f"x0s has shape {x.shape}, expected ({n_members}, {width})"
         )
+    x = x.reshape(-1, n)
     n_steps = int(round(t_end / h))
     n_records = n_steps // per_record
-
-    def vector_field(x, coupling):
-        # f + g * u, computed in the fresh arrays the model returns
-        xs = x.reshape(-1, n)
-        u = accumulate_coupling(model.alpha_all(xs), *coupling)
-        k = model.g_all(xs)
-        k *= u[:, None]
-        k += model.f_all(xs)
-        return k.reshape(x.shape)
-
     times = np.empty(n_records + 1)
     states = np.empty((n_members, n_records + 1, width))
     inputs = np.empty((n_members, n_records + 1, n_agents))
 
-    def record(idx, t, x, active, coupling):
-        times[idx] = t
-        states[active, idx] = x
-        u = accumulate_coupling(model.alpha_all(x.reshape(-1, n)), *coupling)
-        inputs[active, idx] = u.reshape(-1, n_agents)
-
     results = [None] * n_members
     active = np.arange(n_members)
     coupling = edge_end_arrays(g, betas)
+
+    def stage(xs):
+        return model.field_all(
+            xs, accumulate_coupling(model.alpha_all(xs), *coupling))
+
     half_h, sixth_h = 0.5 * h, h / 6.0
     step = 0
     # A diverging member overflows before the guard drops it; the guard
@@ -146,23 +138,29 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
             # False for nan and inf as well as for a finite overshoot;
             # the row maxima are only needed when some member fails
             if not np.abs(x).max() <= DIVERGENCE_LIMIT:
+                x = x.reshape(-1, width)
                 inside = np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT
                 for member in active[~inside]:
                     results[member] = DivergedError(
                         f"state left the finite envelope at t = {t:.6g}", time=t)
-                active, x = active[inside], x[inside]
+                active, x = active[inside], x[inside].reshape(-1, n)
                 if active.size == 0:
                     break
                 coupling = edge_end_arrays(g, betas[active])
+            # the record and the k1 stage share this step's inputs
+            u = accumulate_coupling(model.alpha_all(x), *coupling)
             if step % per_record == 0:
-                record(step // per_record, t, x, active, coupling)
+                idx = step // per_record
+                times[idx] = t
+                states[active, idx] = x.reshape(-1, width)
+                inputs[active, idx] = u.reshape(-1, n_agents)
             if step == n_steps:
                 break
             step += 1
-            k1 = vector_field(x, coupling)
-            k2 = vector_field(x + half_h * k1, coupling)
-            k3 = vector_field(x + half_h * k2, coupling)
-            k4 = vector_field(x + h * k3, coupling)
+            k1 = model.field_all(x, u)
+            k2 = stage(x + half_h * k1)
+            k3 = stage(x + half_h * k2)
+            k4 = stage(x + h * k3)
             # x + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order in k2
             k2 *= 2.0
             k2 += k1

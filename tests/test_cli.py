@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from edgesync.cli import _fmt, _table_lines, main, parse_graph_check
+from edgesync.cli import (
+    _diag_block,
+    _fmt,
+    _matrix_block,
+    _table_lines,
+    main,
+    parse_graph_check,
+)
 
 from helpers import SCENARIO_DIR, SHIPPED_TEXTS, mutated_text
 
@@ -294,6 +301,14 @@ def test_table_lines_match_fmt():
     assert _table_lines(np.zeros((2, 0)), " ") == ["", ""]
 
 
+@pytest.mark.parametrize("q", [0, 1, 2, 5, 40])
+def test_diag_block_matches_dense(q):
+    special = [1.0, 1.0 / 3.0, 5e-324, 1e300, 0.1, 6.0, 2.0**53 + 1]
+    w = np.resize(special, q)
+    w[len(special):] *= np.random.default_rng(q).uniform(0.5, 2.0, q)[len(special):]
+    assert _diag_block("weight_diag", w) == _matrix_block("weight_diag", np.diag(w))
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("section,key", [
         (section, key) for section, keys in SCENARIO_KEYS.items() for key in keys
@@ -433,6 +448,28 @@ class TestMalformedInput:
             capsys, [verb, LINEAR_C3, "--out-dir", str(tmp_path)] + flags)
         assert "integration" in err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("multipliers", [["nan"], ["inf"], ["1", "nan", "inf"]],
+                             ids=" ".join)
+    def test_nonfinite_multipliers(self, tmp_path, capsys, multipliers):
+        out = tmp_path / "out"
+        err = expect_parse_error(capsys, ["sweep", LINEAR_C3, "--out-dir", str(out),
+                                          "--multipliers"] + multipliers)
+        assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("multipliers", [
+        ["1", "1.0000001"],
+        ["1", "1"],
+        ["2", "0.5", "2.0"],
+    ], ids=" ".join)
+    def test_multipliers_sharing_a_run_directory(self, tmp_path, capsys,
+                                                 multipliers):
+        out = tmp_path / "out"
+        err = expect_parse_error(capsys, ["sweep", LINEAR_C3, "--out-dir", str(out),
+                                          "--multipliers"] + multipliers)
+        assert "run_m" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["run", "check", "sweep"])
     def test_out_dir_not_creatable(self, tmp_path, capsys, verb):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edgesync import (
     DimensionMismatchError,
@@ -244,9 +245,65 @@ class TestBatchedKernels:
         # the integrator accumulates the stage derivative in these arrays
         m = batched_models()[kind]
         xs = np.random.default_rng(3).standard_normal((6, m.state_dim))
-        for field in (m.f_all, m.g_all):
+        u = np.arange(6.0)
+        for field in (m.f_all, m.g_all, lambda xs: m.field_all(xs, u)):
             out, again = field(xs), field(xs)
             assert out.shape == xs.shape and out.dtype == np.float64
             assert out.flags.c_contiguous and out.flags.writeable
             assert not np.shares_memory(out, xs)
             assert not np.shares_memory(out, again)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def stacks_and_inputs(draw, n):
+    """An (N, n) stack of finite states and N finite inputs, N from 1 to 8."""
+    rows = draw(st.integers(min_value=1, max_value=8))
+    return (draw(arrays(np.float64, (rows, n), elements=finite)),
+            draw(arrays(np.float64, rows, elements=finite)))
+
+
+SIGNED_ZEROS = (np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]), np.array([-0.0, 0.0]))
+
+
+class TestFieldAll:
+    """field_all(xs, u) has the bits of f_all(xs) + g_all(xs) * u[:, None]."""
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh"])
+    @given(data=stacks_and_inputs(2))
+    @example(data=(SIGNED_ZEROS[0][:, :2], SIGNED_ZEROS[1]))
+    @settings(max_examples=200, deadline=None)
+    def test_constant_input_field(self, kind, data):
+        xs, u = data
+        m = batched_models()[kind]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = m.f_all(xs) + m.g_all(xs) * u[:, None]
+            assert same_bits(m.field_all(xs, u), expected)
+
+    @given(data=stacks_and_inputs(3))
+    @example(data=SIGNED_ZEROS)
+    @settings(max_examples=200, deadline=None)
+    def test_lorenz(self, data):
+        xs, u = data
+        m = batched_models()["lorenz"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = m.f_all(xs) + m.g_all(xs) * u[:, None]
+            out = m.field_all(xs, u)
+            drift = m.f_all(xs)
+        assert same_bits(out[:, :2], expected[:, :2])
+        # g is 0 in column 2, so field_all leaves the drift there alone.
+        # 0*u + f2 can differ from f2 in the sign of a zero (+0 + -0 is
+        # +0), so that column equals the sum only as a number.
+        assert same_bits(out[:, 2], drift[:, 2])
+        assert np.array_equal(out[:, 2], expected[:, 2], equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_alpha_is_matmul(self, kind, data):
+        m = batched_models()[kind]
+        xs, _ = data.draw(stacks_and_inputs(m.state_dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(m.alpha_all(xs), xs @ m.params["k"])

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -291,6 +292,19 @@ class TestStageArithmetic:
         assert not isinstance(reference[1], tuple)
         assert_matches_reference(simulate_batch(*args), reference)
 
+    def test_overflowing_lorenz_member_matches_reference(self):
+        # the 1e290 member's coupling overflows in the first stage; its
+        # divergence time and the other members' bits must not move
+        g, model, _, base, _, h, interval = batch_cases()["lorenz"]
+        betas = [5.0, 1e290, 30.0]
+        x0s = np.array([perturbed_initial_conditions(base, g.n, 1.0, seed)
+                        for seed in range(len(betas))])
+        args = (g, model, betas, x0s, 0.05, h, interval)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = reference_batch(*args)
+        assert reference[1] == h
+        assert_matches_reference(simulate_batch(*args), reference)
+
     def test_overflowing_member_warns_nothing(self):
         # at beta = 1e290 the coupling overflows in the first stage; the
         # guard reports that member and numpy must not warn about it
@@ -304,6 +318,36 @@ class TestStageArithmetic:
         for i in (0, 2):
             single = simulate(g, model, betas[i], x0s[i], 0.05, h, interval)
             assert_same_trajectory(batch[i], single)
+
+
+def counting_model(model, counts):
+    """model with each batched callable counting its calls in counts."""
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+    return dataclasses.replace(model, **{
+        name: counted(name, getattr(model, name))
+        for name in ("f_all", "g_all", "alpha_all", "field_all")})
+
+
+class TestModelCalls:
+    @pytest.mark.parametrize("kind", ["linear", "lorenz"])
+    def test_one_coupling_and_one_field_per_stage(self, kind):
+        # alpha_all once per stage, plus once for the state after the
+        # last step: the record shares the k1 stage's inputs. f_all and
+        # g_all are never called.
+        g, model, betas, base, t_end, h, interval = batch_cases()[kind]
+        counts = {}
+        x0s = np.tile(perturbed_initial_conditions(base, g.n, 1.0, 0),
+                      (len(betas), 1))
+        batch = simulate_batch(g, counting_model(model, counts), betas, x0s,
+                               t_end, h, interval)
+        n_steps = int(round(t_end / h))
+        assert all(not isinstance(r, DivergedError) for r in batch)
+        assert counts == {"alpha_all": 4 * n_steps + 1,
+                          "field_all": 4 * n_steps}
 
 
 class TestPerturbedInitialConditions:
