@@ -69,7 +69,7 @@ def _diag_block(name, diag):
     """_matrix_block(name, np.diag(diag)), written without forming the matrix."""
     q = len(diag)
     return [f"matrix {name} {q} {q}"] + [
-        "0 " * i + "%.17g" % w + " 0" * (q - 1 - i)
+        "0 " * i + _fmt(w) + " 0" * (q - 1 - i)
         for i, w in enumerate(np.asarray(diag, dtype=float).tolist())]
 
 

@@ -5,8 +5,9 @@ single scalar input channel. Built-in models: a linear pair, a
 saturating-perturbation model whose certificate conditions hold exactly
 (constant g, linear alpha, bounded Jacobian perturbation), and the
 three-state convective loop with a state-dependent input field. Each
-model also gives the closed-loop field f + g u of a whole stack in one
-call, field_all, which the integrator uses at every stage.
+model also adds g u to a drift stack in place, add_gu, so that the
+closed-loop field f + g u of a whole stack, field_all, forms no g array;
+the integrator calls field_all at every stage.
 """
 
 from dataclasses import dataclass
@@ -24,13 +25,11 @@ class AgentModel:
     per agent; jac_f, jac_g act on a single state vector. The
     single-state f, g and alpha evaluate the batched callables on a
     one-row stack, so both paths give identical floating-point results.
-    field_all(xs, u) is the closed-loop field f(x_i) + g(x_i) u_i of
-    every row, the only model call of an integrator stage besides
-    alpha_all. It applies the per-element operations of
-    f_all(xs) + g_all(xs) * u[:, None], so it has the same bits, except
-    that a component whose g is identically 0 is f alone. It returns a
-    fresh (N, n) array that the integrator overwrites. The input is
-    scalar.
+    add_gu(out, xs, u) adds g(x_i) u_i to row i of out in place, with
+    the per-element operations of g_all(xs) * u[:, None] and no g array;
+    a component whose g is identically 0 is left alone. f_all and g_all
+    return fresh (N, n) arrays; the integrator overwrites f_all's. The
+    input is scalar.
     """
 
     name: str
@@ -41,8 +40,18 @@ class AgentModel:
     f_all: callable
     g_all: callable
     alpha_all: callable
-    field_all: callable
+    add_gu: callable
     input_dim = 1
+
+    def field_all(self, xs, u):
+        """Closed-loop field f(x_i) + g(x_i) u_i of every row, one fresh array.
+
+        It has the bits of f_all(xs) + g_all(xs) * u[:, None], except
+        that a component whose g is identically 0 is f alone.
+        """
+        out = self.f_all(xs)
+        self.add_gu(out, xs, u)
+        return out
 
     def f(self, x):
         return self.f_all(np.asarray(x, dtype=float)[None, :])[0]
@@ -78,6 +87,19 @@ def _as_input_column(b, n):
     return b
 
 
+def _constant_input(bv):
+    """g_all and add_gu of the constant input field g(x) = bv."""
+    def g_all(xs):
+        out = np.empty(xs.shape)
+        out[...] = bv
+        return out
+
+    def add_gu(out, xs, u):
+        out += u[:, None] * bv
+
+    return g_all, add_gu
+
+
 def linear_model(a, b, k):
     """Linear agent: f(x) = A x, constant g = B, alpha(x) = K x."""
     a = np.asarray(a, dtype=float)
@@ -88,21 +110,13 @@ def linear_model(a, b, k):
     kv = _as_gain_row(k, n)
     zero = np.zeros((n, n))
 
+    g_all, add_gu = _constant_input(bv)
+
     def f_all(xs):
         return xs @ a.T
 
-    def g_all(xs):
-        out = np.empty(xs.shape)
-        out[...] = bv
-        return out
-
     def alpha_all(xs):
         return xs.dot(kv)
-
-    def field_all(xs, u):
-        out = xs @ a.T
-        out += u[:, None] * bv
-        return out
 
     return AgentModel(
         name="linear",
@@ -113,7 +127,7 @@ def linear_model(a, b, k):
         f_all=f_all,
         g_all=g_all,
         alpha_all=alpha_all,
-        field_all=field_all,
+        add_gu=add_gu,
     )
 
 
@@ -136,21 +150,13 @@ def tanh_perturbed_model(a, b, gamma, k):
     gamma = float(gamma)
     zero = np.zeros((n, n))
 
+    g_all, add_gu = _constant_input(bv)
+
     def f_all(xs):
         return xs @ a.T + gamma * np.tanh(xs)
 
-    def g_all(xs):
-        out = np.empty(xs.shape)
-        out[...] = bv
-        return out
-
     def alpha_all(xs):
         return xs.dot(kv)
-
-    def field_all(xs, u):
-        out = f_all(xs)
-        out += u[:, None] * bv
-        return out
 
     def jac_f(x):
         sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
@@ -165,7 +171,7 @@ def tanh_perturbed_model(a, b, gamma, k):
         f_all=f_all,
         g_all=g_all,
         alpha_all=alpha_all,
-        field_all=field_all,
+        add_gu=add_gu,
     )
 
 
@@ -208,25 +214,13 @@ def lorenz_model(a, b, c, k):
     def alpha_all(xs):
         return xs.dot(kv)
 
-    # f + g u column by column: u is added to column 0 and (sin x1 + 2) u
-    # to column 1; column 2, whose g is 0, is the drift alone
-    def field_all(xs, u):
-        x1, x2, x3 = xs.T
-        out = np.empty(xs.shape)
-        o1, o2, o3 = out.T
-        np.subtract(x2, x1, out=o1)
-        o1 *= a
-        o1 += u
-        np.subtract(b, x3, out=o2)
-        o2 *= x1
-        o2 -= x2
-        gu = np.sin(x1)
+    # u to column 0 and (sin x1 + 2) u to column 1; column 2's g is 0
+    def add_gu(out, xs, u):
+        out[:, 0] += u
+        gu = np.sin(xs[:, 0])
         gu += 2.0
         gu *= u
-        o2 += gu
-        np.multiply(x1, x2, out=o3)
-        o3 -= c * x3
-        return out
+        out[:, 1] += gu
 
     def jac_f(x):
         x1, x2, x3 = x
@@ -250,5 +244,5 @@ def lorenz_model(a, b, c, k):
         f_all=f_all,
         g_all=g_all,
         alpha_all=alpha_all,
-        field_all=field_all,
+        add_gu=add_gu,
     )

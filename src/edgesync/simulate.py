@@ -3,9 +3,10 @@
 The closed-loop vector field stacks all agents: for each agent i,
 dx_i/dt = f(x_i) + g(x_i) u_i with u_i the distributed coupling input,
 re-evaluated at every integrator stage; the model's field_all evaluates
-f + g u for all agents in one call. Classical fourth-order Runge-Kutta
-with a fixed step keeps runs bit-for-bit reproducible and the
-monotonicity tolerances simple; there is no adaptive stepping.
+f + g u for all agents at once, adding g u to the drift in place.
+Classical fourth-order Runge-Kutta with a fixed step keeps runs
+bit-for-bit reproducible and the monotonicity tolerances simple; there
+is no adaptive stepping.
 
 One RK4 loop serves a single run and an ensemble alike: B members that
 share the graph, the model and the step but differ in beta and initial
@@ -95,11 +96,12 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
     initial states. One RK4 loop advances every member on the (B*N, n)
     stack of all agents of all members still running: each stage calls
     model.alpha_all once for the coupling inputs u and model.field_all
-    once for f + g u, and a step's first stage shares its u with the
-    record. A member whose state leaves the finite envelope is dropped
-    at that step and the others run on. Returns one entry per member,
-    in order: its Trajectory, or the DivergedError it hit, with its
-    time. Member b is bitwise equal to simulate at betas[b] and x0s[b].
+    once for f + g u (one f_all and one add_gu), and a step's first
+    stage shares its u with the record. A member whose state leaves the
+    finite envelope is dropped at that step and the others run on.
+    Returns one entry per member, in order: its Trajectory, or the
+    DivergedError it hit, with its time. Member b is bitwise equal to
+    simulate at betas[b] and x0s[b].
     """
     per_record = steps_per_record(h, t_end, record_interval)
     n_agents, n = g.n, model.state_dim

@@ -329,15 +329,15 @@ def counting_model(model, counts):
         return wrapper
     return dataclasses.replace(model, **{
         name: counted(name, getattr(model, name))
-        for name in ("f_all", "g_all", "alpha_all", "field_all")})
+        for name in ("f_all", "g_all", "alpha_all", "add_gu")})
 
 
 class TestModelCalls:
     @pytest.mark.parametrize("kind", ["linear", "lorenz"])
     def test_one_coupling_and_one_field_per_stage(self, kind):
         # alpha_all once per stage, plus once for the state after the
-        # last step: the record shares the k1 stage's inputs. f_all and
-        # g_all are never called.
+        # last step: the record shares the k1 stage's inputs. field_all
+        # is one f_all and one add_gu per stage; g_all is never called.
         g, model, betas, base, t_end, h, interval = batch_cases()[kind]
         counts = {}
         x0s = np.tile(perturbed_initial_conditions(base, g.n, 1.0, 0),
@@ -347,7 +347,7 @@ class TestModelCalls:
         n_steps = int(round(t_end / h))
         assert all(not isinstance(r, DivergedError) for r in batch)
         assert counts == {"alpha_all": 4 * n_steps + 1,
-                          "field_all": 4 * n_steps}
+                          "f_all": 4 * n_steps, "add_gu": 4 * n_steps}
 
 
 class TestPerturbedInitialConditions:
