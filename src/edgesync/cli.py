@@ -37,13 +37,13 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
-def _table_lines(table, sep, end=""):
+def _table_lines(table, sep):
     """Rows of a table as lines of cells joined by sep, each as _fmt writes it.
 
     One "%.17g" template formats a whole row, much faster than _fmt per cell.
     """
     table = np.atleast_2d(np.asarray(table, dtype=float))
-    row = sep.join(["%.17g"] * table.shape[1]) + end
+    row = sep.join(["%.17g"] * table.shape[1]) + "\n"
     return [row % tuple(cells.tolist()) for cells in table]
 
 
@@ -62,19 +62,19 @@ def _atomic_write(path, chunks):
 
 def _matrix_block(name, mat):
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    return [f"matrix {name} {mat.shape[0]} {mat.shape[1]}"] + _table_lines(mat, " ")
+    return [f"matrix {name} {mat.shape[0]} {mat.shape[1]}\n"] + _table_lines(mat, " ")
 
 
 def _diag_block(name, diag):
     """_matrix_block(name, np.diag(diag)), written without forming the matrix."""
     q = len(diag)
-    return [f"matrix {name} {q} {q}"] + [
-        "0 " * i + _fmt(w) + " 0" * (q - 1 - i)
+    return [f"matrix {name} {q} {q}\n"] + [
+        "0 " * i + _fmt(w) + " 0" * (q - 1 - i) + "\n"
         for i, w in enumerate(np.asarray(diag, dtype=float).tolist())]
 
 
 def graph_check_text(setup):
-    """Machine-parseable construction report.
+    """Machine-parseable construction report, as a list of lines.
 
     Carries the matrices themselves so the critical gain can be
     recomputed from the emitted data and compared against the stated
@@ -82,7 +82,7 @@ def graph_check_text(setup):
     """
     m = setup.matrices
     lift = setup.lift
-    lines = [
+    lines = [line + "\n" for line in (
         f"nodes {setup.graph.n}",
         f"edges {setup.graph.q}",
         f"components {setup.spectral.components}",
@@ -95,6 +95,8 @@ def graph_check_text(setup):
         f"endpoint_residual_initial {_fmt(setup.residuals[1])}",
         f"endpoint_residual_terminal {_fmt(setup.residuals[2])}",
         f"beta_star {_fmt(setup.controller.beta_star)}",
+    )]
+    lines += [
         "laplacian_eigs " + _table_lines(setup.spectral.laplacian_eigs, " ")[0],
         "edge_laplacian_eigs " + _table_lines(
             setup.spectral.edge_laplacian_eigs, " ")[0],
@@ -103,7 +105,7 @@ def graph_check_text(setup):
     lines += _diag_block("weight_diag", m.weights)
     lines += _matrix_block("laplacian", m.laplacian)
     lines += _matrix_block("lift", lift.lift)
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def parse_graph_check(text):
@@ -181,10 +183,11 @@ def trajectory_csv(traj, v, sync):
     header += [f"u_{i}" for i in range(1, n_agents + 1)]
     header += ["V", "sync_error"]
     table = np.column_stack((traj.times, traj.states, traj.inputs, v, sync))
-    return [",".join(header) + "\n"] + _table_lines(table, ",", "\n")
+    return [",".join(header) + "\n"] + _table_lines(table, ",")
 
 
 def report_text(setup, diag, warnings, fit, uptick, sync0, sync1):
+    """The run report, as a list of lines."""
     ratio = sync1 / sync0 if sync0 > 0 else 0.0
     lines = [
         f"scenario {setup.name}",
@@ -205,9 +208,8 @@ def report_text(setup, diag, warnings, fit, uptick, sync0, sync1):
         f"final_sync_error {_fmt(sync1)}",
         f"sync_ratio {_fmt(ratio)}",
     ]
-    for w in warnings:
-        lines.append(f"warning {w}")
-    return "\n".join(lines) + "\n"
+    lines += [f"warning {w}" for w in warnings]
+    return [line + "\n" for line in lines]
 
 
 def _make_dir(path):
@@ -264,15 +266,12 @@ def cmd_run(args):
     traj = simulate(
         setup.graph, setup.model, setup.controller.beta, setup.x0,
         setup.t_end, setup.h, setup.record_interval,
-        metadata={"seed": setup.seed, "scenario": setup.name},
     )
     fit, uptick, sync = _analyse_and_write(setup, traj, out_dir)
     diag, warnings = certificate_checks(setup)
     _atomic_write(os.path.join(out_dir, "report.txt"),
-                  [report_text(setup, diag, warnings, fit, uptick,
-                               sync[0], sync[-1])])
-    _atomic_write(os.path.join(out_dir, "graph_check.txt"),
-                  [graph_check_text(setup)])
+                  report_text(setup, diag, warnings, fit, uptick, sync[0], sync[-1]))
+    _atomic_write(os.path.join(out_dir, "graph_check.txt"), graph_check_text(setup))
     ratio = sync[-1] / sync[0] if sync[0] > 0 else 0.0
     print(f"run {setup.name}: beta={setup.controller.beta:.6g} "
           f"beta_star={setup.controller.beta_star:.6g}")
@@ -288,8 +287,7 @@ def cmd_check(args):
     setup = realize(sc, require_connected=False)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     diag, warnings = certificate_checks(setup)
-    _atomic_write(os.path.join(out_dir, "graph_check.txt"),
-                  [graph_check_text(setup)])
+    _atomic_write(os.path.join(out_dir, "graph_check.txt"), graph_check_text(setup))
     print(f"check {setup.name}: nodes={setup.graph.n} edges={setup.graph.q} "
           f"components={setup.spectral.components}")
     print(f"  lift_pd_margin={setup.lift.pd_margin:.6g} "
@@ -320,12 +318,11 @@ def cmd_sweep(args):
     _check_multipliers(args.multipliers)
     setup = realize(sc, require_connected=True)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
-    rows = ["multiplier,rate,largest_uptick,final_sync_error,status"]
+    rows = ["multiplier,rate,largest_uptick,final_sync_error,status\n"]
     betas = [mult * setup.controller.beta_star for mult in args.multipliers]
     results = simulate_batch(
         setup.graph, setup.model, betas, np.tile(setup.x0, (len(betas), 1)),
         setup.t_end, setup.h, setup.record_interval,
-        metadata={"seed": setup.seed, "scenario": setup.name},
     )
     for mult, result in zip(args.multipliers, results):
         run_dir = _make_dir(os.path.join(out_dir, f"run_m{mult:g}"))
@@ -334,14 +331,13 @@ def cmd_sweep(args):
                 raise result
             fit, uptick, sync = _analyse_and_write(setup, result, run_dir)
             rows.append(f"{mult:g},{_fmt(fit.rate)},{_fmt(uptick)},"
-                        f"{_fmt(sync[-1])},ok")
+                        f"{_fmt(sync[-1])},ok\n")
             print(f"sweep m={mult:g}: rate={fit.rate:.6g} "
                   f"uptick={uptick:.3e} final_sync={sync[-1]:.6g}")
         except EdgeSyncError as exc:
-            rows.append(f"{mult:g},nan,nan,nan,{type(exc).__name__}")
+            rows.append(f"{mult:g},nan,nan,nan,{type(exc).__name__}\n")
             print(f"sweep m={mult:g}: failed ({type(exc).__name__}: {exc})")
-    _atomic_write(os.path.join(out_dir, "sweep_summary.csv"),
-                  ["\n".join(rows) + "\n"])
+    _atomic_write(os.path.join(out_dir, "sweep_summary.csv"), rows)
     print(f"summary in {out_dir}/sweep_summary.csv")
     return 0
 

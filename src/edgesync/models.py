@@ -41,7 +41,6 @@ class AgentModel:
     g_all: callable
     alpha_all: callable
     add_gu: callable
-    input_dim = 1
 
     def field_all(self, xs, u):
         """Closed-loop field f(x_i) + g(x_i) u_i of every row, one fresh array.
@@ -63,32 +62,59 @@ class AgentModel:
         return float(self.alpha_all(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _as_gain_row(k, n):
-    k = np.asarray(k, dtype=float)
-    if k.ndim == 2:
-        if k.shape != (1, n):
-            raise DimensionMismatchError(f"gain has shape {k.shape}, expected (1, {n})")
-        k = k[0]
-    if k.shape != (n,):
-        raise DimensionMismatchError(f"gain has shape {k.shape}, expected ({n},)")
-    return k
+def _agent_model(name, n, k, params, f_all, g_all, add_gu, jac_f, jac_g):
+    """The AgentModel of one kind on n states, with feedback alpha(x) = k x.
 
-
-def _as_input_column(b, n):
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 2:
-        if b.shape[1] != 1:
+    k is the gain row, of shape (n,) or (1, n); params gain its checked
+    copy as "k".
+    """
+    kv = np.asarray(k, dtype=float)
+    if kv.ndim == 2:
+        if kv.shape != (1, n):
             raise DimensionMismatchError(
-                f"input matrix has {b.shape[1]} columns, input dimension is fixed at 1"
+                f"gain has shape {kv.shape}, expected (1, {n})")
+        kv = kv[0]
+    if kv.shape != (n,):
+        raise DimensionMismatchError(f"gain has shape {kv.shape}, expected ({n},)")
+
+    def alpha_all(xs):
+        return xs.dot(kv)
+
+    return AgentModel(
+        name=name,
+        state_dim=n,
+        params={**params, "k": kv},
+        jac_f=jac_f,
+        jac_g=jac_g,
+        f_all=f_all,
+        g_all=g_all,
+        alpha_all=alpha_all,
+        add_gu=add_gu,
+    )
+
+
+def _constant_input_model(name, a, b, k, drift, **params):
+    """A model with a square drift matrix a and the constant input field g(x) = b.
+
+    b is a vector or a one-column matrix. drift(a) returns the kind's
+    f_all and jac_f on the checked float matrix a.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"a must be square, got {a.shape}")
+    n = a.shape[0]
+    bv = np.asarray(b, dtype=float)
+    if bv.ndim == 2:
+        if bv.shape[1] != 1:
+            raise DimensionMismatchError(
+                f"input matrix has {bv.shape[1]} columns, input dimension is fixed at 1"
             )
-        b = b[:, 0]
-    if b.shape != (n,):
-        raise DimensionMismatchError(f"input vector has shape {b.shape}, expected ({n},)")
-    return b
+        bv = bv[:, 0]
+    if bv.shape != (n,):
+        raise DimensionMismatchError(
+            f"input vector has shape {bv.shape}, expected ({n},)")
+    zero = np.zeros((n, n))
 
-
-def _constant_input(bv):
-    """g_all and add_gu of the constant input field g(x) = bv."""
     def g_all(xs):
         out = np.empty(xs.shape)
         out[...] = bv
@@ -97,38 +123,17 @@ def _constant_input(bv):
     def add_gu(out, xs, u):
         out += u[:, None] * bv
 
-    return g_all, add_gu
+    f_all, jac_f = drift(a)
+    return _agent_model(name, n, k, {"a": a, "b": bv, **params}, f_all, g_all,
+                        add_gu, jac_f, lambda x: zero)
 
 
 def linear_model(a, b, k):
     """Linear agent: f(x) = A x, constant g = B, alpha(x) = K x."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"a must be square, got {a.shape}")
-    n = a.shape[0]
-    bv = _as_input_column(b, n)
-    kv = _as_gain_row(k, n)
-    zero = np.zeros((n, n))
+    def drift(a):
+        return (lambda xs: xs @ a.T), (lambda x: a)
 
-    g_all, add_gu = _constant_input(bv)
-
-    def f_all(xs):
-        return xs @ a.T
-
-    def alpha_all(xs):
-        return xs.dot(kv)
-
-    return AgentModel(
-        name="linear",
-        state_dim=n,
-        params={"a": a, "b": bv, "k": kv},
-        jac_f=lambda x: a,
-        jac_g=lambda x: zero,
-        f_all=f_all,
-        g_all=g_all,
-        alpha_all=alpha_all,
-        add_gu=add_gu,
-    )
+    return _constant_input_model("linear", a, b, k, drift)
 
 
 def tanh_perturbed_model(a, b, gamma, k):
@@ -139,40 +144,18 @@ def tanh_perturbed_model(a, b, gamma, k):
     gamma-ball around A: every certificate condition stays checkable by
     a single sampled bound.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"a must be square, got {a.shape}")
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    n = a.shape[0]
-    bv = _as_input_column(b, n)
-    kv = _as_gain_row(k, n)
     gamma = float(gamma)
-    zero = np.zeros((n, n))
 
-    g_all, add_gu = _constant_input(bv)
+    def drift(a):
+        def jac_f(x):
+            sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
+            return a + gamma * np.diag(sech2)
 
-    def f_all(xs):
-        return xs @ a.T + gamma * np.tanh(xs)
+        return (lambda xs: xs @ a.T + gamma * np.tanh(xs)), jac_f
 
-    def alpha_all(xs):
-        return xs.dot(kv)
-
-    def jac_f(x):
-        sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
-        return a + gamma * np.diag(sech2)
-
-    return AgentModel(
-        name="tanh_perturbed",
-        state_dim=n,
-        params={"a": a, "b": bv, "k": kv, "gamma": gamma},
-        jac_f=jac_f,
-        jac_g=lambda x: zero,
-        f_all=f_all,
-        g_all=g_all,
-        alpha_all=alpha_all,
-        add_gu=add_gu,
-    )
+    return _constant_input_model("tanh_perturbed", a, b, k, drift, gamma=gamma)
 
 
 def convective_linearization(a, b, c):
@@ -193,7 +176,6 @@ def lorenz_model(a, b, c, k):
     is usually designed on convective_linearization(a, b, c).
     """
     a, b, c = float(a), float(b), float(c)
-    kv = _as_gain_row(k, 3)
 
     # columns written in place: the operations of stacking them, less overhead
     def f_all(xs):
@@ -210,9 +192,6 @@ def lorenz_model(a, b, c, k):
         col1 = np.sin(xs[:, 0], out=out[:, 1])
         col1 += 2.0
         return out
-
-    def alpha_all(xs):
-        return xs.dot(kv)
 
     # u to column 0 and (sin x1 + 2) u to column 1; column 2's g is 0
     def add_gu(out, xs, u):
@@ -235,14 +214,5 @@ def lorenz_model(a, b, c, k):
         out[1, 0] = np.cos(x[0])
         return out
 
-    return AgentModel(
-        name="lorenz",
-        state_dim=3,
-        params={"a": a, "b": b, "c": c, "k": kv},
-        jac_f=jac_f,
-        jac_g=jac_g,
-        f_all=f_all,
-        g_all=g_all,
-        alpha_all=alpha_all,
-        add_gu=add_gu,
-    )
+    return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c}, f_all, g_all,
+                        add_gu, jac_f, jac_g)

@@ -199,19 +199,29 @@ def parse_scenario(path):
 
 def parse_scenario_text(text, path="<string>"):
     sc = Scenario(name=os.path.splitext(os.path.basename(path))[0], path=path)
-    seen_sections = set()
+    # first line of each section and key; edge and state lines repeat
+    seen_sections = {}
+    seen_keys = {}
     graph_lines = {}
     state_rows = {}
 
     for section, key, tokens, lineno in _tokenize(text, path):
         if key is None:
-            seen_sections.add(section)
+            if section in seen_sections:
+                raise ParseError(f"section [{section}] repeats line "
+                                 f"{seen_sections[section]}", path, lineno)
+            seen_sections[section] = lineno
             continue
         if not tokens:
             raise ParseError(f"key {key!r} needs a value", path, lineno)
         if key in ONE_TOKEN_KEYS and len(tokens) != 1:
             raise ParseError(f"key {key!r} takes one value, got {len(tokens)}",
                              path, lineno)
+        if key not in ("edge", "state"):
+            if (section, key) in seen_keys:
+                raise ParseError(f"key {key!r} repeats line "
+                                 f"{seen_keys[section, key]}", path, lineno)
+            seen_keys[section, key] = lineno
         if section == "graph":
             if key == "file":
                 sc.graph_file = tokens[0]
@@ -273,6 +283,9 @@ def parse_scenario_text(text, path="<string>"):
                     "seed", _parse_int(tokens[0], path, lineno), path, lineno)
             elif key == "state":
                 idx = _parse_int(tokens[0], path, lineno)
+                if idx in state_rows:
+                    raise ParseError(f"state {idx} repeats line "
+                                     f"{state_rows[idx][1]}", path, lineno)
                 state_rows[idx] = (
                     np.array([_parse_float(t, path, lineno) for t in tokens[1:]]),
                     lineno,
@@ -348,48 +361,42 @@ def check_integration(sc):
         raise ParseError(f"integration: {exc}", sc.path)
 
 
-def _certificate_from_matrix(sc, n):
-    """The scenario's explicit P as a certificate; P must be n x n."""
-    cert = MetricCertificate.from_matrix(sc.p_matrix, sc.rho, sc.mu)
-    if cert.p.shape[0] != n:
-        raise DimensionMismatchError(
-            f"certificate p is {cert.p.shape[0]}x{cert.p.shape[1]}, model "
-            f"state dimension is {n}")
-    return cert
-
-
 def _build_model_and_certificate(sc):
-    """Resolve the model, its feedback gain and the metric certificate."""
+    """Resolve the model, its feedback gain b P and the metric certificate.
+
+    P is the scenario's [certificate] p, or else the Riccati design on
+    the model's (a, b), which for lorenz is its origin linearization.
+    """
     if sc.model_kind == "lorenz":
         a = sc.model_scalars.get("a", 10.0)
         b = sc.model_scalars.get("b", 8.0 / 3.0)
         c = sc.model_scalars.get("c", 28.0)
-        a_lin, b_lin = convective_linearization(a, b, c)
-        if sc.p_matrix is not None:
-            cert = _certificate_from_matrix(sc, 3)
-        else:
-            cert = solve_ari(a_lin, b_lin, sc.rho, sc.mu).certificate
-        return lorenz_model(a, b, c, b_lin @ cert.p), cert, True
-    if sc.model_a is None or sc.model_b is None:
-        raise ParseError(f"model kind {sc.model_kind!r} needs matrix 'a' and "
-                         "vector 'b'", sc.path)
-    n = sc.model_a.shape[0]
-    if sc.model_b.shape[0] != n:
-        raise DimensionMismatchError(
-            f"b has {sc.model_b.shape[0]} entries, model state dimension is {n}")
+        a_design, b_design = convective_linearization(a, b, c)
+    else:
+        if sc.model_a is None or sc.model_b is None:
+            raise ParseError(f"model kind {sc.model_kind!r} needs matrix 'a' and "
+                             "vector 'b'", sc.path)
+        a_design, b_design = sc.model_a, sc.model_b
+        if b_design.shape[0] != a_design.shape[0]:
+            raise DimensionMismatchError(
+                f"b has {b_design.shape[0]} entries, model state dimension is "
+                f"{a_design.shape[0]}")
+    n = a_design.shape[0]
     if sc.p_matrix is not None:
-        cert = _certificate_from_matrix(sc, n)
-        gain = sc.model_b @ cert.p
+        cert = MetricCertificate.from_matrix(sc.p_matrix, sc.rho, sc.mu)
+        if cert.p.shape[0] != n:
+            raise DimensionMismatchError(
+                f"certificate p is {cert.p.shape[0]}x{cert.p.shape[1]}, model "
+                f"state dimension is {n}")
     else:
-        design = solve_ari(sc.model_a, sc.model_b, sc.rho, sc.mu)
-        cert = design.certificate
-        gain = design.gain[0]
+        cert = solve_ari(a_design, b_design, sc.rho, sc.mu).certificate
+    gain = b_design @ cert.p
+    if sc.model_kind == "lorenz":
+        return lorenz_model(a, b, c, gain), cert, True
     if sc.model_kind == "linear":
-        model = linear_model(sc.model_a, sc.model_b, gain)
-    else:
-        gamma = sc.model_scalars.get("gamma", 0.0)
-        model = tanh_perturbed_model(sc.model_a, sc.model_b, gamma, gain)
-    return model, cert, False
+        return linear_model(sc.model_a, sc.model_b, gain), cert, False
+    gamma = sc.model_scalars.get("gamma", 0.0)
+    return tanh_perturbed_model(sc.model_a, sc.model_b, gamma, gain), cert, False
 
 
 def realize(sc, require_connected=True):

@@ -17,7 +17,7 @@ energy and the sync error, are computed from the recorded states
 afterwards (see analysis).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     inputs: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_samples(self):
@@ -72,7 +71,7 @@ def steps_per_record(h, t_end, record_interval):
     return int(round(per_record))
 
 
-def simulate(g, model, beta, x0, t_end, h, record_interval, metadata=None):
+def simulate(g, model, beta, x0, t_end, h, record_interval):
     """Integrate the network and record at a uniform interval.
 
     The step settings must pass steps_per_record. Deterministic:
@@ -81,15 +80,13 @@ def simulate(g, model, beta, x0, t_end, h, record_interval, metadata=None):
     envelope.
     """
     x0s = np.asarray(x0, dtype=float).reshape(1, -1)
-    [result] = simulate_batch(g, model, [beta], x0s, t_end, h, record_interval,
-                              metadata)
+    [result] = simulate_batch(g, model, [beta], x0s, t_end, h, record_interval)
     if isinstance(result, DivergedError):
         raise result
     return result
 
 
-def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
-                   metadata=None):
+def simulate_batch(g, model, betas, x0s, t_end, h, record_interval):
     """Integrate B copies of the network that differ only in beta and x0.
 
     betas holds the B gains and x0s is the (B, N*n) stack of their
@@ -174,20 +171,8 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval,
             x = k2
 
     for member in active:
-        results[member] = Trajectory(
-            times=times.copy(),
-            states=states[member],
-            inputs=inputs[member],
-            metadata={
-                "graph_hash": g.short_hash(),
-                "model": model.name,
-                "beta": float(betas[member]),
-                "h": float(h),
-                "record_interval": float(record_interval),
-                "t_end": float(t_end),
-                **(metadata or {}),
-            },
-        )
+        results[member] = Trajectory(times=times.copy(), states=states[member],
+                                     inputs=inputs[member])
     return results
 
 

@@ -294,11 +294,12 @@ def expect_parse_error(capsys, argv):
 def test_table_lines_match_fmt():
     values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, math.inf, -math.inf, math.nan,
               1.0 / 3.0, -2.0 / 3.0, 0, 7, -12, 2**53 + 1]
-    assert _table_lines(values, " ") == [" ".join(_fmt(v) for v in values)]
+    assert _table_lines(values, " ") == [" ".join(_fmt(v) for v in values) + "\n"]
     rows = [values, values[::-1]]
-    assert _table_lines(rows, ",") == [",".join(_fmt(v) for v in r) for r in rows]
-    assert _table_lines(np.zeros(0), " ") == [""]
-    assert _table_lines(np.zeros((2, 0)), " ") == ["", ""]
+    assert _table_lines(rows, ",") == [",".join(_fmt(v) for v in r) + "\n"
+                                       for r in rows]
+    assert _table_lines(np.zeros(0), " ") == ["\n"]
+    assert _table_lines(np.zeros((2, 0)), " ") == ["\n", "\n"]
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 5, 40])

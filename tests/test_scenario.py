@@ -122,6 +122,15 @@ class TestShippedScenarios:
         xs = np.random.default_rng(0).standard_normal((5, 3))
         assert np.array_equal(setup.model.alpha_all(xs), xs @ design.gain[0])
 
+    @pytest.mark.parametrize("name", ["linear_c3.scn", "tanh_p3.scn"])
+    def test_gain_is_b_times_p(self, name):
+        sc = parse_scenario(os.path.join(SCENARIO_DIR, name))
+        setup = realize(sc)
+        xs = np.random.default_rng(0).standard_normal((5, 2))
+        expected = xs @ (sc.model_b @ setup.certificate.p)
+        assert np.array_equal(setup.model.alpha_all(xs).view(np.uint64),
+                              expected.view(np.uint64))
+
 
 class TestParseValidation:
     def test_minimal_parses(self):
@@ -232,6 +241,21 @@ class TestParseValidation:
 
     def test_one_token_cases_cover_the_keys(self):
         assert set(ONE_TOKEN_CASES) == set(ONE_TOKEN_KEYS)
+
+    @pytest.mark.parametrize("text,repeat", [
+        (MINIMAL.replace("rho 1.0", "rho 1.0\nrho 7.0"), "rho 7.0"),
+        (MINIMAL.replace("b 0 1", "b 0 1\nb 1 0"), "b 1 0"),
+        (replace_section(MINIMAL, "initial",
+                         "state 1 0 0\nstate 2 1 1\nstate 02 2 2"), "state 02 2 2"),
+        (MINIMAL + "\n[certificate]\nmu 0.3\n", "[certificate]"),
+    ], ids=["key", "matrix_key", "state", "section"])
+    def test_repeat_carries_its_line(self, text, repeat):
+        lines = text.splitlines()
+        lineno = len(lines) - lines[::-1].index(repeat)
+        with pytest.raises(ParseError) as exc:
+            parse_scenario_text(text, path="case.scn")
+        assert exc.value.line == lineno
+        assert "repeats line" in str(exc.value)
 
     def test_ragged_matrix(self):
         with pytest.raises(ParseError):

@@ -80,15 +80,6 @@ class TestSimulate:
         assert traj.states.shape == (5, 3)
         assert traj.inputs.shape == (5, 3)
 
-    def test_metadata_fields(self):
-        traj = simulate(P2, decay_model(), 0.2, np.ones(2), 1.0, 0.1, 0.5,
-                        metadata={"tag": 7})
-        md = traj.metadata
-        assert md["graph_hash"] == P2.short_hash()
-        assert md["model"] == "linear"
-        assert md["beta"] == 0.2 and md["h"] == 0.1
-        assert md["tag"] == 7
-
     def test_step_budget(self):
         assert steps_per_record(1.0, float(MAX_STEPS), 1.0) == 1
         with pytest.raises(ValueError):
@@ -165,7 +156,6 @@ def assert_same_trajectory(a, b):
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.inputs, b.inputs)
-    assert a.metadata == b.metadata
 
 
 class TestSimulateBatch:
@@ -174,12 +164,10 @@ class TestSimulateBatch:
         g, model, betas, base, t_end, h, interval = batch_cases()[kind]
         x0s = np.array([perturbed_initial_conditions(base, g.n, 1.0, seed)
                         for seed in range(len(betas))])
-        batch = simulate_batch(g, model, betas, x0s, t_end, h, interval,
-                               metadata={"tag": 1})
+        batch = simulate_batch(g, model, betas, x0s, t_end, h, interval)
         assert len(batch) == len(betas)
         for beta, x0, member in zip(betas, x0s, batch):
-            single = simulate(g, model, beta, x0, t_end, h, interval,
-                              metadata={"tag": 1})
+            single = simulate(g, model, beta, x0, t_end, h, interval)
             assert_same_trajectory(member, single)
 
     def test_diverging_member_leaves_neighbours_alone(self):
