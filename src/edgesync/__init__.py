@@ -34,7 +34,6 @@ from .errors import (
     DivergedError,
     EdgeSyncError,
     EmptyWindowError,
-    LiftSearchError,
     NoConvergenceError,
     NonSymmetricError,
     NotPositiveDefiniteError,
@@ -88,7 +87,6 @@ __all__ = [
     "EdgeSyncError",
     "EmptyWindowError",
     "GraphMatrices",
-    "LiftSearchError",
     "LinearDesign",
     "MetricCertificate",
     "NoConvergenceError",

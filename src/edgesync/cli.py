@@ -11,7 +11,7 @@ else the EDGESYNC_OUT_DIR environment variable, else ./edgesync_out.
 
 Exit codes: 0 success, 1 unexpected failure, 2 parse error,
 3 disconnected graph, 4 dimension mismatch, 5 not stabilizable,
-6 lift search failure, 7 diverged simulation, 8 not positive definite,
+6 reserved (unused), 7 diverged simulation, 8 not positive definite,
 9 numerical kernel failure, 10 empty analysis window.
 """
 

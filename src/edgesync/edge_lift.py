@@ -5,24 +5,27 @@ For any weighted undirected graph there is a Q x Q matrix U with
     U E^T = E^T L          (the lift intertwines L with the edge algebra)
     W U + U^T W > 0        (positive definite symmetric part)
 
-constructed as U = E^T E W + mu * sum_i v_i v_i^T over an orthonormal
-basis {v_i} of ker(E). Trees have full column rank incidence, so U is
-the edge Laplacian itself with mu = 0; cycles require a positive kernel
-shift found by a doubling search. The endpoint correction Omega relates
-the lift to the per-endpoint incidence splits; it is only needed to
-verify the lift, so verify_endpoint_identities forms it there.
+constructed as U = E^T E W + mu * W^-1 V V^T, where V is an orthonormal
+basis of ker(E) and Pi = V V^T its projector. Pi E^T = 0 gives the
+intertwining, and the symmetric part of W U is W E^T E W + mu * Pi,
+positive definite for every mu > 0: a vector x that both terms vanish
+on has Pi x = 0 and E W x = 0, so x is orthogonal to ker(E) while W x
+lies in it, and x^T W x = 0 forces x = 0. No lift meeting the two
+properties has a margin above min over y orthogonal to 1 of
+y^T L^2 y / y^T E E^T y. This one approaches that ceiling as mu grows;
+the fixed mu = ||W E^T E W||_2, the largest eigenvalue of the N x N
+matrix E W^2 E^T, reaches 0.89 to 0.998 of it on the graphs tested.
+Trees have full column rank incidence, so U is the edge Laplacian
+itself with mu = 0. The endpoint correction Omega relates the lift to
+the per-endpoint incidence splits; it is only needed to verify the
+lift, so verify_endpoint_identities forms it there.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LiftSearchError
 from .linalg import nullspace_sym_psd, sym_eig
-
-MARGIN_FLOOR_RTOL = 1e-10
-MAX_DOUBLINGS = 40
-MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -30,9 +33,10 @@ class EdgeLift:
     """Constructed lift with its certificate quantities.
 
     pd_margin is the smallest eigenvalue of (W U + U^T W) / 2, inf for
-    an edgeless graph. The lift is edge_laplacian + mu * V V^T, with V
-    the orthonormal kernel basis nullspace_sym_psd(E^T E) of kernel_dim
-    columns.
+    an edgeless graph. The lift is edge_laplacian + mu * W^-1 V V^T,
+    with V the orthonormal kernel basis nullspace_sym_psd(E^T E) of
+    kernel_dim columns and mu the largest eigenvalue of E W^2 E^T, or 0
+    when the kernel is empty.
     """
 
     lift: np.ndarray
@@ -55,52 +59,17 @@ def _symmetric_part_min_eig(weights, candidate):
 def build_edge_lift(m):
     """Construct the edge lift for prepared graph matrices.
 
-    The kernel shift mu starts at the smallest Laplacian eigenvalue above
-    the rank tolerance (the algebraic connectivity when the graph is
-    connected) and doubles until the symmetric part of W U clears a
-    positive-definiteness floor. Strongly nonuniform weights can push the
-    feasible window below the seed: on ker(E) the symmetric part grows
-    like mu * V^T W^-1 V while the indefinite cross terms grow with mu,
-    so small shifts always work but large ones may not. When doubling
-    fails the search therefore halves downward from the seed. The margin
-    is concave in mu (the smallest eigenvalue of an affine symmetric
-    family), so once a failing doubling lowers it every larger shift
-    fails too and the search goes straight to the halvings. Exhausting
-    both schedules raises LiftSearchError to flag a numerical defect.
+    The shift mu is ||W E^T E W||_2, taken from the N x N matrix
+    E W^2 E^T, and the margin is computed once for it.
     """
-    gram = m.incidence.T @ m.incidence
-    kernel = nullspace_sym_psd(gram)
+    kernel = nullspace_sym_psd(m.incidence.T @ m.incidence)
     kdim = kernel.shape[1]
-    if kdim == 0:
-        lift = m.edge_laplacian.copy()
-        mu = 0.0
-        margin = _symmetric_part_min_eig(m.weights, lift)
-    else:
-        lap_eigs = sym_eig(m.laplacian).eigenvalues
-        lam_max = float(lap_eigs[-1])
-        positive = lap_eigs[lap_eigs > 1e-9 * max(1.0, lam_max)]
-        # a graph with edges always has a positive Laplacian eigenvalue
-        mu0 = float(positive[0])
-        floor = MARGIN_FLOOR_RTOL * float(m.weights.max())
-        projector = kernel @ kernel.T
-        lift = None
-        j, previous = 0, -np.inf
-        while j >= -MAX_HALVINGS:
-            mu_try = mu0 * (2.0 ** j)
-            cand = m.edge_laplacian + mu_try * projector
-            margin_try = _symmetric_part_min_eig(m.weights, cand)
-            if margin_try > floor:
-                lift, mu, margin = cand, mu_try, margin_try
-                break
-            if 0 <= j < MAX_DOUBLINGS and margin_try >= previous:
-                j, previous = j + 1, margin_try
-            else:
-                j = min(j, 0) - 1
-        if lift is None:
-            raise LiftSearchError(
-                f"no shift within 2^-{MAX_HALVINGS}..2^{MAX_DOUBLINGS} of "
-                f"{mu0:.3e} achieved a positive-definite symmetric part"
-            )
+    lift, mu = m.edge_laplacian.copy(), 0.0
+    if kdim:
+        ew = m.incidence * m.weights
+        mu = float(sym_eig(ew @ ew.T).eigenvalues[-1])
+        lift += mu * ((kernel @ kernel.T) / m.weights[:, None])
+    margin = _symmetric_part_min_eig(m.weights, lift)
     return EdgeLift(lift=lift, mu=mu, pd_margin=margin, kernel_dim=kdim)
 
 

@@ -46,16 +46,6 @@ class NotStabilizableError(EdgeSyncError):
     exit_code = 5
 
 
-class LiftSearchError(EdgeSyncError):
-    """Shift search for the edge lift exhausted its schedule.
-
-    Existence of a valid shift is guaranteed for any weighted undirected
-    graph, so hitting this indicates a numerical defect, not bad input.
-    """
-
-    exit_code = 6
-
-
 class DivergedError(EdgeSyncError):
     """State left the finite simulation envelope."""
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from edgesync import (
     endpoint_correction_matrix,
     nullspace_sym_psd,
     random_connected_graph,
-    sym_eig,
+    read_graph_file,
     verify_endpoint_identities,
 )
 
-from helpers import C3, P2, P3, graph_family, shifted_union
+from helpers import C3, P2, P3, SCENARIO_DIR, graph_family, shifted_union
 
 
 def intertwining_residual(m, lift):
@@ -50,12 +52,22 @@ class TestCycleCase:
         assert np.allclose(np.abs(v), 1.0 / np.sqrt(3.0), atol=1e-12)
 
     def test_reconstruction_from_parts(self):
-        m = build_matrices(C3)
-        lift = build_edge_lift(m)
-        kernel = nullspace_sym_psd(m.incidence.T @ m.incidence)
-        assert kernel.shape[1] == lift.kernel_dim
-        rebuilt = m.edge_laplacian + lift.mu * (kernel @ kernel.T)
-        assert np.array_equal(rebuilt, lift.lift)
+        # U = E^T E W + mu W^-1 V V^T with mu = lambda_max(E W^2 E^T),
+        # on C3 and on the weighted family, forests included (mu = 0)
+        for g in [C3] + graph_family(24):
+            m = build_matrices(g)
+            lift = build_edge_lift(m)
+            kernel = nullspace_sym_psd(m.incidence.T @ m.incidence)
+            assert kernel.shape[1] == lift.kernel_dim
+            rebuilt = m.edge_laplacian + lift.mu * (
+                (kernel @ kernel.T) / m.weights[:, None])
+            assert np.array_equal(rebuilt, lift.lift)
+            if lift.kernel_dim:
+                ew2et = (m.incidence * m.weights ** 2) @ m.incidence.T
+                assert lift.mu == pytest.approx(
+                    float(np.linalg.eigvalsh(ew2et)[-1]), rel=1e-12)
+            else:
+                assert lift.mu == 0.0
 
 
 class TestDegenerateCases:
@@ -135,38 +147,36 @@ class TestEndpointCorrection:
         assert max(res) > 1e-3
 
 
-class TestShiftWindow:
-    def test_halving_fallback_on_nonuniform_weights(self):
-        # dense graph whose weight spread pushes the feasible shift window
-        # below the smallest positive Laplacian eigenvalue; the search must
-        # come back down instead of doubling away from it
-        g = list(graph_family(100))[81]
-        m = build_matrices(g)
-        lift = build_edge_lift(m)
-        eigs = sym_eig(m.laplacian).eigenvalues
-        mu0 = float(eigs[eigs > 1e-9 * max(1.0, float(eigs[-1]))][0])
-        assert lift.kernel_dim > 0
-        assert 0.0 < lift.mu < mu0
-        assert lift.pd_margin > 0.0
-        res = np.max(np.abs(lift.lift @ m.incidence.T - m.incidence.T @ m.laplacian))
-        assert res <= 1e-8 * max(1.0, np.max(np.abs(m.laplacian)))
+def lambda_comp(m):
+    """min over y orthogonal to 1 of y^T L^2 y / y^T L0 y, with L0 = E E^T.
 
-    def test_doubling_stops_at_first_drop(self, monkeypatch):
-        # mu0 and 2 mu0 both fail with a falling margin, so by concavity
-        # every doubling fails; the search must halve right away and land
-        # on the shift the full doubling-then-halving schedule finds
-        m = build_matrices(random_connected_graph(6, 0.5, (0.05, 10.0), 3))
+    An N x N reference: the columns of Z span range(L0), scaled so that
+    Z^T L0 Z = I, and the minimum is the smallest eigenvalue of Z^T L^2 Z.
+    """
+    dec = np.linalg.eigh(m.incidence @ m.incidence.T)
+    keep = dec.eigenvalues > 1e-9 * max(1.0, float(dec.eigenvalues[-1]))
+    z = dec.eigenvectors[:, keep] / np.sqrt(dec.eigenvalues[keep])
+    lap = m.laplacian
+    return float(np.linalg.eigvalsh(z.T @ lap @ lap @ z)[0])
+
+
+class TestFixedShift:
+    def test_margin_near_lambda_comp(self):
+        # every lift has a margin of at most lambda_comp; the fixed shift
+        # ||W E^T E W||_2 must come close to it on every graph with edges
+        for g in graph_family(100):
+            if g.q == 0:
+                continue
+            m = build_matrices(g)
+            margin = build_edge_lift(m).pd_margin
+            bound = lambda_comp(m)
+            assert 0.85 * bound <= margin <= bound * (1.0 + 1e-9)
+        m = build_matrices(read_graph_file(
+            os.path.join(SCENARIO_DIR, "lorenz15.graph")))
+        assert build_edge_lift(m).pd_margin >= 0.99 * lambda_comp(m)
+
+    def test_one_margin_eigensolve(self, monkeypatch):
         min_eig = edge_lift._symmetric_part_min_eig
-        kernel = nullspace_sym_psd(m.incidence.T @ m.incidence)
-        eigs = sym_eig(m.laplacian).eigenvalues
-        mu0 = float(eigs[eigs > 1e-9 * max(1.0, float(eigs[-1]))][0])
-        floor = edge_lift.MARGIN_FLOOR_RTOL * float(m.weights.max())
-        schedule = list(range(edge_lift.MAX_DOUBLINGS + 1))
-        schedule += [-j for j in range(1, edge_lift.MAX_HALVINGS + 1)]
-        expected = next(
-            mu0 * 2.0 ** j for j in schedule
-            if min_eig(m.weights, m.edge_laplacian
-                       + mu0 * 2.0 ** j * (kernel @ kernel.T)) > floor)
         calls = []
 
         def counting(weights, candidate):
@@ -174,8 +184,21 @@ class TestShiftWindow:
             return min_eig(weights, candidate)
 
         monkeypatch.setattr(edge_lift, "_symmetric_part_min_eig", counting)
-        lift = build_edge_lift(m)
-        assert len(calls) == 4
-        assert lift.mu == expected < mu0
-        assert np.array_equal(
-            lift.lift, m.edge_laplacian + expected * (kernel @ kernel.T))
+        # the last graph spreads its weights over a factor of 200
+        cyclic = [g for g in graph_family(40) if g.q >= g.n] + [
+            C3, random_connected_graph(6, 0.5, (0.05, 10.0), 3)]
+        assert len(cyclic) > 10
+        for g in cyclic:
+            calls.clear()
+            assert build_edge_lift(build_matrices(g)).kernel_dim > 0
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("s", [1e2, 1e4, 1e6])
+    def test_extreme_weight_spread(self, s):
+        for seed in range(5):
+            m = build_matrices(random_connected_graph(10, 0.5, (1.0, s), seed))
+            lift = build_edge_lift(m)
+            assert lift.kernel_dim > 0
+            assert lift.pd_margin > 0.0
+            tol = 1e-8 * max(1.0, float(np.max(np.abs(m.laplacian))))
+            assert intertwining_residual(m, lift) <= tol

@@ -132,8 +132,9 @@ class TestDenseDiagonalReference:
         w = np.diag(m.weights)
         assert_same_bits(m.laplacian, e @ w @ e.T)
         assert_same_bits(m.edge_laplacian, e.T @ e @ w)
-        # the candidates the lift search scales; a -0.0 entry in C would
-        # give +0.0 in the dense product but keep its sign when scaled
+        # the matrices whose symmetric part the lift takes; a -0.0 entry
+        # in C would give +0.0 in the dense product but keep its sign
+        # when scaled
         for c in (m.edge_laplacian, build_edge_lift(m).lift):
             assert_same_bits(_symmetric_part(m.weights, c), 0.5 * (w @ c + c.T @ w))
 
