@@ -152,22 +152,23 @@ def components(g):
 
 
 def spectral_report(m, g):
-    """Spectra of L and L_e plus connectivity facts.
+    """Spectra of L and L_e plus connectivity facts, from one N x N eigensolve.
 
-    The edge Laplacian E^T E W is similar to the symmetric
-    W^{1/2} E^T E W^{1/2} via W^{1/2}, so its spectrum is computed on the
-    symmetrized form and stays inside the symmetric eigensolver.
+    The edge Laplacian E^T E W and L = E W E^T share their nonzero
+    eigenvalues, and E^T E W has Q - N + c zeros on a graph of c
+    components. Its spectrum is written as that many exact zeros
+    followed by the N - c nonzero eigenvalues of L, with no Q x Q
+    eigensolve.
     """
     lap_eigs = sym_eig(m.laplacian).eigenvalues
-    w_sqrt = np.sqrt(m.weights)
-    sym_edge = (m.incidence.T @ m.incidence) * np.outer(w_sqrt, w_sqrt)
-    edge_eigs = sym_eig(sym_edge).eigenvalues
+    comps = components(g)
+    edge_eigs = np.concatenate([np.zeros(g.q - g.n + comps), lap_eigs[comps:]])
     lambda2 = float(lap_eigs[1]) if g.n >= 2 else 0.0
     return SpectralReport(
         laplacian_eigs=lap_eigs,
         edge_laplacian_eigs=edge_eigs,
         lambda2=lambda2,
-        components=components(g),
+        components=comps,
     )
 
 

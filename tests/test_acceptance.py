@@ -15,7 +15,8 @@ import numpy as np
 import edgesync as es
 from edgesync.cli import main as cli_main
 
-from helpers import C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P3, graph_family
+from helpers import (C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P3, graph_family,
+                     shifted_union)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -84,6 +85,19 @@ def test_criterion_1_lift_identity():
             assert lift.pd_margin > 0.0
 
 
+def check_edge_spectrum(m, g):
+    """The reported edge spectrum against a dense eigensolve of the
+    symmetric form W^1/2 E^T E W^1/2, with exactly Q - N + c zeros."""
+    rep = es.spectral_report(m, g)
+    w_sqrt = np.sqrt(m.weights)
+    ref = np.linalg.eigvalsh((m.incidence * w_sqrt).T @ (m.incidence * w_sqrt))
+    scale = max(1.0, float(ref[-1])) if g.q else 1.0
+    assert rep.edge_laplacian_eigs.shape == (g.q,)
+    assert np.max(np.abs(rep.edge_laplacian_eigs - ref), initial=0.0) <= 1e-9 * scale
+    zeros = int(np.count_nonzero(rep.edge_laplacian_eigs == 0.0))
+    assert zeros == g.q - g.n + es.components(g)
+
+
 def test_criterion_2_graph_identities():
     with criterion(2, "graph identities", 10.0):
         for g in graph_family(100):
@@ -93,15 +107,12 @@ def test_criterion_2_graph_identities():
                 m.laplacian - m.incidence @ w @ m.incidence.T)) <= 1e-12
             assert np.max(np.abs(
                 m.edge_laplacian - m.incidence.T @ m.incidence @ w)) <= 1e-12
-            rep = es.spectral_report(m, g)
-            cutoff = 1e-9 * max(1.0, rep.laplacian_eigs[-1] if g.n else 1.0)
-            if g.q:
-                for lam in rep.laplacian_eigs:
-                    if lam > cutoff:
-                        gap = np.min(np.abs(rep.edge_laplacian_eigs - lam))
-                        assert gap <= 1e-8, f"eigenvalue {lam} missing"
+            check_edge_spectrum(m, g)
             lift = es.build_edge_lift(m)
             assert lift.kernel_dim == g.q - g.n + es.components(g)
+        for g in (es.WeightedGraph(3, ()), es.WeightedGraph(4, ((1, 2, 2.0),)),
+                  shifted_union(C3, C3)):
+            check_edge_spectrum(es.build_matrices(g), g)
         for n in range(2, 9):
             tree = es.random_connected_graph(n, 0.0, (0.1, 6.0), 100 + n)
             m = es.build_matrices(tree)

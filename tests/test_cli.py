@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from edgesync import random_connected_graph
 from edgesync.cli import (
     _diag_block,
     _fmt,
@@ -190,6 +191,32 @@ class TestGraphCheck:
         scalars, _ = parse_graph_check(
             open(os.path.join(out, "graph_check.txt")).read())
         assert scalars["components"][0] == 2
+
+
+    def test_dense_graph_artifact(self, tmp_path):
+        # a graph with Q > 2N takes the lift's N x N route; the artifact
+        # must still certify beta_star and the intertwining on its own
+        g = random_connected_graph(40, 0.22, (0.1, 6.0), 5)
+        assert g.q > 2 * g.n
+        (tmp_path / "dense.graph").write_text(g.canonical_text())
+        scn = tmp_path / "dense.scn"
+        scn.write_text(DISCONNECTED.replace(
+            "nodes 4\nedge 1 2 1.0\nedge 3 4 1.0", "file dense.graph"))
+        out = str(tmp_path / "out")
+        assert main(["check", str(scn), "--out-dir", out]) == 0
+        scalars, matrices = parse_graph_check(
+            open(os.path.join(out, "graph_check.txt")).read())
+        assert scalars["edges"][0] == g.q
+        assert scalars["lift_kernel_dim"][0] == g.q - g.n + 1
+        assert scalars["edge_laplacian_eigs"][:g.q - g.n + 1] == [0.0] * (g.q - g.n + 1)
+        w, u = matrices["weight_diag"], matrices["lift"]
+        e, lap = matrices["incidence"], matrices["laplacian"]
+        lam_min = float(np.linalg.eigvalsh(0.5 * (w @ u + u.T @ w))[0])
+        recomputed = scalars["rho"][0] * float(np.max(np.diag(w))) / (2.0 * lam_min)
+        stated = scalars["beta_star"][0]
+        assert abs(recomputed - stated) <= 1e-9 * stated
+        scale = max(1.0, float(np.max(np.abs(lap))))
+        assert float(np.max(np.abs(u @ e.T - e.T @ lap))) <= 1e-8 * scale
 
 
 class TestSweepVerb:

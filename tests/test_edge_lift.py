@@ -9,13 +9,24 @@ from edgesync import (
     build_matrices,
     edge_lift,
     endpoint_correction_matrix,
+    graphs,
+    linalg,
     nullspace_sym_psd,
     random_connected_graph,
     read_graph_file,
+    spectral_report,
     verify_endpoint_identities,
 )
 
 from helpers import C3, P2, P3, SCENARIO_DIR, graph_family, shifted_union
+
+
+def range_basis(m):
+    """Q1 = E^T Z d^-1/2 over the nonzero eigenpairs (d, Z) of E E^T: an
+    orthonormal basis of range(E^T)."""
+    d, z = np.linalg.eigh(m.incidence @ m.incidence.T)
+    keep = d > 1e-9 * max(1.0, float(d[-1]))
+    return m.incidence.T @ (z[:, keep] / np.sqrt(d[keep]))
 
 
 def intertwining_residual(m, lift):
@@ -52,16 +63,27 @@ class TestCycleCase:
         assert np.allclose(np.abs(v), 1.0 / np.sqrt(3.0), atol=1e-12)
 
     def test_reconstruction_from_parts(self):
-        # U = E^T E W + mu W^-1 V V^T with mu = lambda_max(E W^2 E^T),
-        # on C3 and on the weighted family, forests included (mu = 0)
-        for g in [C3] + graph_family(24):
+        # U = E^T E W + mu W^-1 Pi with mu = lambda_max(E W^2 E^T), on C3
+        # and on the weighted family, forests included (mu = 0); Pi is
+        # V V^T bitwise up to Q = 2N and I - Q1 Q1^T above
+        family = [C3] + graph_family(24)
+        assert any(g.q > 2 * g.n for g in family)
+        for g in family:
             m = build_matrices(g)
             lift = build_edge_lift(m)
             kernel = nullspace_sym_psd(m.incidence.T @ m.incidence)
             assert kernel.shape[1] == lift.kernel_dim
-            rebuilt = m.edge_laplacian + lift.mu * (
-                (kernel @ kernel.T) / m.weights[:, None])
-            assert np.array_equal(rebuilt, lift.lift)
+            if g.q <= 2 * g.n:
+                rebuilt = m.edge_laplacian + lift.mu * (
+                    (kernel @ kernel.T) / m.weights[:, None])
+                assert np.array_equal(rebuilt, lift.lift)
+            else:
+                q1 = range_basis(m)
+                pi = np.eye(g.q) - q1 @ q1.T
+                assert np.allclose(pi, kernel @ kernel.T, rtol=0.0, atol=1e-12)
+                rebuilt = m.edge_laplacian + lift.mu * (pi / m.weights[:, None])
+                scale = lift.mu / float(np.min(m.weights))
+                assert np.allclose(rebuilt, lift.lift, rtol=0.0, atol=1e-12 * scale)
             if lift.kernel_dim:
                 ew2et = (m.incidence * m.weights ** 2) @ m.incidence.T
                 assert lift.mu == pytest.approx(
@@ -185,7 +207,8 @@ class TestFixedShift:
 
         monkeypatch.setattr(edge_lift, "_symmetric_part_min_eig", counting)
         # the last graph spreads its weights over a factor of 200
-        cyclic = [g for g in graph_family(40) if g.q >= g.n] + [
+        # the Q x Q route, which graphs with Q <= 2N take
+        cyclic = [g for g in graph_family(40) if g.n <= g.q <= 2 * g.n] + [
             C3, random_connected_graph(6, 0.5, (0.05, 10.0), 3)]
         assert len(cyclic) > 10
         for g in cyclic:
@@ -202,3 +225,67 @@ class TestFixedShift:
             assert lift.pd_margin > 0.0
             tol = 1e-8 * max(1.0, float(np.max(np.abs(m.laplacian))))
             assert intertwining_residual(m, lift) <= tol
+
+
+def dense_graphs():
+    """Graphs with more than twice as many edges as nodes: those of the
+    family and the same with weights scaled by 1e-4, seeded ones with
+    weights spread over up to a factor of 1e6, and a disconnected union
+    of two dense graphs."""
+    dense = [g for g in graph_family(100) if g.q > 2 * g.n]
+    dense += [WeightedGraph(g.n, tuple((k, l, 1e-4 * w) for k, l, w in g.edges))
+              for g in dense]
+    for s in (1.0, 1e2, 1e4, 1e6):
+        for seed in range(4):
+            dense.append(random_connected_graph(12, 0.8, (1.0, s), seed))
+            dense.append(random_connected_graph(20, 0.5, (1.0, s), 10 + seed))
+    dense.append(shifted_union(
+        random_connected_graph(8, 0.9, (0.1, 6.0), 1),
+        random_connected_graph(9, 0.9, (0.1, 6.0), 2)))
+    assert all(g.q > 2 * g.n for g in dense)
+    return dense
+
+
+class TestNodeRoute:
+    """The lift of a graph with Q > 2N, built from N x N eigensolves."""
+
+    def test_margin_matches_dense_eigensolve(self):
+        dense = dense_graphs()
+        assert len(dense) > 40
+        for g in dense:
+            m = build_matrices(g)
+            lift = build_edge_lift(m)
+            ref = edge_lift._symmetric_part_min_eig(m.weights, lift.lift)
+            assert abs(lift.pd_margin - ref) <= 1e-10 * ref
+
+    def test_kernel_dim_and_intertwining(self):
+        from edgesync import components
+        for g in dense_graphs():
+            m = build_matrices(g)
+            lift = build_edge_lift(m)
+            assert lift.kernel_dim == g.q - g.n + components(g)
+            tol = 1e-8 * max(1.0, float(np.max(np.abs(m.laplacian))))
+            assert intertwining_residual(m, lift) <= tol
+
+    def test_no_eigensolve_above_2n(self, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+        sym_eig = linalg.sym_eig
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        def counting_sym_eig(a):
+            sizes.append(np.shape(a)[0])
+            return sym_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for module in (linalg, edge_lift, graphs):
+            monkeypatch.setattr(module, "sym_eig", counting_sym_eig)
+        for g in dense_graphs():
+            sizes.clear()
+            m = build_matrices(g)
+            spectral_report(m, g)
+            build_edge_lift(m)
+            assert sizes and max(sizes) <= 2 * g.n
