@@ -75,7 +75,9 @@ def build_edge_lift(m):
     The shift mu is ||W E^T E W||_2, taken from the N x N matrix
     E W^2 E^T, and the margin is computed once for it. Graphs with more
     than twice as many edges as nodes take _node_lift, which needs no
-    Q x Q eigensolve.
+    Q x Q eigensolve. One mu serves all components, so the margin carries
+    an absolute error of about eps * mu: on a component whose weights are
+    orders of magnitude below another's that is a large relative error.
     """
     if m.incidence.shape[1] > 2 * m.incidence.shape[0]:
         return _node_lift(m)

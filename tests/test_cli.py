@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from edgesync import random_connected_graph
+from edgesync import cli, random_connected_graph
 from edgesync.cli import (
     _diag_block,
     _fmt,
@@ -80,6 +80,15 @@ h 0.01
 t_end 2.0
 record_interval 0.1
 """
+
+
+def write_dense_scenario(tmp_path, g):
+    """A check scenario on graph g, written to tmp_path; returns its path."""
+    (tmp_path / "dense.graph").write_text(g.canonical_text())
+    scn = tmp_path / "dense.scn"
+    scn.write_text(DISCONNECTED.replace(
+        "nodes 4\nedge 1 2 1.0\nedge 3 4 1.0", "file dense.graph"))
+    return str(scn)
 
 
 def read_report(path):
@@ -198,12 +207,9 @@ class TestGraphCheck:
         # must still certify beta_star and the intertwining on its own
         g = random_connected_graph(40, 0.22, (0.1, 6.0), 5)
         assert g.q > 2 * g.n
-        (tmp_path / "dense.graph").write_text(g.canonical_text())
-        scn = tmp_path / "dense.scn"
-        scn.write_text(DISCONNECTED.replace(
-            "nodes 4\nedge 1 2 1.0\nedge 3 4 1.0", "file dense.graph"))
+        scn = write_dense_scenario(tmp_path, g)
         out = str(tmp_path / "out")
-        assert main(["check", str(scn), "--out-dir", out]) == 0
+        assert main(["check", scn, "--out-dir", out]) == 0
         scalars, matrices = parse_graph_check(
             open(os.path.join(out, "graph_check.txt")).read())
         assert scalars["edges"][0] == g.q
@@ -318,15 +324,115 @@ def expect_parse_error(capsys, argv):
     return err
 
 
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, math.inf, -math.inf,
+                  math.nan, 1.0 / 3.0, -2.0 / 3.0, 0, 7, -12, 2**53 + 1]
+
+
 def test_table_lines_match_fmt():
-    values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, math.inf, -math.inf, math.nan,
-              1.0 / 3.0, -2.0 / 3.0, 0, 7, -12, 2**53 + 1]
+    values = list(SPECIAL_VALUES)
     assert _table_lines(values, " ") == [" ".join(_fmt(v) for v in values) + "\n"]
     rows = [values, values[::-1]]
     assert _table_lines(rows, ",") == [",".join(_fmt(v) for v in r) + "\n"
                                        for r in rows]
     assert _table_lines(np.zeros(0), " ") == ["\n"]
     assert _table_lines(np.zeros((2, 0)), " ") == ["\n", "\n"]
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """force(cpus): _table_lines forks for any table of 2 cells or more,
+    with cpus usable CPUs; returns the list the parent's forks append to."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    def force(cpus):
+        monkeypatch.setattr(cli, "_MIN_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+    return force
+
+
+def fmt_lines(table, sep):
+    return [sep.join(_fmt(v) for v in row) + "\n" for row in table]
+
+
+def distinct_rows(n_rows):
+    """Rows that all differ, each holding the special values."""
+    rng = np.random.default_rng(n_rows)
+    table = np.tile(np.array(SPECIAL_VALUES, dtype=float), (n_rows, 1))
+    return np.column_stack((table, rng.standard_normal((n_rows, 3))))
+
+
+@pytest.mark.parametrize("cpus, n_rows",
+                         [(1, 7), (2, 7), (3, 7), (6, 40), (8, 3), (2, 1)])
+def test_forked_table_lines_match_serial(forked, cpus, n_rows):
+    forks = forked(cpus)
+    table = distinct_rows(n_rows)
+    for sep in (" ", ","):
+        forks.clear()
+        lines = _table_lines(table, sep)
+        assert lines == fmt_lines(table, sep)
+        assert len(forks) == min(cpus, n_rows) - 1
+    assert _table_lines(np.zeros((5, 0)), " ") == ["\n"] * 5
+
+
+@pytest.mark.parametrize("sabotage", ["exit", "exit_second", "short", "long",
+                                      "unterminated", "reordered_exit", "no_fork"])
+def test_failed_child_share_formatted_by_parent(forked, monkeypatch, sabotage):
+    forks = forked(3)
+    table = distinct_rows(7)
+    parent = os.getpid()
+    fork = os.fork
+    format_rows = cli._format_rows
+
+    def failing_fork():
+        if sabotage == "no_fork":
+            raise OSError("fork refused")
+        pid = fork()
+        if pid == 0 and (sabotage == "exit" or len(forks) == 2):
+            os._exit(3)
+        return pid
+
+    def corrupting_format_rows(share, row):
+        lines = format_rows(share, row)
+        if os.getpid() == parent:
+            return lines
+        if sabotage == "short":
+            return lines[:-1]
+        if sabotage == "long":
+            return lines + lines[-1:]
+        if sabotage == "reordered_exit":
+            return lines[::-1]
+        return lines[:-1] + [lines[-1][:-1]]
+
+    if sabotage.startswith(("exit", "no_fork")):
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        monkeypatch.setattr(cli, "_format_rows", corrupting_format_rows)
+    if sabotage == "reordered_exit":
+        # every line arrives, but the child reports a failure
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_(3))
+    assert _table_lines(table, " ") == fmt_lines(table, " ")
+    assert len(forks) == (0 if sabotage == "no_fork" else 2)
+
+
+def test_check_bytes_with_and_without_fork(tmp_path, forked, monkeypatch):
+    scn = write_dense_scenario(
+        tmp_path, random_connected_graph(40, 0.22, (0.1, 6.0), 5))
+    forks = forked(3)
+    assert main(["check", scn, "--out-dir", str(tmp_path / "on")]) == 0
+    assert len(forks) == 6  # incidence, laplacian and lift, two children each
+    monkeypatch.delattr(os, "fork")
+    assert main(["check", scn, "--out-dir", str(tmp_path / "off")]) == 0
+    forked_text, serial_text = (
+        (tmp_path / side / "graph_check.txt").read_bytes() for side in ("on", "off"))
+    assert forked_text == serial_text
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 5, 40])

@@ -289,3 +289,15 @@ class TestNodeRoute:
             spectral_report(m, g)
             build_edge_lift(m)
             assert sizes and max(sizes) <= 2 * g.n
+
+
+@pytest.mark.xfail(strict=True, reason="build_edge_lift shares one mu across "
+                   "components, so a light component's margin carries an "
+                   "error of about eps * mu")
+def test_margin_of_components_with_different_weight_scales():
+    # the unit-weight component's margin is exactly 7, but the heavy one
+    # sets mu = 4.5e12 and the computed margin reads 6.99968
+    g = shifted_union(random_connected_graph(8, 0.9, (1.0, 1e6), 1),
+                      random_connected_graph(9, 0.9, (1.0, 1.0), 2))
+    lift = build_edge_lift(build_matrices(g))
+    assert abs(lift.pd_margin - 7.0) <= 1e-9 * 7.0
