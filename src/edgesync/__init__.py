@@ -52,7 +52,7 @@ from .graphs import (
     read_graph_file,
     spectral_report,
 )
-from .linalg import lyapunov_solve, nullspace_sym_psd, sym_eig
+from .linalg import lyapunov_solve, sym_eig
 from .metric import (
     MetricCertificate,
     verify_ari_sampled,
@@ -117,7 +117,6 @@ __all__ = [
     "lorenz_model",
     "lyapunov_solve",
     "make_controller",
-    "nullspace_sym_psd",
     "parse_graph_text",
     "parse_scenario",
     "parse_scenario_text",

@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
     NonSymmetricError,
-    NotPositiveDefiniteError,
     SingularMatrixError,
 )
 
@@ -62,27 +61,6 @@ def sym_eig(a):
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     return SymEig(w, q)
-
-
-def nullspace_sym_psd(a, rel_tol=NULLSPACE_RTOL):
-    """Orthonormal kernel basis of a symmetric positive-semidefinite matrix.
-
-    Returns the eigenvector columns whose eigenvalue is at most
-    rel_tol * max(1, largest eigenvalue). May be empty (n x 0).
-    """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    dec = sym_eig(a)
-    if dec.eigenvalues.size == 0:
-        return np.zeros((0, 0))
-    lam_max = float(dec.eigenvalues[-1])
-    cut = rel_tol * max(1.0, lam_max)
-    if dec.eigenvalues[0] < -cut:
-        raise NotPositiveDefiniteError(
-            f"matrix is not PSD within tolerance (min eigenvalue {dec.eigenvalues[0]:.3e})"
-        )
-    keep = dec.eigenvalues <= cut
-    return dec.eigenvectors[:, keep]
 
 
 def lyapunov_solve(a, q):

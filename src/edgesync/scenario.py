@@ -66,7 +66,13 @@ SECTIONS = (
     "integration", "output",
 )
 
-MODEL_KINDS = ("linear", "tanh", "lorenz")
+# the keys each model kind reads besides 'kind', and whether each takes a
+# number or a matrix
+MODEL_KEYS = {
+    "linear": {"a": "matrix", "b": "matrix"},
+    "tanh": {"a": "matrix", "b": "matrix", "gamma": "number"},
+    "lorenz": {"a": "number", "b": "number", "c": "number"},
+}
 
 # keys that take exactly one token; the others take a list or a matrix
 ONE_TOKEN_KEYS = (
@@ -121,7 +127,6 @@ class RunSetup:
     record_interval: float
     out_dir: str
     approximate: bool
-    seed: int
 
 
 def _parse_float(tok, path, lineno):
@@ -233,7 +238,7 @@ def parse_scenario_text(text, path="<string>"):
                 raise ParseError(f"unknown graph key {key!r}", path, lineno)
         elif section == "model":
             if key == "kind":
-                if tokens[0] not in MODEL_KINDS:
+                if tokens[0] not in MODEL_KEYS:
                     raise ParseError(f"unknown model kind {tokens[0]!r}", path, lineno)
                 sc.model_kind = tokens[0]
             elif key == "a" and ";" in tokens:
@@ -320,15 +325,30 @@ def parse_scenario_text(text, path="<string>"):
                          "'nodes'/'edge' lines", path)
     if not sc.model_kind:
         raise ParseError("model section needs 'kind'", path)
+    reads = MODEL_KEYS[sc.model_kind]
+    for (section, key), lineno in seen_keys.items():
+        if section != "model" or key == "kind":
+            continue
+        given = "number" if key in sc.model_scalars else "matrix"
+        if key not in reads:
+            raise ParseError(f"model kind {sc.model_kind!r} reads no key "
+                             f"{key!r}", path, lineno)
+        if reads[key] != given:
+            raise ParseError(f"model kind {sc.model_kind!r} takes a "
+                             f"{reads[key]} for {key!r}, not a {given}",
+                             path, lineno)
     if sc.rho <= 0.0 or sc.mu <= 0.0:
         raise ParseError("certificate needs positive rho and mu", path)
     if (sc.beta is None) == (sc.beta_multiplier is None):
         raise ParseError("controller needs exactly one of beta and "
                          "beta_multiplier", path)
     if state_rows:
-        if sc.init_base is not None:
+        # base, radius and seed, the only other initial keys, in file order
+        mixed = [lineno for (section, _), lineno in seen_keys.items()
+                 if section == "initial"]
+        if mixed:
             raise ParseError("initial section mixes explicit states with "
-                             "base/radius", path)
+                             "base/radius/seed", path, mixed[0])
         count = max(state_rows)
         if sorted(state_rows) != list(range(1, count + 1)):
             raise ParseError("explicit states must cover agents 1..N", path)
@@ -431,7 +451,6 @@ def realize(sc, require_connected=True):
                 f"explicit states have shape {x0.shape}, expected "
                 f"({graph.n}, {model.state_dim})", sc.path)
         x0 = x0.reshape(-1)
-        seed = -1
     else:
         if sc.init_base.shape[0] != model.state_dim:
             raise ParseError(
@@ -439,7 +458,6 @@ def realize(sc, require_connected=True):
                 f"dimension is {model.state_dim}", sc.path)
         x0 = perturbed_initial_conditions(
             sc.init_base, graph.n, sc.init_radius, sc.init_seed)
-        seed = sc.init_seed
 
     controller = make_controller(
         matrices, lift, sc.rho, beta=sc.beta, beta_multiplier=sc.beta_multiplier)
@@ -460,5 +478,4 @@ def realize(sc, require_connected=True):
         record_interval=sc.record_interval,
         out_dir=sc.out_dir,
         approximate=approximate,
-        seed=seed,
     )

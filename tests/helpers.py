@@ -27,6 +27,11 @@ def read_shipped(name):
 SHIPPED_TEXTS = tuple(read_shipped(name) for name in SHIPPED_NAMES)
 
 
+def sym_part(weights, c):
+    """(W C + C^T W) / 2 with W = diag(weights), as row and column scalings."""
+    return 0.5 * (weights[:, None] * c + c.T * weights)
+
+
 def shifted_union(g1, g2):
     """Disjoint union with g2's node labels offset past g1's."""
     edges = list(g1.edges)

@@ -203,8 +203,9 @@ class TestGraphCheck:
 
 
     def test_dense_graph_artifact(self, tmp_path):
-        # a graph with Q > 2N takes the lift's N x N route; the artifact
-        # must still certify beta_star and the intertwining on its own
+        # a graph with Q > 2N, whose Q x Q lift comes from eigensolves of
+        # size N and 2N; the artifact must still certify beta_star and
+        # the intertwining on its own
         g = random_connected_graph(40, 0.22, (0.1, 6.0), 5)
         assert g.q > 2 * g.n
         scn = write_dense_scenario(tmp_path, g)
@@ -512,6 +513,29 @@ class TestMalformedInput:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "state dimension" in err
             assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("scenario,old,new,bad", [
+        (LORENZ15, "a 10.0", "a 0 1 ; 0 0", "a 0 1 ; 0 0"),
+        (LINEAR_C3, "b 0 1", "b 0 1\ngamma 0.05", "gamma 0.05"),
+        (TANH_P3, "gamma 0.05", "gamma 0.05\nc 1.0", "c 1.0"),
+        (LINEAR_C3, "base 0 0", "state 1 0 0\nstate 2 1 0\nstate 3 2 1",
+         "radius 5.0"),
+    ], ids=["lorenz_matrix_a", "linear_gamma", "tanh_c", "states_and_radius"])
+    def test_key_the_scenario_does_not_read(self, tmp_path, capsys, scenario,
+                                            old, new, bad):
+        with open(scenario, encoding="utf-8") as fh:
+            text = fh.read().replace(
+                "file lorenz15.graph",
+                f"file {os.path.abspath(SCENARIO_DIR)}/lorenz15.graph")
+        assert old in text
+        lines = text.replace(old, new).splitlines()
+        scn = tmp_path / "unread.scn"
+        scn.write_text("\n".join(lines) + "\n")
+        for verb in ("check", "run"):
+            err = expect_parse_error(
+                capsys, [verb, str(scn), "--out-dir", str(tmp_path / verb)])
+            assert f"{scn}:{lines.index(bad) + 1}:" in err
+            assert not os.path.exists(tmp_path / verb)
 
     def test_ragged_state_lines(self, tmp_path, capsys):
         lines = c3_text().splitlines()

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from edgesync import (
     WeightedGraph,
@@ -11,14 +12,13 @@ from edgesync import (
     endpoint_correction_matrix,
     graphs,
     linalg,
-    nullspace_sym_psd,
     random_connected_graph,
     read_graph_file,
     spectral_report,
     verify_endpoint_identities,
 )
 
-from helpers import C3, P2, P3, SCENARIO_DIR, graph_family, shifted_union
+from helpers import C3, P2, P3, SCENARIO_DIR, graph_family, shifted_union, sym_part
 
 
 def range_basis(m):
@@ -27,6 +27,12 @@ def range_basis(m):
     d, z = np.linalg.eigh(m.incidence @ m.incidence.T)
     keep = d > 1e-9 * max(1.0, float(d[-1]))
     return m.incidence.T @ (z[:, keep] / np.sqrt(d[keep]))
+
+
+def dense_margin(m, lift):
+    """Smallest eigenvalue of the lift's Q x Q symmetric part, inf for Q = 0."""
+    eigs = np.linalg.eigvalsh(sym_part(m.weights, lift.lift))
+    return float(eigs.min(initial=np.inf))
 
 
 def intertwining_residual(m, lift):
@@ -59,37 +65,35 @@ class TestCycleCase:
         eigs = np.sort(np.linalg.eigvals(lift.lift).real)
         assert np.allclose(eigs, [3.0, 3.0, 3.0], atol=1e-9)
         assert lift.pd_margin == pytest.approx(3.0, abs=1e-9)
-        v = nullspace_sym_psd(m.incidence.T @ m.incidence)[:, 0]
+        v = null_space(m.incidence)[:, 0]
         assert np.allclose(np.abs(v), 1.0 / np.sqrt(3.0), atol=1e-12)
 
     def test_reconstruction_from_parts(self):
-        # U = E^T E W + mu W^-1 Pi with mu = lambda_max(E W^2 E^T), on C3
-        # and on the weighted family, forests included (mu = 0); Pi is
-        # V V^T bitwise up to Q = 2N and I - Q1 Q1^T above
+        # U = E^T E W + mu W^-1 (I - Q1 Q1^T) with mu = lambda_max(E W^2 E^T),
+        # on C3 and on the weighted family, forests included (mu = 0 and
+        # U the edge Laplacian, bitwise); I - Q1 Q1^T is the projector
+        # onto ker(E), which scipy's null_space spans
         family = [C3] + graph_family(24)
         assert any(g.q > 2 * g.n for g in family)
+        assert any(g.n <= g.q <= 2 * g.n for g in family)
         for g in family:
             m = build_matrices(g)
             lift = build_edge_lift(m)
-            kernel = nullspace_sym_psd(m.incidence.T @ m.incidence)
+            kernel = null_space(m.incidence)
             assert kernel.shape[1] == lift.kernel_dim
-            if g.q <= 2 * g.n:
-                rebuilt = m.edge_laplacian + lift.mu * (
-                    (kernel @ kernel.T) / m.weights[:, None])
-                assert np.array_equal(rebuilt, lift.lift)
-            else:
-                q1 = range_basis(m)
-                pi = np.eye(g.q) - q1 @ q1.T
-                assert np.allclose(pi, kernel @ kernel.T, rtol=0.0, atol=1e-12)
-                rebuilt = m.edge_laplacian + lift.mu * (pi / m.weights[:, None])
-                scale = lift.mu / float(np.min(m.weights))
-                assert np.allclose(rebuilt, lift.lift, rtol=0.0, atol=1e-12 * scale)
-            if lift.kernel_dim:
-                ew2et = (m.incidence * m.weights ** 2) @ m.incidence.T
-                assert lift.mu == pytest.approx(
-                    float(np.linalg.eigvalsh(ew2et)[-1]), rel=1e-12)
-            else:
+            if not lift.kernel_dim:
                 assert lift.mu == 0.0
+                assert np.array_equal(lift.lift, m.edge_laplacian)
+                continue
+            q1 = range_basis(m)
+            pi = np.eye(g.q) - q1 @ q1.T
+            assert np.allclose(pi, kernel @ kernel.T, rtol=0.0, atol=1e-12)
+            rebuilt = m.edge_laplacian + lift.mu * (pi / m.weights[:, None])
+            scale = lift.mu / float(np.min(m.weights))
+            assert np.allclose(rebuilt, lift.lift, rtol=0.0, atol=1e-12 * scale)
+            ew2et = (m.incidence * m.weights ** 2) @ m.incidence.T
+            assert lift.mu == pytest.approx(
+                float(np.linalg.eigvalsh(ew2et)[-1]), rel=1e-12)
 
 
 class TestDegenerateCases:
@@ -97,6 +101,7 @@ class TestDegenerateCases:
         lift = build_edge_lift(build_matrices(WeightedGraph(2, ())))
         assert lift.lift.shape == (0, 0)
         assert lift.pd_margin == np.inf
+        assert lift.mu == 0.0 and lift.kernel_dim == 0
 
     def test_disconnected_tree_blocks(self):
         g = shifted_union(P2, P2)
@@ -198,23 +203,27 @@ class TestFixedShift:
         assert build_edge_lift(m).pd_margin >= 0.99 * lambda_comp(m)
 
     def test_one_margin_eigensolve(self, monkeypatch):
-        min_eig = edge_lift._symmetric_part_min_eig
+        # E E^T, E W^2 E^T, the Gram matrix of the part of W E^T outside
+        # range(E^T) and the margin matrix H on a graph with a cycle; E E^T
+        # and the margin matrix Y^T L^2 Y on a forest
         calls = []
+        sym_eig = edge_lift.sym_eig
 
-        def counting(weights, candidate):
+        def counting(a):
             calls.append(1)
-            return min_eig(weights, candidate)
+            return sym_eig(a)
 
-        monkeypatch.setattr(edge_lift, "_symmetric_part_min_eig", counting)
-        # the last graph spreads its weights over a factor of 200
-        # the Q x Q route, which graphs with Q <= 2N take
-        cyclic = [g for g in graph_family(40) if g.n <= g.q <= 2 * g.n] + [
-            C3, random_connected_graph(6, 0.5, (0.05, 10.0), 3)]
-        assert len(cyclic) > 10
-        for g in cyclic:
+        monkeypatch.setattr(edge_lift, "sym_eig", counting)
+        # the last cyclic graph spreads its weights over a factor of 200
+        family = graph_family(40) + [C3, P2, P3, WeightedGraph(2, ()),
+                                     random_connected_graph(6, 0.5, (0.05, 10.0), 3)]
+        kernel_dims = []
+        for g in family:
             calls.clear()
-            assert build_edge_lift(build_matrices(g)).kernel_dim > 0
-            assert len(calls) == 1
+            lift = build_edge_lift(build_matrices(g))
+            kernel_dims.append(lift.kernel_dim)
+            assert len(calls) == (4 if lift.kernel_dim else 2)
+        assert kernel_dims.count(0) > 5 and len(kernel_dims) - kernel_dims.count(0) > 10
 
     @pytest.mark.parametrize("s", [1e2, 1e4, 1e6])
     def test_extreme_weight_spread(self, s):
@@ -227,40 +236,42 @@ class TestFixedShift:
             assert intertwining_residual(m, lift) <= tol
 
 
-def dense_graphs():
-    """Graphs with more than twice as many edges as nodes: those of the
-    family and the same with weights scaled by 1e-4, seeded ones with
-    weights spread over up to a factor of 1e6, and a disconnected union
-    of two dense graphs."""
-    dense = [g for g in graph_family(100) if g.q > 2 * g.n]
-    dense += [WeightedGraph(g.n, tuple((k, l, 1e-4 * w) for k, l, w in g.edges))
-              for g in dense]
+def lift_graphs():
+    """Every graph of the family with edges, forests and Q <= 2N among
+    them, the same with weights scaled by 1e-4, seeded ones with weights
+    spread over up to a factor of 1e6, and a disconnected union of two
+    graphs with Q > 2N."""
+    graphs = [g for g in graph_family(100) if g.q]
+    graphs += [WeightedGraph(g.n, tuple((k, l, 1e-4 * w) for k, l, w in g.edges))
+               for g in graphs]
     for s in (1.0, 1e2, 1e4, 1e6):
         for seed in range(4):
-            dense.append(random_connected_graph(12, 0.8, (1.0, s), seed))
-            dense.append(random_connected_graph(20, 0.5, (1.0, s), 10 + seed))
-    dense.append(shifted_union(
+            graphs.append(random_connected_graph(12, 0.8, (1.0, s), seed))
+            graphs.append(random_connected_graph(20, 0.5, (1.0, s), 10 + seed))
+    graphs.append(shifted_union(
         random_connected_graph(8, 0.9, (0.1, 6.0), 1),
         random_connected_graph(9, 0.9, (0.1, 6.0), 2)))
-    assert all(g.q > 2 * g.n for g in dense)
-    return dense
+    return graphs
 
 
 class TestNodeRoute:
-    """The lift of a graph with Q > 2N, built from N x N eigensolves."""
+    """The lift built from N x N eigensolves and one of size at most
+    min(Q, 2N), on every graph."""
 
     def test_margin_matches_dense_eigensolve(self):
-        dense = dense_graphs()
-        assert len(dense) > 40
-        for g in dense:
+        graphs = lift_graphs()
+        assert sum(g.q > 2 * g.n for g in graphs) > 40
+        assert sum(g.q < g.n for g in graphs) > 10
+        assert sum(g.n <= g.q <= 2 * g.n for g in graphs) > 40
+        for g in graphs:
             m = build_matrices(g)
             lift = build_edge_lift(m)
-            ref = edge_lift._symmetric_part_min_eig(m.weights, lift.lift)
+            ref = dense_margin(m, lift)
             assert abs(lift.pd_margin - ref) <= 1e-10 * ref
 
     def test_kernel_dim_and_intertwining(self):
         from edgesync import components
-        for g in dense_graphs():
+        for g in lift_graphs():
             m = build_matrices(g)
             lift = build_edge_lift(m)
             assert lift.kernel_dim == g.q - g.n + components(g)
@@ -268,6 +279,8 @@ class TestNodeRoute:
             assert intertwining_residual(m, lift) <= tol
 
     def test_no_eigensolve_above_2n(self, monkeypatch):
+        # nothing above N but the margin matrix H, of size at most
+        # min(Q, 2N)
         sizes = []
         eigh = np.linalg.eigh
         sym_eig = linalg.sym_eig
@@ -283,12 +296,12 @@ class TestNodeRoute:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         for module in (linalg, edge_lift, graphs):
             monkeypatch.setattr(module, "sym_eig", counting_sym_eig)
-        for g in dense_graphs():
+        for g in lift_graphs():
             sizes.clear()
             m = build_matrices(g)
             spectral_report(m, g)
             build_edge_lift(m)
-            assert sizes and max(sizes) <= 2 * g.n
+            assert sizes and max(sizes) <= max(g.n, min(g.q, 2 * g.n))
 
 
 @pytest.mark.xfail(strict=True, reason="build_edge_lift shares one mu across "

@@ -14,7 +14,7 @@ from edgesync import (
     spectral_report,
 )
 
-from edgesync.edge_lift import _symmetric_part, build_edge_lift
+from edgesync.edge_lift import build_edge_lift
 
 from helpers import (
     C3,
@@ -24,6 +24,7 @@ from helpers import (
     mutated_text,
     read_shipped,
     shifted_union,
+    sym_part,
 )
 
 
@@ -132,11 +133,11 @@ class TestDenseDiagonalReference:
         w = np.diag(m.weights)
         assert_same_bits(m.laplacian, e @ w @ e.T)
         assert_same_bits(m.edge_laplacian, e.T @ e @ w)
-        # the matrices whose symmetric part the lift takes; a -0.0 entry
-        # in C would give +0.0 in the dense product but keep its sign
-        # when scaled
+        # the matrices whose symmetric part the lift tests take as their
+        # dense margin reference; a -0.0 entry in C would give +0.0 in the
+        # dense product but keep its sign when scaled
         for c in (m.edge_laplacian, build_edge_lift(m).lift):
-            assert_same_bits(_symmetric_part(m.weights, c), 0.5 * (w @ c + c.T @ w))
+            assert_same_bits(sym_part(m.weights, c), 0.5 * (w @ c + c.T @ w))
 
 
 class TestComponents:

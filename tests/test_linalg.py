@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from edgesync import (
     DimensionMismatchError,
     NonSymmetricError,
-    NotPositiveDefiniteError,
     SingularMatrixError,
     lyapunov_solve,
-    nullspace_sym_psd,
     sym_eig,
 )
 
@@ -60,41 +58,6 @@ class TestSymEig:
         # orthonormal basis
         vtv = dec.eigenvectors.T @ dec.eigenvectors
         assert np.max(np.abs(vtv - np.eye(n))) <= 1e-12
-
-
-class TestNullspace:
-    def test_full_rank_empty(self):
-        basis = nullspace_sym_psd(np.eye(2))
-        assert basis.shape == (2, 0)
-
-    def test_rank_one_laplacian(self):
-        basis = nullspace_sym_psd(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert basis.shape == (2, 1)
-        v = basis[:, 0]
-        assert np.allclose(np.abs(v), 1.0 / np.sqrt(2.0))
-
-    def test_zero_matrix_spans_plane(self):
-        basis = nullspace_sym_psd(np.zeros((2, 2)))
-        assert basis.shape == (2, 2)
-        assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            nullspace_sym_psd(np.diag([1.0, -1.0]))
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_gram_matrix_kernel_dim(self, seed):
-        # E^T E for a random tall matrix: kernel dim = cols - rank
-        rng = np.random.default_rng(seed)
-        rows = int(rng.integers(2, 7))
-        cols = int(rng.integers(1, 7))
-        e = rng.standard_normal((rows, cols))
-        basis = nullspace_sym_psd(e.T @ e)
-        rank = np.linalg.matrix_rank(e, tol=1e-9)
-        assert basis.shape == (cols, cols - rank)
-        if basis.shape[1]:
-            assert np.max(np.abs(e @ basis)) <= 1e-7
 
 
 class TestLyapunov:

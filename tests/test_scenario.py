@@ -210,6 +210,38 @@ class TestParseValidation:
         with pytest.raises(ParseError):
             parse_scenario_text(replace_section(MINIMAL, "initial", body))
 
+    @pytest.mark.parametrize("body,bad", [
+        ("state 1 0.0 0.0\nradius 1.0\nstate 2 1.0 1.0", "radius 1.0"),
+        ("seed 4\nstate 1 0.0 0.0\nstate 2 1.0 1.0", "seed 4"),
+        ("state 1 0.0 0.0\nstate 2 1.0 1.0\nradius 5\nseed 3", "radius 5"),
+    ], ids=["radius", "seed", "radius_and_seed"])
+    def test_states_exclusive_with_each_sampling_key(self, body, bad):
+        text = replace_section(MINIMAL, "initial", body)
+        with pytest.raises(ParseError) as exc:
+            parse_scenario_text(text, path="case.scn")
+        assert exc.value.line == text.splitlines().index(bad) + 1
+        assert "base/radius/seed" in str(exc.value)
+
+    @pytest.mark.parametrize("body,bad", [
+        ("kind lorenz\na 0 1 ; 0 0", "a 0 1 ; 0 0"),
+        ("a 1 ;\nkind lorenz", "a 1 ;"),
+        ("kind lorenz\nb 0 1", "b 0 1"),
+        ("kind lorenz\nc 2.5\ngamma 0.1", "gamma 0.1"),
+        ("kind linear\na 0 1 ; 0 0\nb 0 1\nc 1.0", "c 1.0"),
+        ("gamma 0.05\nkind linear\na 0 1 ; 0 0\nb 0 1", "gamma 0.05"),
+        ("kind tanh\na 0 1 ; 0 0\nb 0 1\ngamma 0.05\nc 1.0", "c 1.0"),
+        ("kind linear\na 0\nb 0 1", "a 0"),
+        ("kind tanh\na 0 1 ; 0 0\nb 1\ngamma 0.05", "b 1"),
+    ], ids=["lorenz_matrix_a", "lorenz_matrix_a_before_kind", "lorenz_vector_b",
+            "lorenz_gamma", "linear_c", "linear_gamma", "tanh_c",
+            "linear_scalar_a", "tanh_scalar_b"])
+    def test_model_key_the_kind_does_not_read(self, body, bad):
+        text = replace_section(MINIMAL, "model", body)
+        with pytest.raises(ParseError) as exc:
+            parse_scenario_text(text, path="case.scn")
+        assert exc.value.line == text.splitlines().index(bad) + 1
+        assert repr(bad.split()[0]) in str(exc.value)
+
     @pytest.mark.parametrize("old,new", [
         ("rho 1.0", "rho nan"),
         ("h 0.005", "h inf"),
@@ -268,7 +300,6 @@ class TestRealize:
         sc = parse_scenario_text(replace_section(MINIMAL, "initial", body))
         setup = realize(sc)
         assert np.array_equal(setup.x0, [0.5, 0.0, -0.5, 1.0])
-        assert setup.seed == -1
 
     def test_state_dimension_checked(self):
         body = "state 1 0.5\nstate 2 -0.5"
