@@ -22,6 +22,10 @@ from .linalg import sym_eig
 # node indices above this do not fit the 0-based index arrays
 MAX_NODES = int(np.iinfo(np.intp).max)
 
+# the most nodes and the most edges a parsed graph may have: build_matrices
+# forms dense N x Q, N x N and Q x Q arrays (Q = 8192 is 512 MiB each)
+MAX_DENSE = 8192
+
 
 def _edge_problem(k, l, w, n, prev):
     """Why edge (k, l, w) may not follow the pair prev on n nodes, or None.
@@ -212,9 +216,10 @@ def parse_graph_text(text, path="<string>"):
 
     First non-comment line is ``nodes N``; every following line is
     ``k l w`` with 1-based indices, k < l, in canonical sorted order.
-    Violations raise ParseError carrying the offending line number.
+    Violations raise ParseError carrying the offending line number, as do
+    more than MAX_DENSE nodes or edges (the ``nodes`` line, the first edge past).
     """
-    n = None
+    n = nodes_line = past_line = None
     edges = []
     prev = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -231,6 +236,7 @@ def parse_graph_text(text, path="<string>"):
                 raise ParseError(f"bad node count {parts[1]!r}", path, lineno)
             if n < 2:
                 raise ParseError("need at least 2 nodes", path, lineno)
+            nodes_line = lineno
             continue
         if len(parts) != 3:
             raise ParseError("expected 'k l w' edge line", path, lineno)
@@ -243,8 +249,16 @@ def parse_graph_text(text, path="<string>"):
             raise ParseError(problem, path, lineno)
         prev = (k, l)
         edges.append((k, l, w))
+        if len(edges) == MAX_DENSE + 1:
+            past_line = lineno
     if n is None:
         raise ParseError("empty graph file", path)
+    # bounded after the loop, so a malformed line is reported before a size
+    for count, what, lineno in ((n, "nodes", nodes_line),
+                                (len(edges), "edges", past_line)):
+        if count > MAX_DENSE:
+            raise ParseError(f"{count} {what} exceed the dense bound of "
+                             f"{MAX_DENSE}", path, lineno)
     return WeightedGraph(n, tuple(edges))
 
 

@@ -6,6 +6,10 @@ graph, model, certificate, controller, initial, integration; output is
 optional. The format is deliberately flat so it can be parsed without
 any dependency and specified byte-for-byte.
 
+KEYS, with its model part MODEL_KEYS, is the one place a key is defined:
+the Scenario field it sets and the reader of its value. Only the
+structural lines (graph ``nodes``/``edge``, initial ``state``) are not in it.
+
 Example::
 
     [graph]
@@ -61,24 +65,111 @@ from .models import (
 from .riccati import solve_ari
 from .simulate import perturbed_initial_conditions, steps_per_record
 
-SECTIONS = (
-    "graph", "model", "certificate", "controller", "initial",
-    "integration", "output",
-)
 
-# the keys each model kind reads besides 'kind', and whether each takes a
-# number or a matrix
-MODEL_KEYS = {
-    "linear": {"a": "matrix", "b": "matrix"},
-    "tanh": {"a": "matrix", "b": "matrix", "gamma": "number"},
-    "lorenz": {"a": "number", "b": "number", "c": "number"},
+# Readers: each takes a key and its value tokens and returns the value, or
+# raises ValueError with the reason the tokens do not have its form.
+
+def _word(key, tokens):
+    if len(tokens) != 1:
+        raise ValueError(f"key {key!r} takes one value, got {len(tokens)}")
+    return tokens[0]
+
+
+def _finite(tok):
+    try:
+        value = float(tok)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {tok!r}")
+    return value
+
+
+def _integer(tok):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {tok!r}") from None
+
+
+def _number(key, tokens):
+    return _finite(_word(key, tokens))
+
+
+def _nonnegative(key, tokens, parse=_finite):
+    value = parse(_word(key, tokens))
+    if value < 0:
+        raise ValueError(f"{key} must be nonnegative, got {value!r}")
+    return value
+
+
+def _count(key, tokens):
+    return _nonnegative(key, tokens, parse=_integer)
+
+
+def _row(key, tokens):
+    return np.array([_finite(tok) for tok in tokens])
+
+
+def _matrix(key, tokens):
+    rows = [row.split() for row in " ".join(tokens).split(";")]
+    if not rows[-1]:
+        rows.pop()  # a trailing ';' ends the last row
+    if not all(rows):
+        raise ValueError("empty matrix row")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix rows")
+    return np.array([[_finite(tok) for tok in row] for row in rows])
+
+
+def _model_matrix(key, tokens):
+    # a lone entry is lorenz's number for the key: 'a 0 ;' is a 1 x 1 matrix
+    if len(tokens) == 1:
+        raise ValueError(f"key {key!r} takes a matrix with ';' between rows "
+                         f"(a one-entry matrix is '{key} {tokens[0]} ;')")
+    return _matrix(key, tokens)
+
+
+def _vector(key, tokens):
+    return _model_matrix(key, tokens).ravel()
+
+
+def _kind(key, tokens):
+    kind = _word(key, tokens)
+    if kind not in MODEL_KEYS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return kind
+
+
+# (section, key) -> the Scenario field it sets and its reader. Graph
+# 'nodes'/'edge' and initial 'state' lines are structural and read apart.
+KEYS = {
+    ("graph", "file"): ("graph_file", _word),
+    ("model", "kind"): ("model_kind", _kind),
+    ("certificate", "rho"): ("rho", _number),
+    ("certificate", "mu"): ("mu", _number),
+    ("certificate", "p"): ("p_matrix", _matrix),
+    ("controller", "beta"): ("beta", _number),
+    ("controller", "beta_multiplier"): ("beta_multiplier", _number),
+    ("initial", "base"): ("init_base", _row),
+    ("initial", "radius"): ("init_radius", _nonnegative),
+    ("initial", "seed"): ("init_seed", _count),
+    ("integration", "h"): ("h", _number),
+    ("integration", "t_end"): ("t_end", _number),
+    ("integration", "record_interval"): ("record_interval", _number),
+    ("output", "dir"): ("out_dir", _word),
 }
 
-# keys that take exactly one token; the others take a list or a matrix
-ONE_TOKEN_KEYS = (
-    "file", "kind", "c", "gamma", "rho", "mu", "beta", "beta_multiplier",
-    "radius", "seed", "h", "t_end", "record_interval", "dir",
-)
+# The model part of the table: kind -> key -> reader for the [model]
+# keys besides 'kind', each read into Scenario.model.
+MODEL_KEYS = {
+    "linear": {"a": _model_matrix, "b": _vector},
+    "tanh": {"a": _model_matrix, "b": _vector, "gamma": _nonnegative},
+    "lorenz": {"a": _number, "b": _number, "c": _number},
+}
+
+# in file order; all but the last, output, are required
+SECTIONS = tuple(dict.fromkeys(section for section, _ in KEYS))
 
 
 @dataclass
@@ -90,9 +181,7 @@ class Scenario:
     graph_file: str = None
     graph_inline: WeightedGraph = None
     model_kind: str = ""
-    model_a: np.ndarray = None
-    model_b: np.ndarray = None
-    model_scalars: dict = field(default_factory=dict)
+    model: dict = field(default_factory=dict)
     rho: float = 0.0
     mu: float = 0.0
     p_matrix: np.ndarray = None
@@ -129,52 +218,19 @@ class RunSetup:
     approximate: bool
 
 
-def _parse_float(tok, path, lineno):
-    try:
-        value = float(tok)
-    except ValueError:
-        raise ParseError(f"expected a number, got {tok!r}", path, lineno)
-    if not math.isfinite(value):
-        raise ParseError(f"expected a finite number, got {tok!r}", path, lineno)
-    return value
+def _read(readers, key, tokens, path, lineno, context=""):
+    """The value of the first reader that takes the tokens, else a ParseError."""
+    reasons = []
+    for reader in readers:
+        try:
+            return reader(key, tokens)
+        except ValueError as exc:
+            reasons.append(str(exc))
+    raise ParseError(context + "; ".join(dict.fromkeys(reasons)), path, lineno)
 
 
-def _parse_int(tok, path, lineno):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {tok!r}", path, lineno)
-
-
-def _nonnegative(key, value, path, lineno):
-    if value < 0:
-        raise ParseError(f"{key} must be nonnegative, got {value!r}", path, lineno)
-    return value
-
-
-def _parse_matrix(tokens, path, lineno):
-    rows = []
-    current = []
-    for tok in tokens:
-        if tok == ";":
-            if not current:
-                raise ParseError("empty matrix row", path, lineno)
-            rows.append(current)
-            current = []
-        else:
-            current.append(_parse_float(tok, path, lineno))
-    if current:
-        rows.append(current)
-    if not rows:
-        raise ParseError("empty matrix", path, lineno)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ParseError("ragged matrix rows", path, lineno)
-    return np.array(rows)
-
-
-def _tokenize(text, path):
-    """Yield (section, key, tokens, lineno); ';' is split out as a token."""
+def _key_lines(text, path, sections):
+    """Yield (section, key, tokens, lineno), noting each header's line in sections."""
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -184,12 +240,15 @@ def _tokenize(text, path):
             section = line[1:-1].strip()
             if section not in SECTIONS:
                 raise ParseError(f"unknown section [{section}]", path, lineno)
-            yield section, None, None, lineno
-            continue
-        if section is None:
+            if section in sections:
+                raise ParseError(f"section [{section}] repeats line "
+                                 f"{sections[section]}", path, lineno)
+            sections[section] = lineno
+        elif section is None:
             raise ParseError("content before any [section] header", path, lineno)
-        tokens = line.replace(";", " ; ").split()
-        yield section, tokens[0], tokens[1:], lineno
+        else:
+            key, *tokens = line.replace(";", " ; ").split()
+            yield section, key, tokens, lineno
 
 
 def parse_scenario(path):
@@ -209,108 +268,41 @@ def parse_scenario_text(text, path="<string>"):
     seen_keys = {}
     graph_lines = {}
     state_rows = {}
+    model_lines = []
 
-    for section, key, tokens, lineno in _tokenize(text, path):
-        if key is None:
-            if section in seen_sections:
-                raise ParseError(f"section [{section}] repeats line "
-                                 f"{seen_sections[section]}", path, lineno)
-            seen_sections[section] = lineno
-            continue
+    for section, key, tokens, lineno in _key_lines(text, path, seen_sections):
         if not tokens:
             raise ParseError(f"key {key!r} needs a value", path, lineno)
-        if key in ONE_TOKEN_KEYS and len(tokens) != 1:
-            raise ParseError(f"key {key!r} takes one value, got {len(tokens)}",
-                             path, lineno)
         if key not in ("edge", "state"):
             if (section, key) in seen_keys:
                 raise ParseError(f"key {key!r} repeats line "
                                  f"{seen_keys[section, key]}", path, lineno)
             seen_keys[section, key] = lineno
-        if section == "graph":
-            if key == "file":
-                sc.graph_file = tokens[0]
-            elif key in ("nodes", "edge"):
-                # graph-file syntax: 'nodes N', then one 'k l w' per edge
-                graph_lines[lineno] = " ".join(
-                    tokens if key == "edge" else [key] + tokens)
-            else:
-                raise ParseError(f"unknown graph key {key!r}", path, lineno)
-        elif section == "model":
-            if key == "kind":
-                if tokens[0] not in MODEL_KEYS:
-                    raise ParseError(f"unknown model kind {tokens[0]!r}", path, lineno)
-                sc.model_kind = tokens[0]
-            elif key == "a" and ";" in tokens:
-                sc.model_a = _parse_matrix(tokens, path, lineno)
-            elif key == "a":
-                if len(tokens) == 1:
-                    sc.model_scalars["a"] = _parse_float(tokens[0], path, lineno)
-                else:
-                    sc.model_a = _parse_matrix(tokens, path, lineno)
-            elif key == "b":
-                if len(tokens) == 1:
-                    sc.model_scalars["b"] = _parse_float(tokens[0], path, lineno)
-                else:
-                    sc.model_b = _parse_matrix(tokens, path, lineno).ravel()
-            elif key == "c":
-                sc.model_scalars["c"] = _parse_float(tokens[0], path, lineno)
-            elif key == "gamma":
-                sc.model_scalars["gamma"] = _nonnegative(
-                    "gamma", _parse_float(tokens[0], path, lineno), path, lineno)
-            else:
-                raise ParseError(f"unknown model key {key!r}", path, lineno)
-        elif section == "certificate":
-            if key == "rho":
-                sc.rho = _parse_float(tokens[0], path, lineno)
-            elif key == "mu":
-                sc.mu = _parse_float(tokens[0], path, lineno)
-            elif key == "p":
-                sc.p_matrix = _parse_matrix(tokens, path, lineno)
-            else:
-                raise ParseError(f"unknown certificate key {key!r}", path, lineno)
-        elif section == "controller":
-            if key == "beta":
-                sc.beta = _parse_float(tokens[0], path, lineno)
-            elif key == "beta_multiplier":
-                sc.beta_multiplier = _parse_float(tokens[0], path, lineno)
-            else:
-                raise ParseError(f"unknown controller key {key!r}", path, lineno)
-        elif section == "initial":
-            if key == "base":
-                sc.init_base = np.array(
-                    [_parse_float(t, path, lineno) for t in tokens])
-            elif key == "radius":
-                sc.init_radius = _nonnegative(
-                    "radius", _parse_float(tokens[0], path, lineno), path, lineno)
-            elif key == "seed":
-                sc.init_seed = _nonnegative(
-                    "seed", _parse_int(tokens[0], path, lineno), path, lineno)
-            elif key == "state":
-                idx = _parse_int(tokens[0], path, lineno)
-                if idx in state_rows:
-                    raise ParseError(f"state {idx} repeats line "
-                                     f"{state_rows[idx][1]}", path, lineno)
-                state_rows[idx] = (
-                    np.array([_parse_float(t, path, lineno) for t in tokens[1:]]),
-                    lineno,
-                )
-            else:
-                raise ParseError(f"unknown initial key {key!r}", path, lineno)
-        elif section == "integration":
-            if key == "h":
-                sc.h = _parse_float(tokens[0], path, lineno)
-            elif key == "t_end":
-                sc.t_end = _parse_float(tokens[0], path, lineno)
-            elif key == "record_interval":
-                sc.record_interval = _parse_float(tokens[0], path, lineno)
-            else:
-                raise ParseError(f"unknown integration key {key!r}", path, lineno)
-        elif section == "output":
-            if key == "dir":
-                sc.out_dir = tokens[0]
-            else:
-                raise ParseError(f"unknown output key {key!r}", path, lineno)
+        model_readers = [keys[key] for keys in MODEL_KEYS.values()
+                         if key in keys] if section == "model" else []
+        if (section, key) in KEYS:
+            name, reader = KEYS[section, key]
+            setattr(sc, name, _read([reader], key, tokens, path, lineno))
+        elif model_readers:
+            # a line no kind reads is refused here, in file order; whether
+            # the scenario's kind reads it waits for 'kind', which may follow
+            _read(model_readers, key, tokens, path, lineno)
+            model_lines.append((key, tokens, lineno))
+        elif section == "graph" and key in ("nodes", "edge"):
+            # graph-file syntax: 'nodes N', then one 'k l w' per edge
+            graph_lines[lineno] = " ".join(
+                tokens if key == "edge" else [key] + tokens)
+        elif section == "initial" and key == "state":
+            try:
+                idx, values = _integer(tokens[0]), _row(key, tokens[1:])
+            except ValueError as exc:
+                raise ParseError(str(exc), path, lineno) from None
+            if idx in state_rows:
+                raise ParseError(f"state {idx} repeats line "
+                                 f"{state_rows[idx][1]}", path, lineno)
+            state_rows[idx] = (values, lineno)
+        else:
+            raise ParseError(f"unknown {section} key {key!r}", path, lineno)
 
     missing = [s for s in SECTIONS[:-1] if s not in seen_sections]
     if missing:
@@ -326,17 +318,12 @@ def parse_scenario_text(text, path="<string>"):
     if not sc.model_kind:
         raise ParseError("model section needs 'kind'", path)
     reads = MODEL_KEYS[sc.model_kind]
-    for (section, key), lineno in seen_keys.items():
-        if section != "model" or key == "kind":
-            continue
-        given = "number" if key in sc.model_scalars else "matrix"
+    for key, tokens, lineno in model_lines:
         if key not in reads:
             raise ParseError(f"model kind {sc.model_kind!r} reads no key "
                              f"{key!r}", path, lineno)
-        if reads[key] != given:
-            raise ParseError(f"model kind {sc.model_kind!r} takes a "
-                             f"{reads[key]} for {key!r}, not a {given}",
-                             path, lineno)
+        sc.model[key] = _read([reads[key]], key, tokens, path, lineno,
+                              f"model kind {sc.model_kind!r}: ")
     if sc.rho <= 0.0 or sc.mu <= 0.0:
         raise ParseError("certificate needs positive rho and mu", path)
     if (sc.beta is None) == (sc.beta_multiplier is None):
@@ -387,16 +374,15 @@ def _build_model_and_certificate(sc):
     P is the scenario's [certificate] p, or else the Riccati design on
     the model's (a, b), which for lorenz is its origin linearization.
     """
+    given = sc.model
     if sc.model_kind == "lorenz":
-        a = sc.model_scalars.get("a", 10.0)
-        b = sc.model_scalars.get("b", 8.0 / 3.0)
-        c = sc.model_scalars.get("c", 28.0)
-        a_design, b_design = convective_linearization(a, b, c)
+        abc = given.get("a", 10.0), given.get("b", 8.0 / 3.0), given.get("c", 28.0)
+        a_design, b_design = convective_linearization(*abc)
     else:
-        if sc.model_a is None or sc.model_b is None:
+        if "a" not in given or "b" not in given:
             raise ParseError(f"model kind {sc.model_kind!r} needs matrix 'a' and "
                              "vector 'b'", sc.path)
-        a_design, b_design = sc.model_a, sc.model_b
+        a_design, b_design = given["a"], given["b"]
         if b_design.shape[0] != a_design.shape[0]:
             raise DimensionMismatchError(
                 f"b has {b_design.shape[0]} entries, model state dimension is "
@@ -412,11 +398,11 @@ def _build_model_and_certificate(sc):
         cert = solve_ari(a_design, b_design, sc.rho, sc.mu).certificate
     gain = b_design @ cert.p
     if sc.model_kind == "lorenz":
-        return lorenz_model(a, b, c, gain), cert, True
+        return lorenz_model(*abc, gain), cert, True
     if sc.model_kind == "linear":
-        return linear_model(sc.model_a, sc.model_b, gain), cert, False
-    gamma = sc.model_scalars.get("gamma", 0.0)
-    return tanh_perturbed_model(sc.model_a, sc.model_b, gamma, gain), cert, False
+        return linear_model(a_design, b_design, gain), cert, False
+    gamma = given.get("gamma", 0.0)
+    return tanh_perturbed_model(a_design, b_design, gamma, gain), cert, False
 
 
 def realize(sc, require_connected=True):
@@ -426,11 +412,9 @@ def realize(sc, require_connected=True):
     synchronization guarantee; diagnostic-only flows may relax it.
     """
     if sc.graph_file is not None:
-        graph_path = sc.graph_file
-        if not os.path.isabs(graph_path):
-            graph_path = os.path.join(os.path.dirname(os.path.abspath(sc.path)),
-                                      graph_path)
-        graph = read_graph_file(graph_path)
+        # relative to the scenario's directory; an absolute path stays as is
+        graph = read_graph_file(os.path.join(
+            os.path.dirname(os.path.abspath(sc.path)), sc.graph_file))
     else:
         graph = sc.graph_inline
     n_comp = components(graph)

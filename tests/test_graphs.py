@@ -15,6 +15,7 @@ from edgesync import (
 )
 
 from edgesync.edge_lift import build_edge_lift
+from edgesync.graphs import MAX_DENSE
 
 from helpers import (
     C3,
@@ -236,6 +237,27 @@ class TestParsing:
     def test_noncanonical_rejected(self):
         with pytest.raises(ParseError):
             parse_graph_text("nodes 3\n2 3 1.0\n1 2 1.0\n")
+
+    def test_node_count_past_the_dense_bound(self):
+        with pytest.raises(ParseError) as exc:
+            parse_graph_text(f"# too big\nnodes {MAX_DENSE + 1}\n1 2 1.0\n")
+        assert exc.value.line == 2
+        assert "nodes" in str(exc.value)
+        assert parse_graph_text(f"nodes {MAX_DENSE}\n1 2 1.0\n").n == MAX_DENSE
+
+    def test_edge_count_past_the_dense_bound(self):
+        n = 129  # 8256 pairs, the first with more than MAX_DENSE
+        pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+        lines = [f"nodes {n}"] + [f"{k} {l} 1.0" for k, l in pairs[:MAX_DENSE + 1]]
+        with pytest.raises(ParseError) as exc:
+            parse_graph_text("\n".join(lines))
+        assert exc.value.line == MAX_DENSE + 2
+        assert parse_graph_text("\n".join(lines[:-1])).q == MAX_DENSE
+
+    def test_malformed_edge_reported_before_the_bound(self):
+        with pytest.raises(ParseError) as exc:
+            parse_graph_text(f"nodes {MAX_DENSE + 1}\n2 1 1.0\n")
+        assert exc.value.line == 2
 
     def test_read_graph_file(self, tmp_path):
         path = tmp_path / "g.graph"

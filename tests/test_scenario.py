@@ -14,7 +14,8 @@ from edgesync import (
     realize,
     solve_ari,
 )
-from edgesync.scenario import ONE_TOKEN_KEYS
+from edgesync import scenario
+from edgesync.scenario import KEYS, MODEL_KEYS
 
 from helpers import SCENARIO_DIR, SHIPPED_TEXTS, mutated_text
 
@@ -46,12 +47,28 @@ t_end 1.0
 record_interval 0.05
 """
 
+# the readers that take exactly one token
+ONE_VALUE_READERS = (scenario._word, scenario._kind, scenario._number,
+                     scenario._nonnegative, scenario._count)
+
+
+def one_value_keys():
+    """Every key the table reads as one value, in any section or model kind."""
+    readers = [(key, reader) for (_, key), (_, reader) in KEYS.items()]
+    readers += [item for keys in MODEL_KEYS.values() for item in keys.items()]
+    return sorted({key for key, reader in readers if reader in ONE_VALUE_READERS})
+
+
+LINEAR_MODEL = "kind linear\na 0 1 ; 0 0\nb 0 1"
+
 # key -> (line of MINIMAL, replacement that gives the key a second token)
 ONE_TOKEN_CASES = {
     "file": ("nodes 2\nedge 1 2 1.0", "file a.graph b.graph"),
     "kind": ("kind linear", "kind linear tanh"),
-    "c": ("kind linear", "kind linear\nc 1.0 2.0"),
-    "gamma": ("kind linear", "kind linear\ngamma 0.1 0.2"),
+    "a": (LINEAR_MODEL, "kind lorenz\na 10.0 1.0"),
+    "b": (LINEAR_MODEL, "kind lorenz\nb 28.0 1.0"),
+    "c": (LINEAR_MODEL, "kind lorenz\nc 1.0 2.0"),
+    "gamma": ("kind linear", "kind tanh\ngamma 0.1 0.2"),
     "rho": ("rho 1.0", "rho 1.0 7.5"),
     "mu": ("mu 0.2", "mu 0.2 0.3"),
     "beta": ("beta_multiplier 1.0", "beta 2.0 3.0"),
@@ -99,7 +116,7 @@ class TestShippedScenarios:
     def test_tanh_p3(self):
         sc = parse_scenario(os.path.join(SCENARIO_DIR, "tanh_p3.scn"))
         assert sc.model_kind == "tanh"
-        assert sc.model_scalars["gamma"] == 0.05
+        assert sc.model["gamma"] == 0.05
         setup = realize(sc)
         assert setup.model.name == "tanh_perturbed"
         assert setup.controller.beta_star == pytest.approx(0.5)
@@ -127,7 +144,7 @@ class TestShippedScenarios:
         sc = parse_scenario(os.path.join(SCENARIO_DIR, name))
         setup = realize(sc)
         xs = np.random.default_rng(0).standard_normal((5, 2))
-        expected = xs @ (sc.model_b @ setup.certificate.p)
+        expected = xs @ (sc.model["b"] @ setup.certificate.p)
         assert np.array_equal(setup.model.alpha_all(xs).view(np.uint64),
                               expected.view(np.uint64))
 
@@ -261,7 +278,7 @@ class TestParseValidation:
         with pytest.raises(ParseError):
             parse_scenario_text(MINIMAL.replace("kind linear", "kind vortex"))
 
-    @pytest.mark.parametrize("key", sorted(ONE_TOKEN_KEYS))
+    @pytest.mark.parametrize("key", one_value_keys())
     def test_one_token_key_rejects_a_second(self, key):
         old, new = ONE_TOKEN_CASES[key]
         text = MINIMAL.replace(old, new)
@@ -272,7 +289,7 @@ class TestParseValidation:
         assert repr(key) in str(exc.value)
 
     def test_one_token_cases_cover_the_keys(self):
-        assert set(ONE_TOKEN_CASES) == set(ONE_TOKEN_KEYS)
+        assert sorted(ONE_TOKEN_CASES) == one_value_keys()
 
     @pytest.mark.parametrize("text,repeat", [
         (MINIMAL.replace("rho 1.0", "rho 1.0\nrho 7.0"), "rho 7.0"),
@@ -340,7 +357,7 @@ class TestRealize:
         text = replace_section(text, "initial",
                                "base 0 0 0\nradius 1.0\nseed 1")
         sc = parse_scenario_text(text)
-        assert sc.model_scalars == {}
+        assert sc.model == {}
         setup = realize(sc)
         assert setup.model.params["a"] == 10.0
         assert setup.model.params["b"] == pytest.approx(8.0 / 3.0)
