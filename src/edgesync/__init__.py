@@ -25,8 +25,7 @@ from .controller import (
 from .edge_lift import (
     EdgeLift,
     build_edge_lift,
-    endpoint_correction_matrix,
-    verify_endpoint_identities,
+    lift_residual,
 )
 from .errors import (
     DimensionMismatchError,
@@ -40,6 +39,7 @@ from .errors import (
     NotStabilizableError,
     ParseError,
     SingularMatrixError,
+    WeightRangeError,
 )
 from .graphs import (
     GraphMatrices,
@@ -99,6 +99,7 @@ __all__ = [
     "SingularMatrixError",
     "SpectralReport",
     "Trajectory",
+    "WeightRangeError",
     "WeightedGraph",
     "accumulate_coupling",
     "bass_initial_gain",
@@ -111,8 +112,8 @@ __all__ = [
     "critical_gain",
     "edge_end_arrays",
     "edge_energy",
-    "endpoint_correction_matrix",
     "fit_decay_rate",
+    "lift_residual",
     "linear_model",
     "lorenz_model",
     "lyapunov_solve",
@@ -132,6 +133,5 @@ __all__ = [
     "sync_error",
     "tanh_perturbed_model",
     "verify_ari_sampled",
-    "verify_endpoint_identities",
     "verify_killing_integrability",
 ]

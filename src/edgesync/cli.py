@@ -186,9 +186,10 @@ def graph_check_text(setup):
         f"lift_mu {_fmt(lift.mu)}",
         f"lift_kernel_dim {lift.kernel_dim}",
         f"lift_pd_margin {_fmt(lift.pd_margin)}",
-        f"lift_residual {_fmt(setup.residuals[0])}",
-        f"endpoint_residual_initial {_fmt(setup.residuals[1])}",
-        f"endpoint_residual_terminal {_fmt(setup.residuals[2])}",
+        f"lift_residual {_fmt(setup.lift_residual)}",
+        # E_k, E_l = (|E| -+ E) / 2: each endpoint residual is half of it
+        f"endpoint_residual_initial {_fmt(0.5 * setup.lift_residual)}",
+        f"endpoint_residual_terminal {_fmt(0.5 * setup.lift_residual)}",
         f"beta_star {_fmt(setup.controller.beta_star)}",
     )]
     lines += [

@@ -1,4 +1,4 @@
-"""Edge lift of the Laplacian and its endpoint correction.
+"""Edge lift of the Laplacian and its intertwining residual.
 
 For any weighted undirected graph there is a Q x Q matrix U with
 
@@ -23,15 +23,16 @@ Pi = I - Q1 Q1^T with Q1 an orthonormal basis of range(E^T) from the
 N x N matrix E E^T, and the margin comes from a matrix of size at most
 min(Q, 2N).
 
-The endpoint correction Omega relates the lift to the per-endpoint
-incidence splits; it is only needed to verify the lift, so
-verify_endpoint_identities forms it there.
+The endpoint identities E_k^T L = U E_k^T + Omega, and alike for E_l,
+need no check: E_k, E_l = (|E| -+ E) / 2 and Omega = (|E^T| L - U |E^T|) / 2
+make their residuals half of the one lift_residual returns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import WeightRangeError
 from .linalg import NULLSPACE_RTOL, sym_eig
 
 
@@ -52,6 +53,7 @@ class EdgeLift:
     kernel_dim: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_edge_lift(m):
     """Construct the edge lift for prepared graph matrices.
 
@@ -74,7 +76,9 @@ def build_edge_lift(m):
     x^T A x <= ||A||_2 = mu for unit x in range(Q1). One mu serves all
     components, so the margin carries an absolute error of about
     eps * mu: on a component whose weights are orders of magnitude
-    below another's that is a large relative error.
+    below another's that is a large relative error. mu grows as w_max^2
+    and the W^-1 scaling as mu / w_min: if either overflows, this raises
+    WeightRangeError before any Q x Q array is formed, and no warning.
     """
     e, w = m.incidence, m.weights
     dec = sym_eig(e @ e.T)
@@ -92,12 +96,16 @@ def build_edge_lift(m):
     q1 = e.T @ y
     ew = e * w
     l2 = ew @ ew.T
-    mu = float(sym_eig(l2).eigenvalues[-1])
+    mu = float(sym_eig(l2).eigenvalues[-1]) if np.isfinite(l2).all() else np.inf
+    scale = mu / w
+    if not np.isfinite(scale).all():
+        raise WeightRangeError(f"edge weights {w.min():.3g} to {w.max():.3g} "
+                               f"overflow the lift: mu = {mu:.3g}")
     # mu * W^-1 (I - Q1 Q1^T) + E^T E W, in place in one Q x Q array
     lift = q1 @ q1.T
     lift *= -1.0
     lift.flat[::lift.shape[0] + 1] += 1.0
-    lift *= mu / w[:, None]
+    lift *= scale[:, None]
     lift += m.edge_laplacian
     gram = sym_eig(l2 - ly @ ly.T)
     nonzero = gram.eigenvalues > NULLSPACE_RTOL * mu
@@ -108,31 +116,7 @@ def build_edge_lift(m):
     return EdgeLift(lift=lift, mu=mu, pd_margin=margin, kernel_dim=kdim)
 
 
-def endpoint_correction_matrix(m, lift):
-    """Omega = (|E^T| L - U |E^T|) / 2 with entrywise absolute value."""
-    abs_et = np.abs(m.incidence.T)
-    return 0.5 * (abs_et @ m.laplacian - lift @ abs_et)
-
-
-def verify_endpoint_identities(m, u):
-    """Max-norm residuals of the intertwining and both endpoint identities.
-
-    Returns the residuals of U E^T = E^T L, of E_k^T L = U E_k^T + Omega
-    and of E_l^T L = U E_l^T + Omega, where the 0/1 endpoint splits E_k
-    and E_l mark the negative and the positive entries of the incidence
-    matrix. The difference of the endpoint identities is exactly the
-    intertwining relation, so all three are round-off small for any
-    valid lift.
-    """
-    omega = endpoint_correction_matrix(m, u.lift)
-    intertwining = float(np.max(np.abs(
-        u.lift @ m.incidence.T - m.incidence.T @ m.laplacian), initial=0.0))
-
-    def _residual(split):
-        st = split.T
-        r = st @ m.laplacian - (u.lift @ st + omega)
-        return float(np.max(np.abs(r))) if r.size else 0.0
-
-    return (intertwining,
-            _residual((m.incidence < 0.0).astype(float)),
-            _residual((m.incidence > 0.0).astype(float)))
+def lift_residual(m, lift):
+    """max|U E^T - E^T L| of an EdgeLift, 0 on an edgeless graph."""
+    et = m.incidence.T
+    return float(np.max(np.abs(lift.lift @ et - et @ m.laplacian), initial=0.0))

@@ -80,6 +80,12 @@ class NoConvergenceError(EdgeSyncError):
     exit_code = 9
 
 
+class WeightRangeError(EdgeSyncError):
+    """Edge weights so far apart that the edge lift overflows."""
+
+    exit_code = 9
+
+
 class EmptyWindowError(EdgeSyncError):
     """Requested analysis window contains no usable samples."""
 

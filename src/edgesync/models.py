@@ -5,9 +5,9 @@ single scalar input channel. Built-in models: a linear pair, a
 saturating-perturbation model whose certificate conditions hold exactly
 (constant g, linear alpha, bounded Jacobian perturbation), and the
 three-state convective loop with a state-dependent input field. Each
-model also adds g u to a drift stack in place, add_gu, so that the
-closed-loop field f + g u of a whole stack, field_all, forms no g array;
-the integrator calls field_all at every stage.
+model gives g only as add_gu, which adds g u to a drift stack in place,
+so that the closed-loop field f + g u of a whole stack, field_all, forms
+no g array; the integrator calls field_all at every stage.
 """
 
 from dataclasses import dataclass
@@ -21,14 +21,14 @@ from .errors import DimensionMismatchError
 class AgentModel:
     """Evaluator bundle for one agent's dynamics.
 
-    f_all, g_all, alpha_all act on an (N, n) stack of states, one row
-    per agent; jac_f, jac_g act on a single state vector. The
-    single-state f, g and alpha evaluate the batched callables on a
-    one-row stack, so both paths give identical floating-point results.
-    add_gu(out, xs, u) adds g(x_i) u_i to row i of out in place, with
-    the per-element operations of g_all(xs) * u[:, None] and no g array;
-    a component whose g is identically 0 is left alone. f_all and g_all
-    return fresh (N, n) arrays; the integrator overwrites f_all's. The
+    f_all, alpha_all and add_gu act on an (N, n) stack of states, one
+    row per agent; jac_f, jac_g act on a single state vector. The
+    single-state f and alpha evaluate the batched callables on a one-row
+    stack, so both paths give identical floating-point results.
+    add_gu(out, xs, u) adds g(x_i) u_i to row i of out in place, with no
+    g array; a component whose g is identically 0 is left alone. g is
+    the one input field: g(x) is add_gu on a zero row with u = 1. f_all
+    returns a fresh (N, n) array, which the integrator overwrites. The
     input is scalar.
     """
 
@@ -38,15 +38,13 @@ class AgentModel:
     jac_f: callable
     jac_g: callable
     f_all: callable
-    g_all: callable
     alpha_all: callable
     add_gu: callable
 
     def field_all(self, xs, u):
         """Closed-loop field f(x_i) + g(x_i) u_i of every row, one fresh array.
 
-        It has the bits of f_all(xs) + g_all(xs) * u[:, None], except
-        that a component whose g is identically 0 is f alone.
+        A component whose g is identically 0 is f alone.
         """
         out = self.f_all(xs)
         self.add_gu(out, xs, u)
@@ -56,13 +54,15 @@ class AgentModel:
         return self.f_all(np.asarray(x, dtype=float)[None, :])[0]
 
     def g(self, x):
-        return self.g_all(np.asarray(x, dtype=float)[None, :])[0]
+        out = np.zeros((1, self.state_dim))
+        self.add_gu(out, np.asarray(x, dtype=float)[None, :], np.ones(1))
+        return out[0]
 
     def alpha(self, x):
         return float(self.alpha_all(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _agent_model(name, n, k, params, f_all, g_all, add_gu, jac_f, jac_g):
+def _agent_model(name, n, k, params, f_all, add_gu, jac_f, jac_g):
     """The AgentModel of one kind on n states, with feedback alpha(x) = k x.
 
     k is the gain row, of shape (n,) or (1, n); params gain its checked
@@ -87,7 +87,6 @@ def _agent_model(name, n, k, params, f_all, g_all, add_gu, jac_f, jac_g):
         jac_f=jac_f,
         jac_g=jac_g,
         f_all=f_all,
-        g_all=g_all,
         alpha_all=alpha_all,
         add_gu=add_gu,
     )
@@ -115,17 +114,12 @@ def _constant_input_model(name, a, b, k, drift, **params):
             f"input vector has shape {bv.shape}, expected ({n},)")
     zero = np.zeros((n, n))
 
-    def g_all(xs):
-        out = np.empty(xs.shape)
-        out[...] = bv
-        return out
-
     def add_gu(out, xs, u):
         out += u[:, None] * bv
 
     f_all, jac_f = drift(a)
-    return _agent_model(name, n, k, {"a": a, "b": bv, **params}, f_all, g_all,
-                        add_gu, jac_f, lambda x: zero)
+    return _agent_model(name, n, k, {"a": a, "b": bv, **params}, f_all, add_gu,
+                        jac_f, lambda x: zero)
 
 
 def linear_model(a, b, k):
@@ -186,13 +180,6 @@ def lorenz_model(a, b, c, k):
         np.subtract(x1 * x2, c * x3, out=out[:, 2])
         return out
 
-    def g_all(xs):
-        out = np.zeros(xs.shape)
-        out[:, 0] = 1.0
-        col1 = np.sin(xs[:, 0], out=out[:, 1])
-        col1 += 2.0
-        return out
-
     # u to column 0 and (sin x1 + 2) u to column 1; column 2's g is 0
     def add_gu(out, xs, u):
         out[:, 0] += u
@@ -214,5 +201,5 @@ def lorenz_model(a, b, c, k):
         out[1, 0] = np.cos(x[0])
         return out
 
-    return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c}, f_all, g_all,
-                        add_gu, jac_f, jac_g)
+    return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c}, f_all, add_gu,
+                        jac_f, jac_g)

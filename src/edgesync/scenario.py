@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import make_controller
-from .edge_lift import build_edge_lift, verify_endpoint_identities
+from .edge_lift import build_edge_lift, lift_residual
 from .errors import DimensionMismatchError, DisconnectedGraphError, ParseError
 from .graphs import (
     WeightedGraph,
@@ -206,7 +206,7 @@ class RunSetup:
     matrices: object
     spectral: object
     lift: object
-    residuals: tuple
+    lift_residual: float
     model: object
     certificate: MetricCertificate
     controller: object
@@ -425,7 +425,6 @@ def realize(sc, require_connected=True):
     matrices = build_matrices(graph)
     spectral = spectral_report(matrices, graph)
     lift = build_edge_lift(matrices)
-    residuals = verify_endpoint_identities(matrices, lift)
     model, cert, approximate = _build_model_and_certificate(sc)
 
     if sc.init_states is not None:
@@ -452,7 +451,7 @@ def realize(sc, require_connected=True):
         matrices=matrices,
         spectral=spectral,
         lift=lift,
-        residuals=residuals,
+        lift_residual=lift_residual(matrices, lift),
         model=model,
         certificate=cert,
         controller=controller,

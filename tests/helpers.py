@@ -32,6 +32,37 @@ def sym_part(weights, c):
     return 0.5 * (weights[:, None] * c + c.T * weights)
 
 
+def endpoint_correction(m, lift):
+    """Omega = (|E^T| L - U |E^T|) / 2 of a lift U, with entrywise absolute value."""
+    abs_et = np.abs(m.incidence.T)
+    return 0.5 * (abs_et @ m.laplacian - lift @ abs_et)
+
+
+def endpoint_residuals(m, lift):
+    """Max-norm residuals of the two endpoint identities of a lift U.
+
+    E_k^T L = U E_k^T + Omega and E_l^T L = U E_l^T + Omega, with Omega
+    from endpoint_correction and the 0/1 splits E_k and E_l marking the
+    negative and the positive entries of the incidence matrix E.
+    """
+    omega = endpoint_correction(m, lift)
+
+    def residual(split):
+        st = split.astype(float).T
+        return float(np.max(np.abs(st @ m.laplacian - (lift @ st + omega)),
+                            initial=0.0))
+
+    return residual(m.incidence < 0.0), residual(m.incidence > 0.0)
+
+
+def input_field(model, xs):
+    """g at every row of xs from the closed forms: b, or (1, 2 + sin x1, 0) for lorenz."""
+    if model.name == "lorenz":
+        return np.column_stack((np.ones(len(xs)), 2.0 + np.sin(xs[:, 0]),
+                                np.zeros(len(xs))))
+    return np.broadcast_to(model.params["b"], xs.shape).copy()
+
+
 def shifted_union(g1, g2):
     """Disjoint union with g2's node labels offset past g1's."""
     edges = list(g1.edges)

@@ -15,8 +15,8 @@ import numpy as np
 import edgesync as es
 from edgesync.cli import main as cli_main
 
-from helpers import (C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P3, graph_family,
-                     shifted_union)
+from helpers import (C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P3,
+                     endpoint_residuals, graph_family, shifted_union)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -127,8 +127,16 @@ def test_criterion_3_endpoint_identities():
         for g in graph_family(100):
             m = es.build_matrices(g)
             lift = es.build_edge_lift(m)
-            _, res_init, res_term = es.verify_endpoint_identities(m, lift)
+            res_init, res_term = endpoint_residuals(m, lift.lift)
             assert res_init <= 1e-8 and res_term <= 1e-8
+            # with E_k, E_l = (|E| -+ E) / 2 the endpoint residual matrices
+            # are (U E^T - E^T L) / 2 and its negative, so graph_check.txt
+            # writes half of lift_residual for each
+            half = 0.5 * es.lift_residual(m, lift)
+            scale = max(1.0, float(np.max(np.abs(lift.lift))),
+                        float(np.max(np.abs(m.laplacian))))
+            tol = 16.0 * np.finfo(float).eps * scale
+            assert abs(res_init - half) <= tol and abs(res_term - half) <= tol
 
 
 def test_criterion_4_riccati_design():

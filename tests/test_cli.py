@@ -184,8 +184,10 @@ class TestGraphCheck:
         scalars, matrices = parse_graph_check(
             open(os.path.join(out, "graph_check.txt")).read())
         assert scalars["lift_residual"][0] <= 1e-8
-        assert scalars["endpoint_residual_initial"][0] <= 1e-8
-        assert scalars["endpoint_residual_terminal"][0] <= 1e-8
+        # each endpoint residual is half the intertwining residual
+        half = 0.5 * scalars["lift_residual"][0]
+        assert scalars["endpoint_residual_initial"][0] == half
+        assert scalars["endpoint_residual_terminal"][0] == half
         assert scalars["components"][0] == 1
         # incidence matches the emitted laplacian: L = E W E^T
         e = matrices["incidence"]
@@ -466,6 +468,16 @@ class TestMalformedInput:
         err = expect_parse_error(capsys, ["check", str(scn), "--out-dir",
                                           str(tmp_path / "out")])
         assert f"{scn}:{lineno}:" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weight", ["5e-324", "1e-320", "1e160"])
+    def test_weight_that_overflows_the_lift(self, tmp_path, capsys, weight):
+        # mu grows as w_max^2 and the lift's W^-1 scaling as mu / w_min
+        scn = tmp_path / "spread.scn"
+        scn.write_text(c3_text().replace("edge 1 2 1.0", f"edge 1 2 {weight}"))
+        assert main(["check", str(scn), "--out-dir", str(tmp_path / "out")]) == 9
+        assert "overflow the lift" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("h", ["nan", "0.003"])

@@ -9,16 +9,16 @@ from edgesync import (
     build_edge_lift,
     build_matrices,
     edge_lift,
-    endpoint_correction_matrix,
     graphs,
+    lift_residual,
     linalg,
     random_connected_graph,
     read_graph_file,
     spectral_report,
-    verify_endpoint_identities,
 )
 
-from helpers import C3, P2, P3, SCENARIO_DIR, graph_family, shifted_union, sym_part
+from helpers import (C3, P2, P3, SCENARIO_DIR, endpoint_correction,
+                     endpoint_residuals, graph_family, shifted_union, sym_part)
 
 
 def range_basis(m):
@@ -138,30 +138,16 @@ class TestEndpointCorrection:
     def test_p2_by_hand(self):
         m = build_matrices(P2)
         lift = build_edge_lift(m)
-        assert np.array_equal(endpoint_correction_matrix(m, lift.lift),
-                              [[-1.0, -1.0]])
-        res = verify_endpoint_identities(m, lift)
-        assert max(res) <= 1e-12
-
-    def test_omega_matches_formula(self):
-        # the endpoint residuals are taken against endpoint_correction_matrix
-        for g in (P3, C3):
-            m = build_matrices(g)
-            lift = build_edge_lift(m)
-            omega = endpoint_correction_matrix(m, lift.lift)
-            res = verify_endpoint_identities(m, lift)
-            for i, split in ((1, m.incidence < 0.0), (2, m.incidence > 0.0)):
-                st = split.astype(float).T
-                r = st @ m.laplacian - (lift.lift @ st + omega)
-                assert res[i] == float(np.max(np.abs(r)))
+        assert np.array_equal(endpoint_correction(m, lift.lift), [[-1.0, -1.0]])
+        assert max(endpoint_residuals(m, lift.lift)) <= 1e-12
+        assert lift_residual(m, lift) <= 1e-12
 
     def test_identities_on_family(self):
         for g in graph_family(24):
             m = build_matrices(g)
             lift = build_edge_lift(m)
-            res = verify_endpoint_identities(m, lift)
-            assert res[0] == intertwining_residual(m, lift)
-            assert max(res) <= 1e-8
+            assert lift_residual(m, lift) == intertwining_residual(m, lift)
+            assert lift_residual(m, lift) <= 1e-8
 
     def test_corruption_is_detected(self):
         import dataclasses
@@ -170,8 +156,7 @@ class TestEndpointCorrection:
         bad = lift.lift.copy()
         bad[0, 0] += 0.1
         corrupted = dataclasses.replace(lift, lift=bad)
-        res = verify_endpoint_identities(m, corrupted)
-        assert max(res) > 1e-3
+        assert lift_residual(m, corrupted) > 1e-3
 
 
 def lambda_comp(m):

@@ -86,23 +86,42 @@ class TestAriSampled:
         assert margins[0] >= margins[1] >= margins[2]
 
 
+def designed_residuals(gamma=None):
+    """verify_killing_integrability of the double integrator with realize's gain b P.
+
+    gamma None is the linear model, else the tanh-perturbed one.
+    """
+    design = solve_ari(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, 1.0, 0.2)
+    gain = DOUBLE_INTEGRATOR_B @ design.certificate.p
+    if gamma is None:
+        model = linear_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, gain)
+    else:
+        model = tanh_perturbed_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B,
+                                     gamma, gain)
+    return verify_killing_integrability(
+        design.certificate, model, ball_samples(2, count=10))
+
+
 class TestKillingIntegrability:
+    # the gain b P is, bit for bit, g(x)^T P for the constant g = b
     def test_linear_model_residuals(self):
-        design = solve_ari(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, 1.0, 0.2)
-        model = linear_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B,
-                             design.gain[0])
-        killing, integ = verify_killing_integrability(
-            design.certificate, model, ball_samples(2, count=10))
-        assert killing <= 1e-12
-        assert integ <= 1e-6
+        assert designed_residuals() == (0.0, 0.0)
+
+    def test_tanh_model_residuals(self):
+        assert designed_residuals(gamma=0.2) == (0.0, 0.0)
 
     def test_lorenz_residuals_reported(self):
         a, b, c = 10.0, 8.0 / 3.0, 28.0
         design = solve_ari(*convective_linearization(a, b, c), 10.0, 0.5)
         model = lorenz_model(a, b, c, design.gain[0])
         cert = design.certificate
-        killing, integ = verify_killing_integrability(
-            cert, model, ball_samples(3, count=10, seed=4))
+        samples = ball_samples(3, count=10, seed=4)
+        killing, integ = verify_killing_integrability(cert, model, samples)
         # state-dependent g: both residuals are genuinely nonzero
         assert killing > 1e-3
-        assert integ > 1e-6
+        # grad(alpha) is the gain row k; g(x) = (1, 2 + sin x1, 0)
+        k = design.gain[0]
+        by_hand = max(
+            float(np.max(np.abs(k - np.array([1.0, 2.0 + np.sin(x[0]), 0.0]) @ cert.p)))
+            for x in samples)
+        assert integ == by_hand > 1e-6

@@ -13,7 +13,7 @@ from edgesync import (
     tanh_perturbed_model,
 )
 
-from helpers import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B
+from helpers import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, input_field
 
 FD_STEP = 1e-6
 LORENZ = (10.0, 8.0 / 3.0, 28.0)
@@ -58,7 +58,7 @@ class TestLinearModel:
         xs = np.random.default_rng(0).standard_normal((5, 2))
         for i, x in enumerate(xs):
             assert np.array_equal(m.f_all(xs)[i], m.f(x))
-            assert np.array_equal(m.g_all(xs)[i], m.g(x))
+            assert np.array_equal(m.g(x), DOUBLE_INTEGRATOR_B)
             assert m.alpha_all(xs)[i] == m.alpha(x)
 
 
@@ -236,7 +236,7 @@ def batched_models():
 
 
 class TestBatchedKernels:
-    """The batched f_all/g_all against the stacking formulas they replaced."""
+    """f_all and g against the stacking formulas they replaced."""
 
     def test_lorenz_matches_column_stack(self):
         a, b, c = LORENZ
@@ -246,19 +246,16 @@ class TestBatchedKernels:
             with np.errstate(over="ignore", invalid="ignore"):
                 f_old = np.column_stack((a * (x2 - x1), x1 * (b - x3) - x2,
                                          x1 * x2 - c * x3))
-                g_old = np.column_stack((np.ones(len(xs)), 2.0 + np.sin(x1),
-                                         np.zeros(len(xs))))
-                f_new, g_new = m.f_all(xs), m.g_all(xs)
+                g_old = input_field(m, xs)
+                f_new, g_new = m.f_all(xs), np.array([m.g(x) for x in xs])
             assert same_bits(f_new, f_old)
             assert same_bits(g_new, g_old)
 
     @pytest.mark.parametrize("kind", ["linear", "tanh"])
     def test_constant_input_field_matches_broadcast(self, kind):
         m = batched_models()[kind]
-        bv = m.params["b"]
         for xs in kernel_stacks(2):
-            g_old = np.broadcast_to(bv, xs.shape).copy()
-            assert same_bits(m.g_all(xs), g_old)
+            assert same_bits(np.array([m.g(x) for x in xs]), input_field(m, xs))
 
     @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
     def test_fields_return_fresh_writable_arrays(self, kind):
@@ -266,7 +263,7 @@ class TestBatchedKernels:
         m = batched_models()[kind]
         xs = np.random.default_rng(3).standard_normal((6, m.state_dim))
         u = np.arange(6.0)
-        for field in (m.f_all, m.g_all, lambda xs: m.field_all(xs, u)):
+        for field in (m.f_all, lambda xs: m.field_all(xs, u)):
             out, again = field(xs), field(xs)
             assert out.shape == xs.shape and out.dtype == np.float64
             assert out.flags.c_contiguous and out.flags.writeable
@@ -289,7 +286,7 @@ SIGNED_ZEROS = (np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]), np.array([-0.0,
 
 
 class TestFieldAll:
-    """field_all(xs, u) has the bits of f_all(xs) + g_all(xs) * u[:, None]."""
+    """field_all(xs, u) has the bits of f_all(xs) + g(xs) * u[:, None], g in closed form."""
 
     @pytest.mark.parametrize("kind", ["linear", "tanh"])
     @given(data=stacks_and_inputs(2))
@@ -299,7 +296,7 @@ class TestFieldAll:
         xs, u = data
         m = batched_models()[kind]
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = m.f_all(xs) + m.g_all(xs) * u[:, None]
+            expected = m.f_all(xs) + input_field(m, xs) * u[:, None]
             assert same_bits(m.field_all(xs, u), expected)
 
     @given(data=stacks_and_inputs(3))
@@ -309,7 +306,7 @@ class TestFieldAll:
         xs, u = data
         m = batched_models()["lorenz"]
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = m.f_all(xs) + m.g_all(xs) * u[:, None]
+            expected = m.f_all(xs) + input_field(m, xs) * u[:, None]
             out = m.field_all(xs, u)
             drift = m.f_all(xs)
         assert same_bits(out[:, :2], expected[:, :2])

@@ -19,7 +19,7 @@ from edgesync import (
 from edgesync.controller import accumulate_coupling, edge_end_arrays
 from edgesync.simulate import DIVERGENCE_LIMIT, MAX_STEPS, steps_per_record
 
-from helpers import C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P2, P3
+from helpers import C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P2, P3, input_field
 
 
 def decay_model(rate=1.0):
@@ -219,7 +219,7 @@ def reference_batch(g, model, betas, x0s, t_end, h, record_interval):
     def field(x):
         xs = x.reshape(-1, n)
         u = accumulate_coupling(model.alpha_all(xs), *coupling)
-        return (model.f_all(xs) + model.g_all(xs) * u[:, None]).reshape(x.shape)
+        return (model.f_all(xs) + input_field(model, xs) * u[:, None]).reshape(x.shape)
 
     n_steps = int(round(t_end / h))
     for step in range(n_steps + 1):
@@ -317,7 +317,7 @@ def counting_model(model, counts):
         return wrapper
     return dataclasses.replace(model, **{
         name: counted(name, getattr(model, name))
-        for name in ("f_all", "g_all", "alpha_all", "add_gu")})
+        for name in ("f_all", "alpha_all", "add_gu")})
 
 
 class TestModelCalls:
@@ -325,7 +325,7 @@ class TestModelCalls:
     def test_one_coupling_and_one_field_per_stage(self, kind):
         # alpha_all once per stage, plus once for the state after the
         # last step: the record shares the k1 stage's inputs. field_all
-        # is one f_all and one add_gu per stage; g_all is never called.
+        # is one f_all and one add_gu per stage.
         g, model, betas, base, t_end, h, interval = batch_cases()[kind]
         counts = {}
         x0s = np.tile(perturbed_initial_conditions(base, g.n, 1.0, 0),
