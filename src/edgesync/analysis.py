@@ -21,11 +21,13 @@ from .errors import EmptyWindowError, NotPositiveDefiniteError
 from .linalg import sym_eig
 
 # V is quadratic in the disagreement, a difference of states that carry
-# rounding errors of eps times their size. At 1e-20 of its peak, V holds
-# a disagreement 1e-10 of its peak, still good to eps * 1e10 = 2e-6 times
+# rounding errors of eps times their size. At 1e-17 of its peak, V holds
+# a disagreement 3e-9 of its peak, still good to eps * 3e8 = 7e-8 times
 # the ratio of state size to disagreement (tens on lorenz15). Below it
-# the log fit follows round-off: lorenz15's V is exactly 0 from t = 9.57.
-FIT_FLOOR_RTOL = 1e-20
+# the log fit follows round-off: lorenz15's V is exactly 0 from t = 9.57,
+# and at a floor of 1e-20 its fitted rate moved by up to 5e-6 relative
+# when x0 moved by a few parts in 1e15; at 1e-17, by under 2e-7.
+FIT_FLOOR_RTOL = 1e-17
 
 
 @dataclass(frozen=True)

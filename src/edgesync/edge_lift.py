@@ -79,6 +79,11 @@ def build_edge_lift(m):
     below another's that is a large relative error. mu grows as w_max^2
     and the W^-1 scaling as mu / w_min: if either overflows, this raises
     WeightRangeError before any Q x Q array is formed, and no warning.
+    It raises the same when the Gram matrix, H or their eigenvalues are
+    not finite, and on a forest when the margin is not above
+    r * eps * lambda_max(Y^T L^2 Y), the round-off of that eigensolve:
+    a path with one weight 1e-155 would otherwise certify a margin of
+    5.6e-17.
     """
     e, w = m.incidence, m.weights
     dec = sym_eig(e @ e.T)
@@ -86,11 +91,16 @@ def build_edge_lift(m):
     keep = d > NULLSPACE_RTOL * max(1.0, float(d[-1]))
     y = dec.eigenvectors[:, keep] / np.sqrt(d[keep])
     ly = m.laplacian @ y
-    kdim = e.shape[1] - y.shape[1]
+    r = y.shape[1]
+    kdim = e.shape[1] - r
     if not kdim:
         # Pi = 0 and H is Y^T L^2 Y alone: at mu = 0 the sigma cut would
         # be 0 and let round-off sigma pull the margin toward 0
-        eigs = sym_eig(ly.T @ ly).eigenvalues
+        eigs = _sym_eig_finite(ly.T @ ly, w).eigenvalues
+        if r and not eigs[0] > r * np.finfo(float).eps * eigs[-1]:
+            raise WeightRangeError(
+                f"edge weights {w.min():.3g} to {w.max():.3g} put the lift's "
+                f"margin {eigs[0]:.3g} at the round-off of {eigs[-1]:.3g}")
         return EdgeLift(lift=m.edge_laplacian.copy(), mu=0.0,
                         pd_margin=float(eigs.min(initial=np.inf)), kernel_dim=0)
     q1 = e.T @ y
@@ -107,13 +117,27 @@ def build_edge_lift(m):
     lift.flat[::lift.shape[0] + 1] += 1.0
     lift *= scale[:, None]
     lift += m.edge_laplacian
-    gram = sym_eig(l2 - ly @ ly.T)
+    gram = _sym_eig_finite(l2 - ly @ ly.T, w)
     nonzero = gram.eigenvalues > NULLSPACE_RTOL * mu
     sigma = gram.eigenvalues[nonzero]
     cross = ly.T @ (gram.eigenvectors[:, nonzero] * np.sqrt(sigma))
     h = np.block([[ly.T @ ly, cross], [cross.T, np.diag(mu + sigma)]])
-    margin = float(sym_eig(h).eigenvalues[0])
+    margin = float(_sym_eig_finite(h, w).eigenvalues[0])
     return EdgeLift(lift=lift, mu=mu, pd_margin=margin, kernel_dim=kdim)
+
+
+def _sym_eig_finite(a, w):
+    """sym_eig(a), or WeightRangeError when the weights w overflow a or it.
+
+    Entries near the overflow threshold can be finite while the
+    eigensolve's symmetrisation or largest eigenvalue is not.
+    """
+    if np.isfinite(a).all():
+        dec = sym_eig(a)
+        if np.isfinite(dec.eigenvalues).all():
+            return dec
+    raise WeightRangeError(f"edge weights {w.min():.3g} to {w.max():.3g} "
+                           f"overflow the lift's margin")
 
 
 def lift_residual(m, lift):

@@ -2,14 +2,14 @@
 
 All matrix primitives the package needs live here so that tolerance
 conventions are defined once. Tolerances are relative to
-max(1, magnitude) so checks behave sanely near zero.
+max(1, magnitude) so checks behave sanely near zero. Everything here is
+numpy alone: the Lyapunov solve is a complex Bartels-Stewart on a Schur
+form found by deflation, so the run path never imports scipy.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -63,24 +63,59 @@ def sym_eig(a):
     return SymEig(w, q)
 
 
+def _complex_schur(a):
+    """Unitary u and upper-triangular t with a = u t u^H, by deflation.
+
+    For k = 0 .. n-2 an eigenvalue lam of the trailing block S = t[k:, k:]
+    is taken from np.linalg.eigvals, and H, the right singular vectors of
+    S - lam I with the null vector first, rotates it to the block's first
+    column. A backward-stable lam gives sigma_min(S - lam I) <= eps * |S|,
+    so zeroing t[k+1:, k] is a backward-stable step however non-normal S
+    is. Costs O(n^4): one n-k eigensolve and SVD per step.
+    """
+    n = a.shape[0]
+    t = a.astype(complex)
+    u = np.eye(n, dtype=complex)
+    for k in range(n - 1):
+        s = t[k:, k:]
+        lam = np.linalg.eigvals(s)[0]
+        h = np.linalg.svd(s - lam * np.eye(n - k))[2][::-1].conj().T
+        t[k:, k:] = h.conj().T @ s @ h
+        t[:k, k:] = t[:k, k:] @ h
+        u[:, k:] = u[:, k:] @ h
+        t[k + 1:, k] = 0.0
+    return u, t
+
+
 def lyapunov_solve(a, q):
     """Solve a^T X + X a + q = 0 for symmetric q by Bartels-Stewart.
 
-    Raises SingularMatrixError where LAPACK's trsyl has to perturb the
-    Schur form of a: the equation is then singular to working precision,
-    as when an eigenvalue pair of a sums to zero, and scipy would only
-    warn and solve the perturbed equation. The result is symmetrized
-    exactly.
+    With a = U T U^H from _complex_schur and F = U^H q U, T^H Y + Y T = -F
+    is solved column by column, (T^H + t_jj I) y_j = -f_j - Y[:, :j] T[:j, j],
+    and X = Re(U Y U^H). Raises SingularMatrixError when some
+    conj(t_ii) + t_jj is at most eps * max(1, max |T|), or a column solve
+    fails: the equation is then singular to working precision, as when an
+    eigenvalue pair of a sums to zero. The result is symmetrized exactly.
     """
     a = _as_square(a)
     q = _as_square(q, "q")
     n = a.shape[0]
     if q.shape[0] != n:
         raise DimensionMismatchError(f"q has shape {q.shape}, expected ({n}, {n})")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            x = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
-        except RuntimeWarning as exc:
-            raise SingularMatrixError(f"Lyapunov operator is singular: {exc}") from exc
+    u, t = _complex_schur(a)
+    diag = t.diagonal()
+    gap = np.min(np.abs(diag.conj()[:, None] + diag), initial=np.inf)
+    if gap <= np.finfo(float).eps * max(1.0, float(np.max(np.abs(t), initial=0.0))):
+        raise SingularMatrixError(
+            f"Lyapunov operator is singular: eigenvalue pair sum {gap:.3e}")
+    f = u.conj().T @ q @ u
+    th = t.conj().T
+    y = np.zeros((n, n), dtype=complex)
+    try:
+        for j in range(n):
+            rhs = -f[:, j] - y[:, :j] @ t[:j, j]
+            y[:, j] = np.linalg.solve(th + t[j, j] * np.eye(n), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"Lyapunov operator is singular: {exc}") from exc
+    x = (u @ y @ u.conj().T).real
     return 0.5 * (x + x.T)

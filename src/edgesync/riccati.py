@@ -6,9 +6,10 @@ shifted equality equation
     (A + mu I)^T P + P (A + mu I) - rho P B B^T P + I = 0
 
 is solved by Newton (Kleinman) iteration on Lyapunov equations, each
-solved by Bartels-Stewart, from a Bass initial gain; the identity
-inflation makes the corresponding inequality strict. The returned gain
-is K = B^T P with B unscaled; rho enters by scaling B inside the solve.
+solved by linalg's numpy complex Bartels-Stewart, from a Bass initial
+gain; the identity inflation makes the corresponding inequality strict.
+The returned gain is K = B^T P with B unscaled; rho enters by scaling B
+inside the solve.
 """
 
 from dataclasses import dataclass, field
@@ -92,16 +93,17 @@ def solve_ari(a, b, rho, mu):
     Newton steps: with A_s = a + mu I and B_s = b sqrt(rho), iterate
         P_j: (A_s - B_s K_j)^T P + P (A_s - B_s K_j) + I + K_j^T K_j = 0
         K_{j+1} = B_s^T P_j
-    from the Bass initial gain, each P_j by a Bartels-Stewart Lyapunov
-    solve. The iterate sequence is nonincreasing in the semidefinite
-    order (Kleinman 1968) and converges quadratically for stabilizable
-    pairs. The iteration stops once the largest entry change of P falls
-    to NEWTON_TOL * max(1, max |P|), or once the trace of P stops
-    falling. A step that does not lower the trace is at the round-off
-    floor of the Lyapunov solve, near eps * cond * max |P|, which lies
-    above that tolerance when P is large (P ~ 4e8 oscillated at 1e-8).
-    The largest entry change is no such signal: it can grow while P is
-    still far from converged.
+    from the Bass initial gain, each P_j by a complex Bartels-Stewart
+    Lyapunov solve (linalg.lyapunov_solve, O(n^4) in n). The iterate
+    sequence is nonincreasing in the semidefinite order (Kleinman 1968)
+    and converges quadratically for stabilizable pairs. The iteration
+    stops once the largest entry change of P falls to
+    NEWTON_TOL * max(1, max |P|), or once the trace of P stops falling.
+    A step that does not lower the trace is at the round-off floor of
+    the Lyapunov solve, near eps * cond * max |P|, which lies above that
+    tolerance when P is large (P ~ 4e8 oscillated at 1e-8). The largest
+    entry change is no such signal: it can grow while P is still far
+    from converged.
     """
     a, b = _check_pair(a, b)
     if rho <= 0.0 or mu <= 0.0:

@@ -17,6 +17,7 @@ from edgesync import (
     simulate_batch,
     sync_error,
 )
+from edgesync.analysis import FIT_FLOOR_RTOL
 
 from helpers import C3, P3, SCENARIO_DIR
 
@@ -155,22 +156,27 @@ class TestFitDecayRate:
         assert fit.rate == pytest.approx(1.0, abs=1e-9)
 
     def test_clips_at_round_off_floor(self):
-        # below 1e-20 of the peak the samples are noise the fit must skip
+        # below FIT_FLOOR_RTOL of the peak the samples are noise the fit
+        # must skip; up to t = end, exp(-t) stays above the floor
         t = np.linspace(0.0, 60.0, 601)
         v = 3.0 * np.exp(-t)
+        end = np.floor(np.log(1.0 / FIT_FLOOR_RTOL)) - 1.0
         rng = np.random.default_rng(0)
-        v[t > 40.0] = 1e-21 * rng.uniform(0.5, 2.0, int(np.sum(t > 40.0)))
+        v[t > end] = 0.1 * FIT_FLOOR_RTOL * rng.uniform(0.5, 2.0, int(np.sum(t > end)))
         fit = fit_decay_rate(t, v, (10.0, 60.0))
         assert fit.clipped
-        assert fit.window == (10.0, pytest.approx(40.0))
+        assert fit.window == (10.0, pytest.approx(end))
         assert fit.rate == pytest.approx(1.0, abs=1e-9)
 
     def test_lorenz15_rate_ignores_round_off(self):
-        # V on lorenz15 reaches exactly 0; perturbing x0 by one part in
-        # 1e15 must not move the rate fitted on the shipped window
+        # V on lorenz15 reaches exactly 0; scaling x0 by 1 + eps for a few
+        # parts in 1e15 must not move the rate fitted on the shipped window
         setup = realize(parse_scenario(os.path.join(SCENARIO_DIR, "lorenz15.scn")))
-        x0s = np.stack([setup.x0, setup.x0 * (1.0 + 1e-15)])
-        trajs = simulate_batch(setup.graph, setup.model, [setup.controller.beta] * 2,
+        eps = np.array([1e-15, 2e-15, 3e-15, 5e-15, 7e-15, 1e-14, 1.5e-14, 2e-14])
+        scales = np.concatenate([[0.0], eps, -eps])
+        x0s = setup.x0 * (1.0 + scales[:, None])
+        trajs = simulate_batch(setup.graph, setup.model,
+                               [setup.controller.beta] * len(scales),
                                x0s, setup.t_end, setup.h, setup.record_interval)
         rates = []
         for traj in trajs:
@@ -180,7 +186,7 @@ class TestFitDecayRate:
             fit = fit_decay_rate(traj.times, v, (0.1 * setup.t_end, setup.t_end))
             assert fit.clipped
             rates.append(fit.rate)
-        assert rates[1] == pytest.approx(rates[0], rel=1e-6)
+        assert rates[1:] == pytest.approx([rates[0]] * len(eps) * 2, rel=1e-6)
 
     def test_empty_window(self):
         t = np.linspace(0.0, 1.0, 10)

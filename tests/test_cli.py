@@ -3,6 +3,8 @@ import io
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -471,13 +473,27 @@ class TestMalformedInput:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("weight", ["5e-324", "1e-320", "1e160"])
+    @pytest.mark.parametrize("weight", ["5e-324", "1e-320", "1e160", "8e153"])
     def test_weight_that_overflows_the_lift(self, tmp_path, capsys, weight):
-        # mu grows as w_max^2 and the lift's W^-1 scaling as mu / w_min
+        # mu grows as w_max^2 and the lift's W^-1 scaling as mu / w_min;
+        # at 8e153 both stay finite but the margin's eigensolve does not
         scn = tmp_path / "spread.scn"
         scn.write_text(c3_text().replace("edge 1 2 1.0", f"edge 1 2 {weight}"))
         assert main(["check", str(scn), "--out-dir", str(tmp_path / "out")]) == 9
         assert "overflow the lift" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weight", ["1e-155", "1e150"])
+    def test_forest_margin_at_round_off(self, tmp_path, capsys, weight):
+        # a path has mu = 0, and its margin carries an absolute error of
+        # eps * ||L||^2: 1e-155 gave margin 5.6e-17 and beta_star 2^53
+        with open(TANH_P3, encoding="utf-8") as fh:
+            text = fh.read()
+        scn = tmp_path / "path.scn"
+        scn.write_text(text.replace("edge 1 2 1.0", f"edge 1 2 {weight}"))
+        assert main(["check", str(scn), "--out-dir", str(tmp_path / "out")]) == 9
+        assert "round-off" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("h", ["nan", "0.003"])
@@ -700,3 +716,27 @@ def test_mutated_scenario_exits_with_documented_code(argv, text):
             code = main([argv[0], scn, "--out-dir", os.path.join(tmp, "out")]
                         + argv[1:])
     assert code in DOCUMENTED_CODES
+
+
+NO_SCIPY_PROBE = """
+import os, sys
+import numpy as np
+import edgesync.cli
+from edgesync import parse_scenario, realize, solve_ari
+for name in ("linear_c3", "tanh_p3", "lorenz15"):
+    realize(parse_scenario(os.path.join(sys.argv[1], name + ".scn")))
+solve_ari(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), 1.0, 0.2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_path_imports_no_scipy():
+    # scipy is only the tests' oracle: a fresh interpreter that imports
+    # the CLI, realizes every shipped scenario and designs a gain loads
+    # no scipy module
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, SCENARIO_DIR],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "[]"
