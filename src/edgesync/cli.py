@@ -335,7 +335,7 @@ def _apply_overrides(sc, args):
             raise ParseError(f"--seed must be nonnegative, got {args.seed}",
                              sc.path)
         sc.init_seed = args.seed
-    check_integration(sc)
+    check_integration(sc, len(args.multipliers) if args.command == "sweep" else 1)
 
 
 def _analyse_and_write(setup, traj, out_dir):

@@ -69,19 +69,40 @@ def edge_end_arrays(g, betas):
     return ends, others, gains
 
 
-def accumulate_coupling(alphas, ends, others, gains):
-    """Per-agent inputs from per-edge alpha differences.
+def bind_coupling(alphas, u, ends, others, gains):
+    """A zero-argument kernel that writes to u the inputs of the values in alphas.
 
     alphas holds one feedback value per agent of a (possibly stacked)
-    network and (ends, others, gains) come from edge_end_arrays. Every
-    edge contributes beta * w * (alpha_term - alpha_init) to its initial
-    node and beta * w * (alpha_init - alpha_term), the same number
-    negated, to its terminal node. One bincount adds the contributions
-    in the order of the edge ends, so results are deterministic and a
-    copy's inputs do not depend on the other copies.
+    network, u takes one input per agent, and (ends, others, gains) come
+    from edge_end_arrays. Every edge contributes
+    beta * w * (alpha_term - alpha_init) to its initial node and
+    beta * w * (alpha_init - alpha_term), the same number negated, to its
+    terminal node. One bincount adds the contributions in the order of
+    the edge ends, so results are deterministic and a copy's inputs do
+    not depend on the other copies. Each call reads what alphas holds
+    then; the gather and the bincount result are its only allocations.
     """
-    diffs = gains * (alphas[others] - alphas[ends])
-    return np.bincount(ends, weights=diffs, minlength=alphas.shape[0])
+    subtract, multiply, bincount, copyto = (np.subtract, np.multiply, np.bincount,
+                                            np.copyto)
+    diffs, agents = np.empty(ends.shape[0]), alphas.shape[0]
+
+    def couple():
+        subtract(alphas[others], alphas[ends], diffs)
+        multiply(gains, diffs, diffs)
+        copyto(u, bincount(ends, diffs, agents))
+
+    return couple
+
+
+def accumulate_coupling(alphas, ends, others, gains):
+    """Per-agent inputs from per-edge alpha differences, in a fresh array.
+
+    The bind_coupling kernel on fresh buffers.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    u = np.empty(alphas.shape[0])
+    bind_coupling(alphas, u, ends, others, gains)()
+    return u
 
 
 def coupling_inputs(states, g, model, beta):

@@ -57,7 +57,9 @@ def sym_eig(a):
     if a.shape[0] == 0:
         return SymEig(np.zeros(0), np.zeros((0, 0)))
     try:
-        w, q = np.linalg.eigh(0.5 * (a + a.T))
+        # halves first: a + a.T overflows for entries above about 9e307,
+        # and halving is exact above the subnormals, so the bits are kept
+        w, q = np.linalg.eigh(0.5 * a + 0.5 * a.T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     return SymEig(w, q)

@@ -4,10 +4,17 @@ All agents in a network share one model (homogeneous dynamics) with a
 single scalar input channel. Built-in models: a linear pair, a
 saturating-perturbation model whose certificate conditions hold exactly
 (constant g, linear alpha, bounded Jacobian perturbation), and the
-three-state convective loop with a state-dependent input field. Each
-model gives g only as add_gu, which adds g u to a drift stack in place,
-so that the closed-loop field f + g u of a whole stack, field_all, forms
-no g array; the integrator calls field_all at every stage.
+three-state convective loop with a state-dependent input field.
+
+Each model writes its drift, its input field and its feedback once, as
+kernel factories: bind_f, bind_gu and bind_alpha bind a formula to
+buffers and return a zero-argument kernel that evaluates it on what the
+buffers hold when it is called. A kernel keeps its column views,
+scratch arrays and full-length constants, and writes through
+positional-out ufunc calls, so a call allocates nothing. The integrator
+binds the kernels once per set of running members on its own buffers;
+the batched f_all, add_gu, field_all, alpha_all and the single-state f,
+g and alpha bind the same factories on fresh buffers.
 """
 
 from dataclasses import dataclass
@@ -19,17 +26,18 @@ from .errors import DimensionMismatchError
 
 @dataclass(frozen=True)
 class AgentModel:
-    """Evaluator bundle for one agent's dynamics.
+    """Kernel factories of one agent's dynamics, and evaluators built on them.
 
-    f_all, alpha_all and add_gu act on an (N, n) stack of states, one
-    row per agent; jac_f, jac_g act on a single state vector. The
-    single-state f and alpha evaluate the batched callables on a one-row
-    stack, so both paths give identical floating-point results.
-    add_gu(out, xs, u) adds g(x_i) u_i to row i of out in place, with no
-    g array; a component whose g is identically 0 is left alone. g is
-    the one input field: g(x) is add_gu on a zero row with u = 1. f_all
-    returns a fresh (N, n) array, which the integrator overwrites. The
-    input is scalar.
+    Each factory takes an (N, n) stack xs of states, one row per agent,
+    and output buffers; the kernel it returns, called with no argument,
+    evaluates its formula on the current contents of xs (and u):
+    bind_f(xs, out) writes f(x_i) to row i of out, bind_gu(xs, u, out)
+    adds g(x_i) u_i to row i of out, leaving a component whose g is
+    identically 0 alone, and bind_alpha(xs, out) writes alpha(x_i) to
+    out[i]. The buffers are float64 arrays the kernel only ever sees
+    through its views, so they must be changed in place, and an output
+    must not overlap an input. jac_f and jac_g act on a single state
+    vector. The input is scalar.
     """
 
     name: str
@@ -37,9 +45,20 @@ class AgentModel:
     params: dict
     jac_f: callable
     jac_g: callable
-    f_all: callable
-    alpha_all: callable
-    add_gu: callable
+    bind_f: callable
+    bind_gu: callable
+    bind_alpha: callable
+
+    def f_all(self, xs):
+        """f(x_i) of every row of xs, in a fresh array."""
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty(xs.shape)
+        self.bind_f(xs, out)()
+        return out
+
+    def add_gu(self, out, xs, u):
+        """Add g(x_i) u_i to row i of out in place, with no g array."""
+        self.bind_gu(np.asarray(xs, dtype=float), np.asarray(u, dtype=float), out)()
 
     def field_all(self, xs, u):
         """Closed-loop field f(x_i) + g(x_i) u_i of every row, one fresh array.
@@ -50,10 +69,18 @@ class AgentModel:
         self.add_gu(out, xs, u)
         return out
 
+    def alpha_all(self, xs):
+        """alpha(x_i) of every row of xs, in a fresh array."""
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty(xs.shape[0])
+        self.bind_alpha(xs, out)()
+        return out
+
     def f(self, x):
         return self.f_all(np.asarray(x, dtype=float)[None, :])[0]
 
     def g(self, x):
+        """The input field at x: g u on a zero row with u = 1."""
         out = np.zeros((1, self.state_dim))
         self.add_gu(out, np.asarray(x, dtype=float)[None, :], np.ones(1))
         return out[0]
@@ -62,7 +89,7 @@ class AgentModel:
         return float(self.alpha_all(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _agent_model(name, n, k, params, f_all, add_gu, jac_f, jac_g):
+def _agent_model(name, n, k, params, bind_f, bind_gu, jac_f, jac_g):
     """The AgentModel of one kind on n states, with feedback alpha(x) = k x.
 
     k is the gain row, of shape (n,) or (1, n); params gain its checked
@@ -77,8 +104,13 @@ def _agent_model(name, n, k, params, f_all, add_gu, jac_f, jac_g):
     if kv.shape != (n,):
         raise DimensionMismatchError(f"gain has shape {kv.shape}, expected ({n},)")
 
-    def alpha_all(xs):
-        return xs.dot(kv)
+    def bind_alpha(xs, out):
+        dot = xs.dot
+
+        def alpha():
+            dot(kv, out)
+
+        return alpha
 
     return AgentModel(
         name=name,
@@ -86,9 +118,9 @@ def _agent_model(name, n, k, params, f_all, add_gu, jac_f, jac_g):
         params={**params, "k": kv},
         jac_f=jac_f,
         jac_g=jac_g,
-        f_all=f_all,
-        alpha_all=alpha_all,
-        add_gu=add_gu,
+        bind_f=bind_f,
+        bind_gu=bind_gu,
+        bind_alpha=bind_alpha,
     )
 
 
@@ -96,7 +128,7 @@ def _constant_input_model(name, a, b, k, drift, **params):
     """A model with a square drift matrix a and the constant input field g(x) = b.
 
     b is a vector or a one-column matrix. drift(a) returns the kind's
-    f_all and jac_f on the checked float matrix a.
+    bind_f and jac_f on the checked float matrix a.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -114,18 +146,41 @@ def _constant_input_model(name, a, b, k, drift, **params):
             f"input vector has shape {bv.shape}, expected ({n},)")
     zero = np.zeros((n, n))
 
-    def add_gu(out, xs, u):
-        out += u[:, None] * bv
+    # out += u[:, None] * b
+    def bind_gu(xs, u, out):
+        multiply, add = np.multiply, np.add
+        u_col, bs, gu = u[:, None], np.tile(bv, (out.shape[0], 1)), np.empty(out.shape)
 
-    f_all, jac_f = drift(a)
-    return _agent_model(name, n, k, {"a": a, "b": bv, **params}, f_all, add_gu,
+        def add_gu():
+            multiply(u_col, bs, gu)
+            add(out, gu, out)
+
+        return add_gu
+
+    bind_f, jac_f = drift(a)
+    return _agent_model(name, n, k, {"a": a, "b": bv, **params}, bind_f, bind_gu,
                         jac_f, lambda x: zero)
+
+
+def _bind_linear_drift(a):
+    """bind_f of the drift f(x) = A x, row-wise xs @ A^T."""
+    a_t = a.T
+
+    def bind_f(xs, out):
+        matmul = np.matmul
+
+        def drift():
+            matmul(xs, a_t, out)
+
+        return drift
+
+    return bind_f
 
 
 def linear_model(a, b, k):
     """Linear agent: f(x) = A x, constant g = B, alpha(x) = K x."""
     def drift(a):
-        return (lambda xs: xs @ a.T), (lambda x: a)
+        return _bind_linear_drift(a), (lambda x: a)
 
     return _constant_input_model("linear", a, b, k, drift)
 
@@ -143,11 +198,27 @@ def tanh_perturbed_model(a, b, gamma, k):
     gamma = float(gamma)
 
     def drift(a):
+        bind_linear = _bind_linear_drift(a)
+
+        # A x first, then gamma * tanh(x) added to it
+        def bind_f(xs, out):
+            linear = bind_linear(xs, out)
+            tanh, multiply, add = np.tanh, np.multiply, np.add
+            gammas, perturbation = np.full(xs.shape, gamma), np.empty(xs.shape)
+
+            def drift():
+                linear()
+                tanh(xs, perturbation)
+                multiply(gammas, perturbation, perturbation)
+                add(out, perturbation, out)
+
+            return drift
+
         def jac_f(x):
             sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
             return a + gamma * np.diag(sech2)
 
-        return (lambda xs: xs @ a.T + gamma * np.tanh(xs)), jac_f
+        return bind_f, jac_f
 
     return _constant_input_model("tanh_perturbed", a, b, k, drift, gamma=gamma)
 
@@ -171,22 +242,40 @@ def lorenz_model(a, b, c, k):
     """
     a, b, c = float(a), float(b), float(c)
 
-    # columns written in place: the operations of stacking them, less overhead
-    def f_all(xs):
+    # each output column written in place from the input's column views
+    def bind_f(xs, out):
+        subtract, multiply = np.subtract, np.multiply
         x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
-        out = np.empty(xs.shape)
-        np.multiply(a, x2 - x1, out=out[:, 0])
-        np.subtract(x1 * (b - x3), x2, out=out[:, 1])
-        np.subtract(x1 * x2, c * x3, out=out[:, 2])
-        return out
+        f1, f2, f3 = out[:, 0], out[:, 1], out[:, 2]
+        av, bv, cv = (np.full(xs.shape[0], v) for v in (a, b, c))
+        scratch = np.empty(xs.shape[0])
+
+        def drift():
+            subtract(x2, x1, f1)
+            multiply(av, f1, f1)
+            subtract(bv, x3, scratch)
+            multiply(x1, scratch, scratch)
+            subtract(scratch, x2, f2)
+            multiply(x1, x2, f3)
+            multiply(cv, x3, scratch)
+            subtract(f3, scratch, f3)
+
+        return drift
 
     # u to column 0 and (sin x1 + 2) u to column 1; column 2's g is 0
-    def add_gu(out, xs, u):
-        out[:, 0] += u
-        gu = np.sin(xs[:, 0])
-        gu += 2.0
-        gu *= u
-        out[:, 1] += gu
+    def bind_gu(xs, u, out):
+        sin, add, multiply = np.sin, np.add, np.multiply
+        x1, out1, out2 = xs[:, 0], out[:, 0], out[:, 1]
+        twos, gu = np.full(xs.shape[0], 2.0), np.empty(xs.shape[0])
+
+        def add_gu():
+            add(out1, u, out1)
+            sin(x1, gu)
+            add(gu, twos, gu)
+            multiply(gu, u, gu)
+            add(out2, gu, out2)
+
+        return add_gu
 
     def jac_f(x):
         x1, x2, x3 = x
@@ -201,5 +290,5 @@ def lorenz_model(a, b, c, k):
         out[1, 0] = np.cos(x[0])
         return out
 
-    return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c}, f_all, add_gu,
+    return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c}, bind_f, bind_gu,
                         jac_f, jac_g)

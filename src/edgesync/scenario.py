@@ -63,7 +63,11 @@ from .models import (
     tanh_perturbed_model,
 )
 from .riccati import solve_ari
-from .simulate import perturbed_initial_conditions, steps_per_record
+from .simulate import (
+    check_record_budget,
+    perturbed_initial_conditions,
+    steps_per_record,
+)
 
 
 # Readers: each takes a key and its value tokens and returns the value, or
@@ -355,17 +359,33 @@ def parse_scenario_text(text, path="<string>"):
     return sc
 
 
-def check_integration(sc):
-    """Reject step settings simulate would refuse, as a ParseError.
+def check_integration(sc, n_members=1):
+    """Reject step settings and record sizes simulate would refuse, as a ParseError.
 
     Called once the command line overrides are applied, so an --h that
     divides record_interval can stand in for one in the file that does
-    not.
+    not. The record budget is that of n_members runs on the scenario's
+    graph, whose file is read for its node count, with the state width
+    of its initial section (realize rejects a model of another width).
     """
     try:
+        # the step settings first, before a graph file is read
         steps_per_record(sc.h, sc.t_end, sc.record_interval)
+        state_dim = (sc.init_states.shape[1] if sc.init_states is not None
+                     else sc.init_base.shape[0])
+        check_record_budget(n_members, _graph(sc).n, state_dim, sc.h, sc.t_end,
+                            sc.record_interval)
     except ValueError as exc:
         raise ParseError(f"integration: {exc}", sc.path)
+
+
+def _graph(sc):
+    """The scenario's graph: read from its file, or the inline one."""
+    if sc.graph_file is None:
+        return sc.graph_inline
+    # relative to the scenario's directory; an absolute path stays as is
+    return read_graph_file(os.path.join(
+        os.path.dirname(os.path.abspath(sc.path)), sc.graph_file))
 
 
 def _build_model_and_certificate(sc):
@@ -411,12 +431,7 @@ def realize(sc, require_connected=True):
     require_connected enforces the connectivity precondition of the
     synchronization guarantee; diagnostic-only flows may relax it.
     """
-    if sc.graph_file is not None:
-        # relative to the scenario's directory; an absolute path stays as is
-        graph = read_graph_file(os.path.join(
-            os.path.dirname(os.path.abspath(sc.path)), sc.graph_file))
-    else:
-        graph = sc.graph_inline
+    graph = _graph(sc)
     n_comp = components(graph)
     if require_connected and n_comp != 1:
         raise DisconnectedGraphError(

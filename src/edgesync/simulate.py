@@ -2,11 +2,18 @@
 
 The closed-loop vector field stacks all agents: for each agent i,
 dx_i/dt = f(x_i) + g(x_i) u_i with u_i the distributed coupling input,
-re-evaluated at every integrator stage; the model's field_all evaluates
-f + g u for all agents at once, adding g u to the drift in place.
-Classical fourth-order Runge-Kutta with a fixed step keeps runs
-bit-for-bit reproducible and the monotonicity tolerances simple; there
-is no adaptive stepping.
+re-evaluated at every integrator stage. Classical fourth-order
+Runge-Kutta with a fixed step keeps runs bit-for-bit reproducible and
+the monotonicity tolerances simple; there is no adaptive stepping.
+
+The loop allocates its buffers once per set of running members: the
+states, the stage input, k1..k4, the alpha values and the inputs u.
+The model's drift, g u and alpha kernels and the coupling kernel are
+bound to them once (see models.AgentModel and
+controller.bind_coupling), and every stage runs them and the RK4
+arithmetic in place, with positional-out ufunc calls on full-length
+constants. Only the coupling's gather and its bincount allocate. The
+buffers are rebuilt only when a member diverges and is dropped.
 
 One RK4 loop serves a single run and an ensemble alike: B members that
 share the graph, the model and the step but differ in beta and initial
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import accumulate_coupling, edge_end_arrays
+from .controller import bind_coupling, edge_end_arrays
 from .errors import DimensionMismatchError, DivergedError
 
 DIVERGENCE_LIMIT = 1e12
@@ -29,6 +36,12 @@ DIVERGENCE_LIMIT = 1e12
 # 20 000 steps; this allows 50 times that and stops settings such as
 # h = 1e-300 before they allocate record arrays or loop without end.
 MAX_STEPS = 1_000_000
+# Float budget of one batch's record arrays: B members, R + 1 samples
+# of N agents' n states and N inputs, B (R + 1) N (n + 1) floats. 2**27
+# floats are 1 GiB; lorenz15 records 2001 * 15 * 4 = 120 060, and a run
+# of MAX_STEPS records on a graphs.MAX_DENSE network of n = 3 would ask
+# for 2.6e11 floats, about 260 GB.
+MAX_RECORD_FLOATS = 2**27
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,22 @@ def steps_per_record(h, t_end, record_interval):
     return int(round(per_record))
 
 
+def check_record_budget(n_members, n_agents, state_dim, h, t_end, record_interval):
+    """Raise ValueError when a batch's record would exceed MAX_RECORD_FLOATS.
+
+    The step settings must pass steps_per_record. A run of
+    round(t_end / h) steps records R + 1 samples, R the whole records in
+    that many steps.
+    """
+    n_records = int(round(t_end / h)) // steps_per_record(h, t_end, record_interval)
+    floats = n_members * (n_records + 1) * n_agents * (state_dim + 1)
+    if floats > MAX_RECORD_FLOATS:
+        raise ValueError(
+            f"the record of {n_members} run(s) of {n_records + 1} samples of "
+            f"{n_agents} agents with {state_dim} states takes {floats} floats, "
+            f"more than the budget of {MAX_RECORD_FLOATS}")
+
+
 def simulate(g, model, beta, x0, t_end, h, record_interval):
     """Integrate the network and record at a uniform interval.
 
@@ -91,14 +120,15 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval):
 
     betas holds the B gains and x0s is the (B, N*n) stack of their
     initial states. One RK4 loop advances every member on the (B*N, n)
-    stack of all agents of all members still running: each stage calls
-    model.alpha_all once for the coupling inputs u and model.field_all
-    once for f + g u (one f_all and one add_gu), and a step's first
-    stage shares its u with the record. A member whose state leaves the
-    finite envelope is dropped at that step and the others run on.
-    Returns one entry per member, in order: its Trajectory, or the
-    DivergedError it hit, with its time. Member b is bitwise equal to
-    simulate at betas[b] and x0s[b].
+    stack of all agents of all members still running (see _bind_rk4):
+    each stage evaluates alpha once for the coupling inputs u, then the
+    drift and g u, and a step's first stage shares its u with the
+    record. A member whose state leaves the finite envelope is dropped
+    at that step and the others run on. The step settings must pass
+    steps_per_record and the record must fit check_record_budget; x0s is
+    not modified. Returns one entry per member, in order: its
+    Trajectory, or the DivergedError it hit, with its time. Member b is
+    bitwise equal to simulate at betas[b] and x0s[b].
     """
     per_record = steps_per_record(h, t_end, record_interval)
     n_agents, n = g.n, model.state_dim
@@ -107,12 +137,12 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval):
     n_members = betas.shape[0]
     if n_members == 0:
         return []
-    x = np.array(x0s, dtype=float)
-    if x.shape != (n_members, width):
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.shape != (n_members, width):
         raise DimensionMismatchError(
-            f"x0s has shape {x.shape}, expected ({n_members}, {width})"
+            f"x0s has shape {x0s.shape}, expected ({n_members}, {width})"
         )
-    x = x.reshape(-1, n)
+    check_record_budget(n_members, n_agents, n, h, t_end, record_interval)
     n_steps = int(round(t_end / h))
     n_records = n_steps // per_record
     times = np.empty(n_records + 1)
@@ -121,13 +151,7 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval):
 
     results = [None] * n_members
     active = np.arange(n_members)
-    coupling = edge_end_arrays(g, betas)
-
-    def stage(xs):
-        return model.field_all(
-            xs, accumulate_coupling(model.alpha_all(xs), *coupling))
-
-    half_h, sixth_h = 0.5 * h, h / 6.0
+    x, u, largest, couple_x, advance = _bind_rk4(g, model, betas, x0s, h)
     step = 0
     # A diverging member overflows before the guard drops it; the guard
     # reports that as DivergedError, so numpy need not warn about it.
@@ -136,18 +160,19 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval):
             t = step * h
             # False for nan and inf as well as for a finite overshoot;
             # the row maxima are only needed when some member fails
-            if not np.abs(x).max() <= DIVERGENCE_LIMIT:
-                x = x.reshape(-1, width)
-                inside = np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT
+            if not largest() <= DIVERGENCE_LIMIT:
+                rows = x.reshape(-1, width)
+                inside = np.abs(rows).max(axis=1) <= DIVERGENCE_LIMIT
                 for member in active[~inside]:
                     results[member] = DivergedError(
                         f"state left the finite envelope at t = {t:.6g}", time=t)
-                active, x = active[inside], x[inside].reshape(-1, n)
+                active = active[inside]
                 if active.size == 0:
                     break
-                coupling = edge_end_arrays(g, betas[active])
+                x, u, largest, couple_x, advance = _bind_rk4(
+                    g, model, betas[active], rows[inside], h)
             # the record and the k1 stage share this step's inputs
-            u = accumulate_coupling(model.alpha_all(x), *coupling)
+            couple_x()
             if step % per_record == 0:
                 idx = step // per_record
                 times[idx] = t
@@ -156,24 +181,71 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval):
             if step == n_steps:
                 break
             step += 1
-            k1 = model.field_all(x, u)
-            k2 = stage(x + half_h * k1)
-            k3 = stage(x + half_h * k2)
-            k4 = stage(x + h * k3)
-            # x + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order in k2
-            k2 *= 2.0
-            k2 += k1
-            k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= sixth_h
-            k2 += x
-            x = k2
+            advance()
 
     for member in active:
         results[member] = Trajectory(times=times.copy(), states=states[member],
                                      inputs=inputs[member])
     return results
+
+
+def _bind_rk4(g, model, betas, x0s, h):
+    """Buffers and bound kernels of one RK4 loop over M running members.
+
+    betas holds the members' gains and x0s their (M, N*n) states. The
+    buffers (states x, stage input, k1..k4, alpha values, inputs u,
+    edge differences, the guard's scratch and the constants) are
+    allocated here once; the loop rebinds only when a member is dropped.
+    Returns (x, u, largest, couple_x, advance), each closure taking no
+    argument: largest() is max |x| over all entries, nan when one is
+    nan; couple_x() writes the coupling inputs of x to u; advance()
+    takes one RK4 step of h in place on x from the u couple_x left.
+    Each element goes through the operations of the whole-array
+    expressions, in their order, so the bits are theirs.
+    """
+    n = model.state_dim
+    x = np.array(x0s, dtype=float).reshape(-1, n)
+    y, k1, k2, k3, k4 = (np.empty(x.shape) for _ in range(5))
+    alphas, u = np.empty(x.shape[0]), np.empty(x.shape[0])
+    couple = bind_coupling(alphas, u, *edge_end_arrays(g, betas))
+    alpha_x, alpha_y = model.bind_alpha(x, alphas), model.bind_alpha(y, alphas)
+    half_h, full_h, sixth_h, twos = (np.full(x.shape, v)
+                                     for v in (0.5 * h, h, h / 6.0, 2.0))
+    f1, gu1 = model.bind_f(x, k1), model.bind_gu(x, u, k1)
+    # the stage inputs x + (h/2) k1, x + (h/2) k2 and x + h k3
+    later_stages = [(dt, k_in, model.bind_f(y, k), model.bind_gu(y, u, k))
+                    for dt, k_in, k in ((half_h, k1, k2), (half_h, k2, k3),
+                                        (full_h, k3, k4))]
+    x_flat, magnitudes = x.reshape(-1), np.empty(x.size)
+    absolute, maximum, multiply, add = np.absolute, np.maximum, np.multiply, np.add
+
+    def largest():
+        return maximum.reduce(absolute(x_flat, magnitudes))
+
+    def couple_x():
+        alpha_x()
+        couple()
+
+    def advance():
+        f1()
+        gu1()
+        for dt, k_in, f, gu in later_stages:
+            multiply(dt, k_in, y)
+            add(x, y, y)
+            alpha_y()
+            couple()
+            f()
+            gu()
+        # x + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order in k2
+        multiply(k2, twos, k2)
+        add(k2, k1, k2)
+        multiply(k3, twos, k3)
+        add(k2, k3, k2)
+        add(k2, k4, k2)
+        multiply(k2, sixth_h, k2)
+        add(k2, x, x)
+
+    return x, u, largest, couple_x, advance
 
 
 def perturbed_initial_conditions(base, n_agents, radius, seed):

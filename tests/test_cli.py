@@ -606,6 +606,26 @@ class TestMalformedInput:
         assert "steps" in err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("verb,nodes,graph_file,extra", [
+        ("run", 4000, False, []),
+        ("run", 4000, True, []),
+        ("sweep", 1000, False, ["--multipliers", "0.5", "1", "2"]),
+    ], ids=["run", "run-graph-file", "sweep"])
+    def test_record_budget(self, tmp_path, capsys, verb, nodes, graph_file, extra):
+        # 20 001 samples at --t-end 1000 of N agents with 2 states and an
+        # input: 2.4e8 floats at N = 4000, and 6.0e7 per member at N = 1000
+        graph = f"nodes {nodes}\nedge 1 2 1.0\n"
+        if graph_file:
+            (tmp_path / "big.graph").write_text(f"nodes {nodes}\n1 2 1.0\n")
+            graph = "file big.graph\n"
+        scn = tmp_path / "long.scn"
+        scn.write_text(c3_text().replace(C3_INLINE_GRAPH, graph))
+        err = expect_parse_error(capsys, [verb, str(scn), "--t-end", "1000",
+                                          "--out-dir", str(tmp_path / "out")]
+                                 + extra)
+        assert "integration" in err and "record" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_graph_file_weight(self, tmp_path, capsys, weight):
         (tmp_path / "c3.graph").write_text(

@@ -47,6 +47,14 @@ class TestSymEig:
         with pytest.raises(DimensionMismatchError):
             sym_eig(np.zeros((2, 3)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_near_the_float_maximum(self):
+        # 1.7e308 + 1.7e308 overflows; the halves of the two do not
+        a = np.array([[1.7e308, 1.0], [1.0, -1.7e308]])
+        dec = sym_eig(a)
+        assert np.all(np.isfinite(dec.eigenvalues))
+        assert np.allclose(dec.eigenvalues, [-1.7e308, 1.7e308], rtol=1e-12)
+
     @given(st.integers(min_value=0, max_value=2**31 - 1),
            st.integers(min_value=1, max_value=8))
     @settings(max_examples=40, deadline=None)

@@ -271,6 +271,61 @@ class TestBatchedKernels:
             assert not np.shares_memory(out, again)
 
 
+class BoundKernels:
+    """A model's three kernels bound once to buffers for `rows` agents."""
+
+    def __init__(self, model, rows):
+        n = model.state_dim
+        self.xs, self.u = np.empty((rows, n)), np.empty(rows)
+        self.field, self.alphas = np.empty((rows, n)), np.empty(rows)
+        self.drift = model.bind_f(self.xs, self.field)
+        self.add_gu = model.bind_gu(self.xs, self.u, self.field)
+        self.alpha = model.bind_alpha(self.xs, self.alphas)
+
+    def run(self, xs, u):
+        """Load xs and u in place and run the kernels: (f, f + g u, alpha)."""
+        self.xs[...], self.u[...] = xs, u
+        self.drift()
+        drift = self.field.copy()
+        self.add_gu()
+        self.alpha()
+        return drift, self.field.copy(), self.alphas.copy()
+
+
+def kernel_inputs(rows):
+    """Inputs u with the signed zeros and non-finite values of kernel_stacks."""
+    return np.resize([1.5, -0.0, np.inf, np.nan, -2.0, 0.0, 1e200, -np.inf], rows)
+
+
+class TestBoundKernels:
+    """Kernels bound once to buffers against the wrappers on fresh arrays."""
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
+    def test_kernels_match_wrappers(self, kind):
+        m = batched_models()[kind]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for xs in kernel_stacks(m.state_dim):
+                u = kernel_inputs(len(xs))
+                drift, field, alphas = BoundKernels(m, len(xs)).run(xs, u)
+                assert same_bits(drift, m.f_all(xs))
+                assert same_bits(field, m.field_all(xs, u))
+                assert same_bits(alphas, m.alpha_all(xs))
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
+    def test_kernels_read_their_buffers_when_called(self, kind):
+        # overwriting the buffers in place, with no rebinding, is enough
+        m = batched_models()[kind]
+        random, special = kernel_stacks(m.state_dim)
+        kernels = BoundKernels(m, len(special))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for xs in (special, random[:len(special)], special):
+                u = kernel_inputs(len(xs))[::-1]
+                drift, field, alphas = kernels.run(xs, u)
+                assert same_bits(drift, m.f_all(xs))
+                assert same_bits(field, m.field_all(xs, u))
+                assert same_bits(alphas, m.alpha_all(xs))
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 

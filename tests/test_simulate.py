@@ -17,7 +17,13 @@ from edgesync import (
     tanh_perturbed_model,
 )
 from edgesync.controller import accumulate_coupling, edge_end_arrays
-from edgesync.simulate import DIVERGENCE_LIMIT, MAX_STEPS, steps_per_record
+from edgesync.simulate import (
+    DIVERGENCE_LIMIT,
+    MAX_RECORD_FLOATS,
+    MAX_STEPS,
+    check_record_budget,
+    steps_per_record,
+)
 
 from helpers import C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P2, P3, input_field
 
@@ -90,6 +96,22 @@ class TestSimulate:
             steps_per_record(1e-300, 1.0, 1e-300)
         with pytest.raises(ValueError):
             steps_per_record(1e-320, 1e-316, 1.0)
+
+    def test_record_budget(self):
+        # h = record_interval = 1 to t_end = 1000 records 1001 samples, of
+        # 2 floats for one agent with one state: 67 041 members fit
+        members = MAX_RECORD_FLOATS // (1001 * 2)
+        check_record_budget(members, 1, 1, 1.0, 1000.0, 1.0)
+        with pytest.raises(ValueError, match="record"):
+            check_record_budget(members + 1, 1, 1, 1.0, 1000.0, 1.0)
+        with pytest.raises(ValueError, match="steps"):
+            check_record_budget(1, 1, 1, 1e-300, 1.0, 1e-300)
+
+    def test_record_budget_checked_before_the_loop(self):
+        # 40 members of 2 agents over MAX_STEPS records: 1.6e8 floats
+        with pytest.raises(ValueError, match="record"):
+            simulate_batch(P2, decay_model(), np.ones(40), np.zeros((40, 2)),
+                           float(MAX_STEPS), 1.0, 1.0)
 
     def test_interval_must_divide(self):
         with pytest.raises(ValueError):
@@ -308,24 +330,36 @@ class TestStageArithmetic:
             assert_same_trajectory(batch[i], single)
 
 
-def counting_model(model, counts):
-    """model with each batched callable counting its calls in counts."""
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] = counts.get(name, 0) + 1
-            return fn(*args)
-        return wrapper
+def spying_model(model, on_bind):
+    """model whose kernel factories report each binding to on_bind.
+
+    on_bind(name, buffers, kernel) returns the kernel the loop gets.
+    """
+    def spied(name, factory):
+        def bind(*buffers):
+            return on_bind(name, buffers, factory(*buffers))
+        return bind
     return dataclasses.replace(model, **{
-        name: counted(name, getattr(model, name))
-        for name in ("f_all", "alpha_all", "add_gu")})
+        name: spied(name, getattr(model, name))
+        for name in ("bind_f", "bind_gu", "bind_alpha")})
+
+
+def counting_model(model, counts):
+    """model whose bound kernels count their calls in counts, by factory."""
+    def on_bind(name, buffers, kernel):
+        def counted():
+            counts[name] = counts.get(name, 0) + 1
+            kernel()
+        return counted
+    return spying_model(model, on_bind)
 
 
 class TestModelCalls:
     @pytest.mark.parametrize("kind", ["linear", "lorenz"])
     def test_one_coupling_and_one_field_per_stage(self, kind):
-        # alpha_all once per stage, plus once for the state after the
-        # last step: the record shares the k1 stage's inputs. field_all
-        # is one f_all and one add_gu per stage.
+        # an alpha kernel once per stage, plus once for the state after
+        # the last step: the record shares the k1 stage's inputs. The
+        # field is one drift and one g u kernel per stage.
         g, model, betas, base, t_end, h, interval = batch_cases()[kind]
         counts = {}
         x0s = np.tile(perturbed_initial_conditions(base, g.n, 1.0, 0),
@@ -334,8 +368,36 @@ class TestModelCalls:
                                t_end, h, interval)
         n_steps = int(round(t_end / h))
         assert all(not isinstance(r, DivergedError) for r in batch)
-        assert counts == {"alpha_all": 4 * n_steps + 1,
-                          "f_all": 4 * n_steps, "add_gu": 4 * n_steps}
+        assert counts == {"bind_alpha": 4 * n_steps + 1,
+                          "bind_f": 4 * n_steps, "bind_gu": 4 * n_steps}
+
+
+class TestLoopBuffers:
+    """The loop works on its own buffers: its inputs and records stay apart."""
+
+    def test_x0s_and_records_apart_from_the_buffers(self):
+        # the 1e290 member diverges at t = h, so the loop binds twice
+        g, model, _, base, _, h, interval = batch_cases()["lorenz"]
+        betas = [5.0, 1e290, 30.0]
+        x0s = np.array([perturbed_initial_conditions(base, g.n, 1.0, seed)
+                        for seed in range(len(betas))])
+        before = x0s.copy()
+        bound = []
+
+        def on_bind(name, buffers, kernel):
+            bound.extend(buffers)
+            return kernel
+
+        batch = simulate_batch(g, spying_model(model, on_bind), betas, x0s,
+                               0.05, h, interval)
+        assert np.array_equal(x0s.view(np.uint64), before.view(np.uint64))
+        assert isinstance(batch[1], DivergedError)
+        # x, the stage input, k1..k4, the alpha values and u, twice
+        assert len({id(buf) for buf in bound}) == 16
+        for i in (0, 2):
+            for record in (batch[i].times, batch[i].states, batch[i].inputs):
+                assert not np.shares_memory(record, x0s)
+                assert not any(np.shares_memory(record, buf) for buf in bound)
 
 
 class TestPerturbedInitialConditions:
