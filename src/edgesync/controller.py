@@ -99,7 +99,6 @@ def accumulate_coupling(alphas, ends, others, gains):
 
     The bind_coupling kernel on fresh buffers.
     """
-    alphas = np.asarray(alphas, dtype=float)
     u = np.empty(alphas.shape[0])
     bind_coupling(alphas, u, ends, others, gains)()
     return u
