@@ -323,6 +323,10 @@ def _resolve_out_dir(flag_value, setup_dir):
 
 
 def _apply_overrides(sc, args):
+    """Apply --h, --t-end and --seed to sc and check the result.
+
+    Returns the scenario's graph, read once by check_integration.
+    """
     if getattr(args, "h", None) is not None:
         sc.h = args.h
     if getattr(args, "t_end", None) is not None:
@@ -335,7 +339,7 @@ def _apply_overrides(sc, args):
             raise ParseError(f"--seed must be nonnegative, got {args.seed}",
                              sc.path)
         sc.init_seed = args.seed
-    check_integration(sc, len(args.multipliers) if args.command == "sweep" else 1)
+    return check_integration(sc, len(args.multipliers) if args.command == "sweep" else 1)
 
 
 def _analyse_and_write(setup, traj, out_dir):
@@ -356,8 +360,8 @@ def _analyse_and_write(setup, traj, out_dir):
 
 def cmd_run(args):
     sc = parse_scenario(args.scenario)
-    _apply_overrides(sc, args)
-    setup = realize(sc, require_connected=True)
+    graph = _apply_overrides(sc, args)
+    setup = realize(sc, require_connected=True, graph=graph)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     traj = simulate(
         setup.graph, setup.model, setup.controller.beta, setup.x0,
@@ -410,9 +414,9 @@ def _check_multipliers(multipliers):
 
 def cmd_sweep(args):
     sc = parse_scenario(args.scenario)
-    _apply_overrides(sc, args)
+    graph = _apply_overrides(sc, args)
     _check_multipliers(args.multipliers)
-    setup = realize(sc, require_connected=True)
+    setup = realize(sc, require_connected=True, graph=graph)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     rows = ["multiplier,rate,largest_uptick,final_sync_error,status\n"]
     betas = [mult * setup.controller.beta_star for mult in args.multipliers]

@@ -69,39 +69,27 @@ def edge_end_arrays(g, betas):
     return ends, others, gains
 
 
-def bind_coupling(alphas, u, ends, others, gains):
-    """A zero-argument kernel that writes to u the inputs of the values in alphas.
+def accumulate_coupling(alphas, ends, others, gains, out=None, diffs=None):
+    """Per-agent inputs from per-edge alpha differences.
 
     alphas holds one feedback value per agent of a (possibly stacked)
-    network, u takes one input per agent, and (ends, others, gains) come
-    from edge_end_arrays. Every edge contributes
-    beta * w * (alpha_term - alpha_init) to its initial node and
-    beta * w * (alpha_init - alpha_term), the same number negated, to its
-    terminal node. One bincount adds the contributions in the order of
-    the edge ends, so results are deterministic and a copy's inputs do
-    not depend on the other copies. Each call reads what alphas holds
-    then; the gather and the bincount result are its only allocations.
+    network and (ends, others, gains) come from edge_end_arrays. Every
+    edge contributes beta * w * (alpha_term - alpha_init) to its initial
+    node and beta * w * (alpha_init - alpha_term), the same number
+    negated, to its terminal node. One bincount adds the contributions
+    in the order of the edge ends, so results are deterministic and a
+    copy's inputs do not depend on the other copies. Writes the inputs
+    to out and returns it, a fresh array when out is None; diffs, when
+    given, takes the per-end contributions. With both given, the gather
+    and the bincount result are the only allocations.
     """
-    subtract, multiply, bincount, copyto = (np.subtract, np.multiply, np.bincount,
-                                            np.copyto)
-    diffs, agents = np.empty(ends.shape[0]), alphas.shape[0]
-
-    def couple():
-        subtract(alphas[others], alphas[ends], diffs)
-        multiply(gains, diffs, diffs)
-        copyto(u, bincount(ends, diffs, agents))
-
-    return couple
-
-
-def accumulate_coupling(alphas, ends, others, gains):
-    """Per-agent inputs from per-edge alpha differences, in a fresh array.
-
-    The bind_coupling kernel on fresh buffers.
-    """
-    u = np.empty(alphas.shape[0])
-    bind_coupling(alphas, u, ends, others, gains)()
-    return u
+    diffs = np.subtract(alphas[others], alphas[ends], diffs)
+    np.multiply(gains, diffs, diffs)
+    u = np.bincount(ends, diffs, alphas.shape[0])
+    if out is None:
+        return u
+    np.copyto(out, u)
+    return out
 
 
 def coupling_inputs(states, g, model, beta):

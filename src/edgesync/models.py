@@ -6,18 +6,21 @@ saturating-perturbation model whose certificate conditions hold exactly
 (constant g, linear alpha, bounded Jacobian perturbation), and the
 three-state convective loop with a state-dependent input field.
 
-Each model writes its drift, its input field and its feedback once, as
-kernel factories: bind_f, bind_gu and bind_alpha bind a formula to
-buffers and return a zero-argument kernel that evaluates it on what the
-buffers hold when it is called. A kernel keeps its column views,
-scratch arrays and full-length constants, and writes through
-positional-out ufunc calls, so a call allocates nothing. The integrator
-binds the kernels once per set of running members on its own buffers;
-the batched f_all, add_gu, field_all, alpha_all and the single-state f,
-g and alpha bind the same factories on fresh buffers.
+Each model writes its drift, its input field and its feedback once:
+f_all, add_gu and alpha_all evaluate a stack of states into an output
+buffer with positional-out ufunc calls. What a formula needs besides
+its buffers (column views, scratch arrays, full-length constants) are
+its operands, which f_operands and gu_operands build from the buffers
+and which a caller may pass back in. AgentModel.bind_f, bind_gu and
+bind_alpha fix the buffers and operands with functools.partial, so a
+bound call allocates nothing and still goes through the model's
+f_all, add_gu and alpha_all. The integrator binds them once per set of
+running members on its own buffers; called without an output, the
+same functions fill a fresh array.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,18 +29,20 @@ from .errors import DimensionMismatchError
 
 @dataclass(frozen=True)
 class AgentModel:
-    """Kernel factories of one agent's dynamics, and evaluators built on them.
+    """One agent's dynamics, evaluated on stacks of states.
 
-    Each factory takes an (N, n) stack xs of states, one row per agent,
-    and output buffers; the kernel it returns, called with no argument,
-    evaluates its formula on the current contents of xs (and u):
-    bind_f(xs, out) writes f(x_i) to row i of out, bind_gu(xs, u, out)
-    adds g(x_i) u_i to row i of out, leaving a component whose g is
-    identically 0 alone, and bind_alpha(xs, out) writes alpha(x_i) to
-    out[i]. The buffers are float64 arrays the kernel only ever sees
-    through its views, so they must be changed in place, and an output
-    must not overlap an input. jac_f and jac_g act on a single state
-    vector. The input is scalar.
+    xs is an (N, n) stack of states, one row per agent, and u holds N
+    inputs. f_all(xs, out=None, *operands) writes f(x_i) to row i of
+    out and returns out, a fresh array when out is None;
+    add_gu(out, xs, u, *operands) adds g(x_i) u_i to row i of out,
+    leaving a component whose g is identically 0 alone; and
+    alpha_all(xs, out=None) writes alpha(x_i) to out[i] and returns out.
+    operands, when given, are f_operands(xs, out) or
+    gu_operands(xs, u, out) of the same buffers, and are built on the
+    spot otherwise: they hold views of the buffers, so the buffers must
+    be float64 arrays changed in place, and an output must not overlap
+    an input. jac_f and jac_g act on a single state vector. The input
+    is scalar.
     """
 
     name: str
@@ -45,20 +50,23 @@ class AgentModel:
     params: dict
     jac_f: callable
     jac_g: callable
-    bind_f: callable
-    bind_gu: callable
-    bind_alpha: callable
+    f_all: callable
+    f_operands: callable
+    add_gu: callable
+    gu_operands: callable
+    alpha_all: callable
 
-    def f_all(self, xs):
-        """f(x_i) of every row of xs, in a fresh array."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape)
-        self.bind_f(xs, out)()
-        return out
+    def bind_f(self, xs, out):
+        """A zero-argument call of f_all on xs into out, its operands built once."""
+        return partial(self.f_all, xs, out, *self.f_operands(xs, out))
 
-    def add_gu(self, out, xs, u):
-        """Add g(x_i) u_i to row i of out in place, with no g array."""
-        self.bind_gu(np.asarray(xs, dtype=float), np.asarray(u, dtype=float), out)()
+    def bind_gu(self, xs, u, out):
+        """A zero-argument call of add_gu on xs and u into out, its operands built once."""
+        return partial(self.add_gu, out, xs, u, *self.gu_operands(xs, u, out))
+
+    def bind_alpha(self, xs, out):
+        """A zero-argument call of alpha_all on xs into out."""
+        return partial(self.alpha_all, xs, out)
 
     def field_all(self, xs, u):
         """Closed-loop field f(x_i) + g(x_i) u_i of every row, one fresh array.
@@ -67,13 +75,6 @@ class AgentModel:
         """
         out = self.f_all(xs)
         self.add_gu(out, xs, u)
-        return out
-
-    def alpha_all(self, xs):
-        """alpha(x_i) of every row of xs, in a fresh array."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape[0])
-        self.bind_alpha(xs, out)()
         return out
 
     def f(self, x):
@@ -89,11 +90,16 @@ class AgentModel:
         return float(self.alpha_all(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _agent_model(name, n, k, params, bind_f, bind_gu, jac_f, jac_g):
+def _no_operands(*buffers):
+    return ()
+
+
+def _agent_model(name, n, k, params, drift, input_field, jac_f, jac_g):
     """The AgentModel of one kind on n states, with feedback alpha(x) = k x.
 
-    k is the gain row, of shape (n,) or (1, n); params gain its checked
-    copy as "k".
+    drift is the kind's (f_all, f_operands) and input_field its
+    (add_gu, gu_operands). k is the gain row, of shape (n,) or (1, n);
+    params gain its checked copy as "k".
     """
     kv = np.asarray(k, dtype=float)
     if kv.ndim == 2:
@@ -104,13 +110,8 @@ def _agent_model(name, n, k, params, bind_f, bind_gu, jac_f, jac_g):
     if kv.shape != (n,):
         raise DimensionMismatchError(f"gain has shape {kv.shape}, expected ({n},)")
 
-    def bind_alpha(xs, out):
-        dot = xs.dot
-
-        def alpha():
-            dot(kv, out)
-
-        return alpha
+    def alpha_all(xs, out=None):
+        return xs.dot(kv, out)
 
     return AgentModel(
         name=name,
@@ -118,9 +119,11 @@ def _agent_model(name, n, k, params, bind_f, bind_gu, jac_f, jac_g):
         params={**params, "k": kv},
         jac_f=jac_f,
         jac_g=jac_g,
-        bind_f=bind_f,
-        bind_gu=bind_gu,
-        bind_alpha=bind_alpha,
+        f_all=drift[0],
+        f_operands=drift[1],
+        add_gu=input_field[0],
+        gu_operands=input_field[1],
+        alpha_all=alpha_all,
     )
 
 
@@ -128,7 +131,7 @@ def _constant_input_model(name, a, b, k, drift, **params):
     """A model with a square drift matrix a and the constant input field g(x) = b.
 
     b is a vector or a one-column matrix. drift(a) returns the kind's
-    bind_f and jac_f on the checked float matrix a.
+    (f_all, f_operands) and jac_f on the checked float matrix a.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -145,42 +148,38 @@ def _constant_input_model(name, a, b, k, drift, **params):
         raise DimensionMismatchError(
             f"input vector has shape {bv.shape}, expected ({n},)")
     zero = np.zeros((n, n))
+    multiply, add = np.multiply, np.add
+
+    # u as a column, b tiled to every row, and the product's scratch
+    def gu_operands(xs, u, out):
+        return (np.asarray(u, dtype=float)[:, None], np.tile(bv, (out.shape[0], 1)),
+                np.empty(out.shape))
 
     # out += u[:, None] * b
-    def bind_gu(xs, u, out):
-        multiply, add = np.multiply, np.add
-        u_col, bs, gu = u[:, None], np.tile(bv, (out.shape[0], 1)), np.empty(out.shape)
+    def add_gu(out, xs, u, *operands):
+        u_col, bs, gu = operands or gu_operands(xs, u, out)
+        multiply(u_col, bs, gu)
+        add(out, gu, out)
 
-        def add_gu():
-            multiply(u_col, bs, gu)
-            add(out, gu, out)
-
-        return add_gu
-
-    bind_f, jac_f = drift(a)
-    return _agent_model(name, n, k, {"a": a, "b": bv, **params}, bind_f, bind_gu,
-                        jac_f, lambda x: zero)
+    f_all, jac_f = drift(a)
+    return _agent_model(name, n, k, {"a": a, "b": bv, **params}, f_all,
+                        (add_gu, gu_operands), jac_f, lambda x: zero)
 
 
-def _bind_linear_drift(a):
-    """bind_f of the drift f(x) = A x, row-wise xs @ A^T."""
-    a_t = a.T
+def _linear_drift(a):
+    """(f_all, f_operands) of the drift f(x) = A x, row-wise xs @ A^T."""
+    a_t, matmul = a.T, np.matmul
 
-    def bind_f(xs, out):
-        matmul = np.matmul
+    def f_all(xs, out=None):
+        return matmul(xs, a_t, out)
 
-        def drift():
-            matmul(xs, a_t, out)
-
-        return drift
-
-    return bind_f
+    return f_all, _no_operands
 
 
 def linear_model(a, b, k):
     """Linear agent: f(x) = A x, constant g = B, alpha(x) = K x."""
     def drift(a):
-        return _bind_linear_drift(a), (lambda x: a)
+        return _linear_drift(a), (lambda x: a)
 
     return _constant_input_model("linear", a, b, k, drift)
 
@@ -196,29 +195,29 @@ def tanh_perturbed_model(a, b, gamma, k):
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     gamma = float(gamma)
+    tanh, multiply, add = np.tanh, np.multiply, np.add
 
     def drift(a):
-        bind_linear = _bind_linear_drift(a)
+        linear, _ = _linear_drift(a)
+
+        # gamma in every cell, and the perturbation's scratch
+        def f_operands(xs, out):
+            return np.full(out.shape, gamma), np.empty(out.shape)
 
         # A x first, then gamma * tanh(x) added to it
-        def bind_f(xs, out):
-            linear = bind_linear(xs, out)
-            tanh, multiply, add = np.tanh, np.multiply, np.add
-            gammas, perturbation = np.full(xs.shape, gamma), np.empty(xs.shape)
-
-            def drift():
-                linear()
-                tanh(xs, perturbation)
-                multiply(gammas, perturbation, perturbation)
-                add(out, perturbation, out)
-
-            return drift
+        def f_all(xs, out=None, *operands):
+            out = linear(xs, out)
+            gammas, perturbation = operands or f_operands(xs, out)
+            tanh(xs, perturbation)
+            multiply(gammas, perturbation, perturbation)
+            add(out, perturbation, out)
+            return out
 
         def jac_f(x):
             sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
             return a + gamma * np.diag(sech2)
 
-        return bind_f, jac_f
+        return (f_all, f_operands), jac_f
 
     return _constant_input_model("tanh_perturbed", a, b, k, drift, gamma=gamma)
 
@@ -241,41 +240,42 @@ def lorenz_model(a, b, c, k):
     is usually designed on convective_linearization(a, b, c).
     """
     a, b, c = float(a), float(b), float(c)
+    subtract, multiply, add, sin = np.subtract, np.multiply, np.add, np.sin
 
-    # each output column written in place from the input's column views
-    def bind_f(xs, out):
-        subtract, multiply = np.subtract, np.multiply
-        x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
-        f1, f2, f3 = out[:, 0], out[:, 1], out[:, 2]
-        av, bv, cv = (np.full(xs.shape[0], v) for v in (a, b, c))
-        scratch = np.empty(xs.shape[0])
+    # the columns of xs and out, and a, b and c for every row
+    def f_operands(xs, out):
+        return (xs[:, 0], xs[:, 1], xs[:, 2], out[:, 0], out[:, 1], out[:, 2],
+                *(np.full(out.shape[0], v) for v in (a, b, c)))
 
-        def drift():
-            subtract(x2, x1, f1)
-            multiply(av, f1, f1)
-            subtract(bv, x3, scratch)
-            multiply(x1, scratch, scratch)
-            subtract(scratch, x2, f2)
-            multiply(x1, x2, f3)
-            multiply(cv, x3, scratch)
-            subtract(f3, scratch, f3)
+    # each output column written in place; f1 holds x1 x2 until f3 is done
+    def f_all(xs, out=None, *operands):
+        if out is None:
+            xs = np.asarray(xs, dtype=float)
+            out = np.empty(xs.shape)
+        x1, x2, x3, f1, f2, f3, av, bv, cv = operands or f_operands(xs, out)
+        subtract(bv, x3, f2)
+        multiply(x1, f2, f2)
+        subtract(f2, x2, f2)
+        multiply(x1, x2, f1)
+        multiply(cv, x3, f3)
+        subtract(f1, f3, f3)
+        subtract(x2, x1, f1)
+        multiply(av, f1, f1)
+        return out
 
-        return drift
+    # x1, out's first two columns, 2 for every row and the scratch of g2 u
+    def gu_operands(xs, u, out):
+        return (np.asarray(xs, dtype=float)[:, 0], out[:, 0], out[:, 1],
+                np.full(out.shape[0], 2.0), np.empty(out.shape[0]))
 
     # u to column 0 and (sin x1 + 2) u to column 1; column 2's g is 0
-    def bind_gu(xs, u, out):
-        sin, add, multiply = np.sin, np.add, np.multiply
-        x1, out1, out2 = xs[:, 0], out[:, 0], out[:, 1]
-        twos, gu = np.full(xs.shape[0], 2.0), np.empty(xs.shape[0])
-
-        def add_gu():
-            add(out1, u, out1)
-            sin(x1, gu)
-            add(gu, twos, gu)
-            multiply(gu, u, gu)
-            add(out2, gu, out2)
-
-        return add_gu
+    def add_gu(out, xs, u, *operands):
+        x1, out1, out2, twos, gu = operands or gu_operands(xs, u, out)
+        add(out1, u, out1)
+        sin(x1, gu)
+        add(gu, twos, gu)
+        multiply(gu, u, gu)
+        add(out2, gu, out2)
 
     def jac_f(x):
         x1, x2, x3 = x
@@ -290,5 +290,5 @@ def lorenz_model(a, b, c, k):
         out[1, 0] = np.cos(x[0])
         return out
 
-    return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c}, bind_f, bind_gu,
-                        jac_f, jac_g)
+    return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c},
+                        (f_all, f_operands), (add_gu, gu_operands), jac_f, jac_g)

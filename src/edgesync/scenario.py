@@ -365,18 +365,20 @@ def check_integration(sc, n_members=1):
     Called once the command line overrides are applied, so an --h that
     divides record_interval can stand in for one in the file that does
     not. The record budget is that of n_members runs on the scenario's
-    graph, whose file is read for its node count, with the state width
-    of its initial section (realize rejects a model of another width).
+    graph with the state width of its initial section (realize rejects
+    a model of another width). Returns that graph, for realize.
     """
     try:
         # the step settings first, before a graph file is read
-        steps_per_record(sc.h, sc.t_end, sc.record_interval)
+        per_record = steps_per_record(sc.h, sc.t_end, sc.record_interval)
+        graph = _graph(sc)
         state_dim = (sc.init_states.shape[1] if sc.init_states is not None
                      else sc.init_base.shape[0])
-        check_record_budget(n_members, _graph(sc).n, state_dim, sc.h, sc.t_end,
-                            sc.record_interval)
+        check_record_budget(n_members, int(round(sc.t_end / sc.h)) // per_record,
+                            graph.n, state_dim)
     except ValueError as exc:
         raise ParseError(f"integration: {exc}", sc.path)
+    return graph
 
 
 def _graph(sc):
@@ -425,13 +427,16 @@ def _build_model_and_certificate(sc):
     return tanh_perturbed_model(a_design, b_design, gamma, gain), cert, False
 
 
-def realize(sc, require_connected=True):
+def realize(sc, require_connected=True, graph=None):
     """Build all run objects from a parsed scenario.
 
     require_connected enforces the connectivity precondition of the
     synchronization guarantee; diagnostic-only flows may relax it.
+    graph, when given, is the scenario's graph as check_integration
+    returned it; otherwise realize reads it.
     """
-    graph = _graph(sc)
+    if graph is None:
+        graph = _graph(sc)
     n_comp = components(graph)
     if require_connected and n_comp != 1:
         raise DisconnectedGraphError(

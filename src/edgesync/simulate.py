@@ -8,12 +8,13 @@ the monotonicity tolerances simple; there is no adaptive stepping.
 
 The loop allocates its buffers once per set of running members: the
 states, the stage input, k1..k4, the alpha values and the inputs u.
-The model's drift, g u and alpha kernels and the coupling kernel are
-bound to them once (see models.AgentModel and
-controller.bind_coupling), and every stage runs them and the RK4
-arithmetic in place, with positional-out ufunc calls on full-length
-constants. Only the coupling's gather and its bincount allocate. The
-buffers are rebuilt only when a member diverges and is dropped.
+The model's f_all, add_gu and alpha_all and
+controller.accumulate_coupling are bound to them once, with their
+operands (see models.AgentModel), and every stage calls them and runs
+the RK4 arithmetic in place, with positional-out ufunc calls on
+full-length constants. Only the coupling's gather and its bincount
+allocate. The buffers are rebuilt only when a member diverges and is
+dropped.
 
 One RK4 loop serves a single run and an ensemble alike: B members that
 share the graph, the model and the step but differ in beta and initial
@@ -25,10 +26,11 @@ afterwards (see analysis).
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .controller import bind_coupling, edge_end_arrays
+from .controller import accumulate_coupling, edge_end_arrays
 from .errors import DimensionMismatchError, DivergedError
 
 DIVERGENCE_LIMIT = 1e12
@@ -84,14 +86,12 @@ def steps_per_record(h, t_end, record_interval):
     return int(round(per_record))
 
 
-def check_record_budget(n_members, n_agents, state_dim, h, t_end, record_interval):
+def check_record_budget(n_members, n_records, n_agents, state_dim):
     """Raise ValueError when a batch's record would exceed MAX_RECORD_FLOATS.
 
-    The step settings must pass steps_per_record. A run of
-    round(t_end / h) steps records R + 1 samples, R the whole records in
-    that many steps.
+    Each member records n_records + 1 samples: a run of round(t_end / h)
+    steps of h records every steps_per_record steps.
     """
-    n_records = int(round(t_end / h)) // steps_per_record(h, t_end, record_interval)
     floats = n_members * (n_records + 1) * n_agents * (state_dim + 1)
     if floats > MAX_RECORD_FLOATS:
         raise ValueError(
@@ -142,9 +142,9 @@ def simulate_batch(g, model, betas, x0s, t_end, h, record_interval):
         raise DimensionMismatchError(
             f"x0s has shape {x0s.shape}, expected ({n_members}, {width})"
         )
-    check_record_budget(n_members, n_agents, n, h, t_end, record_interval)
     n_steps = int(round(t_end / h))
     n_records = n_steps // per_record
+    check_record_budget(n_members, n_records, n_agents, n)
     times = np.empty(n_records + 1)
     states = np.empty((n_members, n_records + 1, width))
     inputs = np.empty((n_members, n_records + 1, n_agents))
@@ -195,7 +195,9 @@ def _bind_rk4(g, model, betas, x0s, h):
     betas holds the members' gains and x0s their (M, N*n) states. The
     buffers (states x, stage input, k1..k4, alpha values, inputs u,
     edge differences, the guard's scratch and the constants) are
-    allocated here once; the loop rebinds only when a member is dropped.
+    allocated here once, and the model's f_all, add_gu and alpha_all and
+    accumulate_coupling bound to them; the loop rebinds only when a
+    member is dropped.
     Returns (x, u, largest, couple_x, advance), each closure taking no
     argument: largest() is max |x| over all entries, nan when one is
     nan; couple_x() writes the coupling inputs of x to u; advance()
@@ -207,7 +209,9 @@ def _bind_rk4(g, model, betas, x0s, h):
     x = np.array(x0s, dtype=float).reshape(-1, n)
     y, k1, k2, k3, k4 = (np.empty(x.shape) for _ in range(5))
     alphas, u = np.empty(x.shape[0]), np.empty(x.shape[0])
-    couple = bind_coupling(alphas, u, *edge_end_arrays(g, betas))
+    ends, others, gains = edge_end_arrays(g, betas)
+    couple = partial(accumulate_coupling, alphas, ends, others, gains, u,
+                     np.empty(ends.shape[0]))
     alpha_x, alpha_y = model.bind_alpha(x, alphas), model.bind_alpha(y, alphas)
     half_h, full_h, sixth_h, twos = (np.full(x.shape, v)
                                      for v in (0.5 * h, h, h / 6.0, 2.0))

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from edgesync import cli, random_connected_graph
+from edgesync import cli, random_connected_graph, scenario
+from edgesync.graphs import read_graph_file
 from edgesync.cli import (
     _diag_block,
     _fmt,
@@ -446,6 +447,26 @@ def test_diag_block_matches_dense(q):
     w = np.resize(special, q)
     w[len(special):] *= np.random.default_rng(q).uniform(0.5, 2.0, q)[len(special):]
     assert _diag_block("weight_diag", w) == _matrix_block("weight_diag", np.diag(w))
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("run", []), ("sweep", ["--multipliers", "1", "2"])])
+def test_graph_file_read_once(tmp_path, monkeypatch, verb, extra):
+    # check_integration reads the file for the record budget's node
+    # count and hands the graph to realize
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_graph_file(path)
+
+    monkeypatch.setattr(scenario, "read_graph_file", counted)
+    (tmp_path / "c3.graph").write_text("nodes 3\n1 2 1.0\n1 3 1.0\n2 3 1.0\n")
+    scn = tmp_path / "filed.scn"
+    scn.write_text(c3_text().replace(C3_INLINE_GRAPH, "file c3.graph\n"))
+    assert main([verb, str(scn), "--t-end", "0.5",
+                 "--out-dir", str(tmp_path / "out")] + extra) == 0
+    assert len(reads) == 1
 
 
 class TestMalformedInput:
