@@ -21,7 +21,10 @@ itself with mu = 0.
 On every graph no kernel basis is formed and no Q x Q eigensolve runs:
 Pi = I - Q1 Q1^T with Q1 an orthonormal basis of range(E^T) from the
 N x N matrix E E^T, and the margin comes from a matrix of size at most
-min(Q, 2N).
+min(Q, 2N), solved for its eigenvalues alone. The products by E with
+exact entries, E E^T, Q1 = E^T Y and E^T L, are built from the edge
+lists (GraphMatrices.node_gram and et); the sums E W E^T and
+E W^2 E^T and the product U E^T stay dense.
 
 The endpoint identities E_k^T L = U E_k^T + Omega, and alike for E_l,
 need no check: E_k, E_l = (|E| -+ E) / 2 and Omega = (|E^T| L - U |E^T|) / 2
@@ -85,26 +88,26 @@ def build_edge_lift(m):
     a path with one weight 1e-155 would otherwise certify a margin of
     5.6e-17.
     """
-    e, w = m.incidence, m.weights
-    dec = sym_eig(e @ e.T)
+    w = m.weights
+    dec = sym_eig(m.node_gram())
     d = dec.eigenvalues
     keep = d > NULLSPACE_RTOL * max(1.0, float(d[-1]))
     y = dec.eigenvectors[:, keep] / np.sqrt(d[keep])
     ly = m.laplacian @ y
     r = y.shape[1]
-    kdim = e.shape[1] - r
+    kdim = len(w) - r
     if not kdim:
         # Pi = 0 and H is Y^T L^2 Y alone: at mu = 0 the sigma cut would
         # be 0 and let round-off sigma pull the margin toward 0
-        eigs = _sym_eig_finite(ly.T @ ly, w).eigenvalues
+        eigs = _sym_eig_finite(ly.T @ ly, w, vectors=False).eigenvalues
         if r and not eigs[0] > r * np.finfo(float).eps * eigs[-1]:
             raise WeightRangeError(
                 f"edge weights {w.min():.3g} to {w.max():.3g} put the lift's "
                 f"margin {eigs[0]:.3g} at the round-off of {eigs[-1]:.3g}")
         return EdgeLift(lift=m.edge_laplacian.copy(), mu=0.0,
                         pd_margin=float(eigs.min(initial=np.inf)), kernel_dim=0)
-    q1 = e.T @ y
-    ew = e * w
+    q1 = m.et(y)
+    ew = m.incidence * w
     l2 = ew @ ew.T
     mu = float(sym_eig(l2).eigenvalues[-1]) if np.isfinite(l2).all() else np.inf
     scale = mu / w
@@ -122,18 +125,18 @@ def build_edge_lift(m):
     sigma = gram.eigenvalues[nonzero]
     cross = ly.T @ (gram.eigenvectors[:, nonzero] * np.sqrt(sigma))
     h = np.block([[ly.T @ ly, cross], [cross.T, np.diag(mu + sigma)]])
-    margin = float(_sym_eig_finite(h, w).eigenvalues[0])
+    margin = float(_sym_eig_finite(h, w, vectors=False).eigenvalues[0])
     return EdgeLift(lift=lift, mu=mu, pd_margin=margin, kernel_dim=kdim)
 
 
-def _sym_eig_finite(a, w):
-    """sym_eig(a), or WeightRangeError when the weights w overflow a or it.
+def _sym_eig_finite(a, w, vectors=True):
+    """sym_eig(a, vectors), or WeightRangeError when the weights w overflow a or it.
 
     Entries near the overflow threshold can be finite while the
     eigensolve's symmetrisation or largest eigenvalue is not.
     """
     if np.isfinite(a).all():
-        dec = sym_eig(a)
+        dec = sym_eig(a, vectors=vectors)
         if np.isfinite(dec.eigenvalues).all():
             return dec
     raise WeightRangeError(f"edge weights {w.min():.3g} to {w.max():.3g} "
@@ -142,5 +145,5 @@ def _sym_eig_finite(a, w):
 
 def lift_residual(m, lift):
     """max|U E^T - E^T L| of an EdgeLift, 0 on an edgeless graph."""
-    et = m.incidence.T
-    return float(np.max(np.abs(lift.lift @ et - et @ m.laplacian), initial=0.0))
+    return float(np.max(np.abs(lift.lift @ m.incidence.T - m.et(m.laplacian)),
+                        initial=0.0))

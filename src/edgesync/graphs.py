@@ -22,8 +22,10 @@ from .linalg import sym_eig
 # node indices above this do not fit the 0-based index arrays
 MAX_NODES = int(np.iinfo(np.intp).max)
 
-# the most nodes and the most edges a parsed graph may have: build_matrices
-# forms dense N x Q, N x N and Q x Q arrays (Q = 8192 is 512 MiB each)
+# the most nodes and the most edges a parsed graph may have: a check holds
+# dense N x Q and N x N arrays and at most two Q x Q ones at a time, the
+# edge Laplacian and the lift (Q = 8192 is 512 MiB each); E^T E is
+# gathered from the rows of E, with no dense E.T @ E product
 MAX_DENSE = 8192
 
 
@@ -105,14 +107,41 @@ class GraphMatrices:
     """Incidence and Laplacian family of a weighted graph.
 
     incidence has one column per edge, -1 at the initial and +1 at the
-    terminal node. W = diag(weights) is only ever applied as a row or
+    terminal node; init and term are the graph's 0-based index arrays of
+    those nodes. W = diag(weights) is only ever applied as a row or
     column scaling: laplacian = E W E^T and edge_laplacian = E^T E W.
+    The products by E whose entries are exact, E^T E, E E^T and E^T a,
+    are built from init and term with the bits of the dense products;
+    L = E W E^T, whose degree sums round, is the one dense product.
     """
 
     incidence: np.ndarray
     weights: np.ndarray
     laplacian: np.ndarray
-    edge_laplacian: np.ndarray
+    init: np.ndarray
+    term: np.ndarray
+    edge_laplacian: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        # E^T E has 2 on its diagonal, and 2 w overflows above about
+        # 9e307: build_edge_lift reports that weight range, so no warning
+        edge_laplacian = self.et(self.incidence)
+        with np.errstate(over="ignore"):
+            edge_laplacian *= self.weights
+        object.__setattr__(self, "edge_laplacian", edge_laplacian)
+
+    def et(self, a):
+        """E^T a for an N-row array a: row j is a[term_j] - a[init_j]."""
+        out = a[self.term]
+        out -= a[self.init]
+        return out
+
+    def node_gram(self):
+        """E E^T: the node degrees on the diagonal, -1 at both cells of an edge."""
+        ends = np.concatenate([self.init, self.term])
+        gram = np.diag(np.bincount(ends, minlength=len(self.laplacian)).astype(float))
+        gram[self.init, self.term] = gram[self.term, self.init] = -1.0
+        return gram
 
 
 @dataclass(frozen=True)
@@ -130,12 +159,9 @@ def build_matrices(g):
     incidence[g.init, cols] = -1.0
     incidence[g.term, cols] = 1.0
     w = g.weights
-    return GraphMatrices(
-        incidence=incidence,
-        weights=w,
-        laplacian=(incidence * w) @ incidence.T,
-        edge_laplacian=(incidence.T @ incidence) * w,
-    )
+    return GraphMatrices(incidence=incidence, weights=w,
+                         laplacian=(incidence * w) @ incidence.T,
+                         init=g.init, term=g.term)
 
 
 def components(g):

@@ -27,7 +27,8 @@ class SymEig:
     """Eigendecomposition of a symmetric matrix.
 
     eigenvalues are ascending; eigenvectors are orthonormal columns, the
-    i-th column pairing with the i-th eigenvalue.
+    i-th column pairing with the i-th eigenvalue, or None when only the
+    eigenvalues were asked for.
     """
 
     eigenvalues: np.ndarray
@@ -41,11 +42,14 @@ def _as_square(a, name="matrix"):
     return a
 
 
-def sym_eig(a):
+def sym_eig(a, vectors=True):
     """Decompose a symmetric matrix into ascending eigenvalues and vectors.
 
-    Raises NonSymmetricError when the input exceeds the relative symmetry
-    tolerance, NoConvergenceError if the underlying iteration fails.
+    With vectors=False only the eigenvalues are computed (eigvalsh, not
+    eigh) and eigenvectors is None; the eigenvalues need not have the
+    bits of the full decomposition's. Raises NonSymmetricError when the
+    input exceeds the relative symmetry tolerance, NoConvergenceError if
+    the underlying iteration fails.
     """
     a = _as_square(a)
     if a.size:
@@ -55,14 +59,16 @@ def sym_eig(a):
                 f"matrix is not symmetric within tolerance (max skew {skew:.3e})"
             )
     if a.shape[0] == 0:
-        return SymEig(np.zeros(0), np.zeros((0, 0)))
+        return SymEig(np.zeros(0), np.zeros((0, 0)) if vectors else None)
     try:
         # halves first: a + a.T overflows for entries above about 9e307,
         # and halving is exact above the subnormals, so the bits are kept
-        w, q = np.linalg.eigh(0.5 * a + 0.5 * a.T)
+        sym = 0.5 * a + 0.5 * a.T
+        if not vectors:
+            return SymEig(np.linalg.eigvalsh(sym), None)
+        return SymEig(*np.linalg.eigh(sym))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    return SymEig(w, q)
 
 
 def _complex_schur(a):

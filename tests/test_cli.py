@@ -494,10 +494,12 @@ class TestMalformedInput:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("weight", ["5e-324", "1e-320", "1e160", "8e153"])
+    @pytest.mark.parametrize("weight", ["5e-324", "1e-320", "1e160", "8e153",
+                                        "1e308", "1.7e308"])
     def test_weight_that_overflows_the_lift(self, tmp_path, capsys, weight):
         # mu grows as w_max^2 and the lift's W^-1 scaling as mu / w_min;
-        # at 8e153 both stay finite but the margin's eigensolve does not
+        # at 8e153 both stay finite but the margin's eigensolve does not,
+        # and above about 9e307 the edge Laplacian's diagonal 2 w is inf
         scn = tmp_path / "spread.scn"
         scn.write_text(c3_text().replace("edge 1 2 1.0", f"edge 1 2 {weight}"))
         assert main(["check", str(scn), "--out-dir", str(tmp_path / "out")]) == 9

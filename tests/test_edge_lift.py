@@ -194,9 +194,9 @@ class TestFixedShift:
         calls = []
         sym_eig = edge_lift.sym_eig
 
-        def counting(a):
+        def counting(a, **kwargs):
             calls.append(1)
-            return sym_eig(a)
+            return sym_eig(a, **kwargs)
 
         monkeypatch.setattr(edge_lift, "sym_eig", counting)
         # the last cyclic graph spreads its weights over a factor of 200
@@ -265,28 +265,32 @@ class TestNodeRoute:
 
     def test_no_eigensolve_above_2n(self, monkeypatch):
         # nothing above N but the margin matrix H, of size at most
-        # min(Q, 2N)
-        sizes = []
-        eigh = np.linalg.eigh
-        sym_eig = linalg.sym_eig
+        # min(Q, 2N), and H is solved for its eigenvalues alone
+        sizes = {"sym_eig": [], "eigh": [], "eigvalsh": []}
 
-        def counting_eigh(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
-            return eigh(a, *args, **kwargs)
+        def counting(key, fn):
+            def counted(a, *args, **kwargs):
+                sizes[key].append(np.shape(a)[0])
+                return fn(a, *args, **kwargs)
+            return counted
 
-        def counting_sym_eig(a):
-            sizes.append(np.shape(a)[0])
-            return sym_eig(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                counting(name, getattr(np.linalg, name)))
+        counting_sym_eig = counting("sym_eig", linalg.sym_eig)
         for module in (linalg, edge_lift, graphs):
             monkeypatch.setattr(module, "sym_eig", counting_sym_eig)
         for g in lift_graphs():
-            sizes.clear()
+            for calls in sizes.values():
+                calls.clear()
             m = build_matrices(g)
             spectral_report(m, g)
             build_edge_lift(m)
-            assert sizes and max(sizes) <= max(g.n, min(g.q, 2 * g.n))
+            bound = max(g.n, min(g.q, 2 * g.n))
+            assert max(sizes["sym_eig"]) <= bound
+            assert max(sizes["eigh"]) <= g.n
+            assert len(sizes["eigvalsh"]) == 1 and sizes["eigvalsh"][0] <= bound
+            assert len(sizes["eigh"]) + 1 == len(sizes["sym_eig"])
 
 
 @pytest.mark.xfail(strict=True, reason="build_edge_lift shares one mu across "

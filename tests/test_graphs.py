@@ -120,11 +120,15 @@ def assert_same_bits(a, b):
 
 
 class TestDenseDiagonalReference:
-    """Scaling by the weight vector gives the bits of the products with diag(w)."""
+    """Scaling by the weight vector, and the products by E built from the
+    edge lists, give the bits of the dense products."""
 
-    GRAPHS = [WeightedGraph(4, ()), P2, C3] + [
+    # edgeless, isolated nodes 3 and 5, two components, and Q > 2N
+    GRAPHS = [WeightedGraph(4, ()), WeightedGraph(5, ((1, 2, 0.7), (2, 4, 1.3))),
+              shifted_union(P3, P2), P2, C3] + [
         random_connected_graph(n, p, (0.1, 6.0), seed)
-        for n, p, seed in ((6, 0.0, 1), (9, 0.5, 2), (14, 0.3, 3), (25, 0.2, 4))
+        for n, p, seed in ((6, 0.0, 1), (9, 0.5, 2), (14, 0.3, 3), (25, 0.2, 4),
+                           (10, 0.9, 5))
     ]
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}q{g.q}")
@@ -139,6 +143,23 @@ class TestDenseDiagonalReference:
         # dense product but keep its sign when scaled
         for c in (m.edge_laplacian, build_edge_lift(m).lift):
             assert_same_bits(sym_part(m.weights, c), 0.5 * (w @ c + c.T @ w))
+
+    def test_graph_list(self):
+        assert any(g.q > 2 * g.n for g in self.GRAPHS)
+        assert any(components(g) > 1 and g.q for g in self.GRAPHS)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}q{g.q}")
+    def test_index_built_products(self, g):
+        m = build_matrices(g)
+        e = m.incidence
+        assert_same_bits(m.edge_laplacian, (e.T @ e) * m.weights)
+        assert_same_bits(m.node_gram(), e @ e.T)
+        assert_same_bits(m.et(m.laplacian), e.T @ m.laplacian)
+        # Y = Z d^-1/2 over the nonzero eigenpairs of E E^T, and all of Z
+        d, z = np.linalg.eigh(e @ e.T)
+        keep = d > 1e-9 * max(1.0, float(d[-1]))
+        for y in (z[:, keep] / np.sqrt(d[keep]), z):
+            assert_same_bits(m.et(y), e.T @ y)
 
 
 class TestComponents:

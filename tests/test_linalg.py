@@ -42,6 +42,18 @@ class TestSymEig:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NonSymmetricError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NonSymmetricError):
+            sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=False)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_values_only(self, n):
+        a = random_symmetric(np.random.default_rng(n), n)
+        dec = sym_eig(a, vectors=False)
+        assert dec.eigenvectors is None
+        full = sym_eig(a).eigenvalues
+        assert dec.eigenvalues.shape == (n,)
+        assert np.all(np.diff(dec.eigenvalues) >= 0)
+        assert np.max(np.abs(dec.eigenvalues - full), initial=0.0) <= 1e-12
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatchError):
@@ -51,9 +63,10 @@ class TestSymEig:
     def test_entries_near_the_float_maximum(self):
         # 1.7e308 + 1.7e308 overflows; the halves of the two do not
         a = np.array([[1.7e308, 1.0], [1.0, -1.7e308]])
-        dec = sym_eig(a)
-        assert np.all(np.isfinite(dec.eigenvalues))
-        assert np.allclose(dec.eigenvalues, [-1.7e308, 1.7e308], rtol=1e-12)
+        for vectors in (True, False):
+            dec = sym_eig(a, vectors=vectors)
+            assert np.all(np.isfinite(dec.eigenvalues))
+            assert np.allclose(dec.eigenvalues, [-1.7e308, 1.7e308], rtol=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1),
            st.integers(min_value=1, max_value=8))
