@@ -34,6 +34,7 @@ from .errors import (
     EdgeSyncError,
     EmptyWindowError,
     NoConvergenceError,
+    NonFiniteError,
     NonSymmetricError,
     NotPositiveDefiniteError,
     NotStabilizableError,
@@ -90,6 +91,7 @@ __all__ = [
     "LinearDesign",
     "MetricCertificate",
     "NoConvergenceError",
+    "NonFiniteError",
     "NonSymmetricError",
     "NotPositiveDefiniteError",
     "NotStabilizableError",

@@ -323,10 +323,7 @@ def _resolve_out_dir(flag_value, setup_dir):
 
 
 def _apply_overrides(sc, args):
-    """Apply --h, --t-end and --seed to sc and check the result.
-
-    Returns the scenario's graph, read once by check_integration.
-    """
+    """Apply --h, --t-end and --seed to sc and check the result."""
     if getattr(args, "h", None) is not None:
         sc.h = args.h
     if getattr(args, "t_end", None) is not None:
@@ -339,7 +336,7 @@ def _apply_overrides(sc, args):
             raise ParseError(f"--seed must be nonnegative, got {args.seed}",
                              sc.path)
         sc.init_seed = args.seed
-    return check_integration(sc, len(args.multipliers) if args.command == "sweep" else 1)
+    check_integration(sc, len(args.multipliers) if args.command == "sweep" else 1)
 
 
 def _analyse_and_write(setup, traj, out_dir):
@@ -360,8 +357,8 @@ def _analyse_and_write(setup, traj, out_dir):
 
 def cmd_run(args):
     sc = parse_scenario(args.scenario)
-    graph = _apply_overrides(sc, args)
-    setup = realize(sc, require_connected=True, graph=graph)
+    _apply_overrides(sc, args)
+    setup = realize(sc, require_connected=True)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     traj = simulate(
         setup.graph, setup.model, setup.controller.beta, setup.x0,
@@ -385,8 +382,8 @@ def cmd_run(args):
 def cmd_check(args):
     sc = parse_scenario(args.scenario)
     setup = realize(sc, require_connected=False)
-    out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     diag, warnings = certificate_checks(setup)
+    out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     _atomic_write(os.path.join(out_dir, "graph_check.txt"), graph_check_text(setup))
     print(f"check {setup.name}: nodes={setup.graph.n} edges={setup.graph.q} "
           f"components={setup.spectral.components}")
@@ -414,9 +411,9 @@ def _check_multipliers(multipliers):
 
 def cmd_sweep(args):
     sc = parse_scenario(args.scenario)
-    graph = _apply_overrides(sc, args)
+    _apply_overrides(sc, args)
     _check_multipliers(args.multipliers)
-    setup = realize(sc, require_connected=True, graph=graph)
+    setup = realize(sc, require_connected=True)
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     rows = ["multiplier,rate,largest_uptick,final_sync_error,status\n"]
     betas = [mult * setup.controller.beta_star for mult in args.multipliers]

@@ -65,7 +65,10 @@ def edge_end_arrays(g, betas):
     offsets = g.n * np.arange(betas.shape[0])[:, None]
     ends = (offsets + np.concatenate((g.init, g.term))).ravel()
     others = (offsets + np.concatenate((g.term, g.init))).ravel()
-    gains = np.tile(betas * g.weights, 2).ravel()
+    with np.errstate(over="ignore"):
+        # a gain that overflows diverges at the first step, where simulate
+        # reports it
+        gains = np.tile(betas * g.weights, 2).ravel()
     return ends, others, gains
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WeightRangeError
+from .errors import NonFiniteError, WeightRangeError
 from .linalg import NULLSPACE_RTOL, sym_eig
 
 
@@ -109,7 +109,7 @@ def build_edge_lift(m):
     q1 = m.et(y)
     ew = m.incidence * w
     l2 = ew @ ew.T
-    mu = float(sym_eig(l2).eigenvalues[-1]) if np.isfinite(l2).all() else np.inf
+    mu = float(_sym_eig_finite(l2, w).eigenvalues[-1])
     scale = mu / w
     if not np.isfinite(scale).all():
         raise WeightRangeError(f"edge weights {w.min():.3g} to {w.max():.3g} "
@@ -130,17 +130,12 @@ def build_edge_lift(m):
 
 
 def _sym_eig_finite(a, w, vectors=True):
-    """sym_eig(a, vectors), or WeightRangeError when the weights w overflow a or it.
-
-    Entries near the overflow threshold can be finite while the
-    eigensolve's symmetrisation or largest eigenvalue is not.
-    """
-    if np.isfinite(a).all():
-        dec = sym_eig(a, vectors=vectors)
-        if np.isfinite(dec.eigenvalues).all():
-            return dec
-    raise WeightRangeError(f"edge weights {w.min():.3g} to {w.max():.3g} "
-                           f"overflow the lift's margin")
+    """sym_eig(a, vectors), or WeightRangeError when the weights w overflow a or it."""
+    try:
+        return sym_eig(a, vectors=vectors)
+    except NonFiniteError:
+        raise WeightRangeError(f"edge weights {w.min():.3g} to {w.max():.3g} "
+                               f"overflow the lift") from None
 
 
 def lift_residual(m, lift):

@@ -80,6 +80,12 @@ class NoConvergenceError(EdgeSyncError):
     exit_code = 9
 
 
+class NonFiniteError(EdgeSyncError):
+    """A kernel's input or result is not finite: its numbers overflow."""
+
+    exit_code = 9
+
+
 class WeightRangeError(EdgeSyncError):
     """Edge weights so far apart that the edge lift overflows."""
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
+    NonFiniteError,
     NonSymmetricError,
     SingularMatrixError,
 )
@@ -42,19 +43,25 @@ def _as_square(a, name="matrix"):
     return a
 
 
+@np.errstate(over="ignore")
 def sym_eig(a, vectors=True):
     """Decompose a symmetric matrix into ascending eigenvalues and vectors.
 
     With vectors=False only the eigenvalues are computed (eigvalsh, not
     eigh) and eigenvectors is None; the eigenvalues need not have the
-    bits of the full decomposition's. Raises NonSymmetricError when the
-    input exceeds the relative symmetry tolerance, NoConvergenceError if
-    the underlying iteration fails.
+    bits of the full decomposition's. Raises NonFiniteError when an
+    entry or an eigenvalue is not finite, NonSymmetricError when the
+    input exceeds the relative symmetry tolerance (an a - a.T that
+    overflows does), NoConvergenceError if the underlying iteration fails.
     """
     a = _as_square(a)
     if a.size:
+        top = np.max(np.abs(a))
+        if not np.isfinite(top):
+            raise NonFiniteError(f"symmetric eigensolver fed a matrix with an "
+                                 f"entry that is not finite ({top})")
         skew = np.max(np.abs(a - a.T))
-        if skew > SYMMETRY_RTOL * max(1.0, np.max(np.abs(a))):
+        if skew > SYMMETRY_RTOL * max(1.0, top):
             raise NonSymmetricError(
                 f"matrix is not symmetric within tolerance (max skew {skew:.3e})"
             )
@@ -64,11 +71,13 @@ def sym_eig(a, vectors=True):
         # halves first: a + a.T overflows for entries above about 9e307,
         # and halving is exact above the subnormals, so the bits are kept
         sym = 0.5 * a + 0.5 * a.T
-        if not vectors:
-            return SymEig(np.linalg.eigvalsh(sym), None)
-        return SymEig(*np.linalg.eigh(sym))
+        dec = (SymEig(*np.linalg.eigh(sym)) if vectors
+               else SymEig(np.linalg.eigvalsh(sym), None))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    if not np.isfinite(dec.eigenvalues).all():
+        raise NonFiniteError("symmetric eigensolver's eigenvalues overflow")
+    return dec
 
 
 def _complex_schur(a):
@@ -79,15 +88,20 @@ def _complex_schur(a):
     S - lam I with the null vector first, rotates it to the block's first
     column. A backward-stable lam gives sigma_min(S - lam I) <= eps * |S|,
     so zeroing t[k+1:, k] is a backward-stable step however non-normal S
-    is. Costs O(n^4): one n-k eigensolve and SVD per step.
+    is. Costs O(n^4): one n-k eigensolve and SVD per step. Raises
+    NonFiniteError when a block S - lam I is not finite.
     """
     n = a.shape[0]
     t = a.astype(complex)
     u = np.eye(n, dtype=complex)
     for k in range(n - 1):
         s = t[k:, k:]
-        lam = np.linalg.eigvals(s)[0]
-        h = np.linalg.svd(s - lam * np.eye(n - k))[2][::-1].conj().T
+        lam = np.linalg.eigvals(s)[0] if np.isfinite(s).all() else np.inf
+        shifted = s - lam * np.eye(n - k)
+        if not np.isfinite(shifted).all():
+            raise NonFiniteError("Schur form overflows: the matrix's entries "
+                                 "are out of floating-point range")
+        h = np.linalg.svd(shifted)[2][::-1].conj().T
         t[k:, k:] = h.conj().T @ s @ h
         t[:k, k:] = t[:k, k:] @ h
         u[:, k:] = u[:, k:] @ h
@@ -95,6 +109,7 @@ def _complex_schur(a):
     return u, t
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lyapunov_solve(a, q):
     """Solve a^T X + X a + q = 0 for symmetric q by Bartels-Stewart.
 
@@ -104,12 +119,17 @@ def lyapunov_solve(a, q):
     conj(t_ii) + t_jj is at most eps * max(1, max |T|), or a column solve
     fails: the equation is then singular to working precision, as when an
     eigenvalue pair of a sums to zero. The result is symmetrized exactly.
+    Raises NonFiniteError, and no warning, when a, q, the Schur form or X
+    has an entry that is not finite.
     """
     a = _as_square(a)
     q = _as_square(q, "q")
     n = a.shape[0]
     if q.shape[0] != n:
         raise DimensionMismatchError(f"q has shape {q.shape}, expected ({n}, {n})")
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+        raise NonFiniteError("Lyapunov equation has an entry that is not "
+                             "finite: its numbers are out of floating-point range")
     u, t = _complex_schur(a)
     diag = t.diagonal()
     gap = np.min(np.abs(diag.conj()[:, None] + diag), initial=np.inf)
@@ -126,4 +146,8 @@ def lyapunov_solve(a, q):
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"Lyapunov operator is singular: {exc}") from exc
     x = (u @ y @ u.conj().T).real
-    return 0.5 * (x + x.T)
+    x = 0.5 * (x + x.T)
+    if not np.isfinite(x).all():
+        raise NonFiniteError("Lyapunov solution overflows: the equation's "
+                             "numbers are out of floating-point range")
+    return x

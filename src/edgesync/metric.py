@@ -45,6 +45,7 @@ class MetricCertificate:
                    p_lower=p_lower, p_upper=p_upper)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_ari_sampled(cert, model, samples):
     """Worst-case margin of the contraction inequality on a sample set.
 
@@ -52,7 +53,8 @@ def verify_ari_sampled(cert, model, samples):
         lambda_min( -[P J(x) + J(x)^T P - rho P g(x) g(x)^T P + 2 mu P] )
     with J the drift Jacobian; for a constant metric the directional
     derivative of P drops out of the Lie derivative. A nonnegative
-    return means the inequality holds everywhere on the samples.
+    return means the inequality holds everywhere on the samples. An
+    inequality whose numbers overflow raises NonFiniteError, not a warning.
     """
     p = cert.p
     worst = np.inf

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
+    NonFiniteError,
     NotStabilizableError,
     SingularMatrixError,
 )
@@ -54,6 +55,7 @@ def _check_pair(a, b):
     return a, b
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bass_initial_gain(a, b):
     """Stabilizing initial gain by Bass's shifted-Lyapunov method.
 
@@ -63,7 +65,9 @@ def bass_initial_gain(a, b):
     n * eps * lambda_max(Z), which keeps uncontrollable-but-stable
     directions unforced instead of failing on a singular Z. The closed
     loop a - b K0 must then have all eigenvalues in the open left half
-    plane, otherwise the pair is declared not stabilizable.
+    plane, otherwise the pair is declared not stabilizable. Raises
+    NonFiniteError, and no warning, when a number of the construction
+    overflows, as for entries near the float maximum or a subnormal b.
     """
     a, b = _check_pair(a, b)
     n = a.shape[0]
@@ -78,7 +82,11 @@ def bass_initial_gain(a, b):
     inv = np.divide(1.0, dec.eigenvalues, out=np.zeros(n),
                     where=dec.eigenvalues > cut)
     k0 = b.T @ (dec.eigenvectors * inv) @ dec.eigenvectors.T
-    growth = float(np.max(np.linalg.eigvals(a - b @ k0).real))
+    closed = a - b @ k0
+    if not np.isfinite(closed).all():
+        raise NonFiniteError("initial gain overflows: the pair's numbers are "
+                             "out of floating-point range")
+    growth = float(np.max(np.linalg.eigvals(closed).real))
     if growth >= 0.0:
         raise NotStabilizableError(
             f"closed loop under the initial gain has an eigenvalue with real "
@@ -87,6 +95,7 @@ def bass_initial_gain(a, b):
     return k0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ari(a, b, rho, mu):
     """Solve the shifted Riccati equation and package the design.
 
@@ -103,7 +112,9 @@ def solve_ari(a, b, rho, mu):
     the Lyapunov solve, near eps * cond * max |P|, which lies above that
     tolerance when P is large (P ~ 4e8 oscillated at 1e-8). The largest
     entry change is no such signal: it can grow while P is still far
-    from converged.
+    from converged. A pair whose numbers overflow raises NonFiniteError
+    (exit 9), and no warning; one that cannot be stabilized raises
+    NotStabilizableError (exit 5).
     """
     a, b = _check_pair(a, b)
     if rho <= 0.0 or mu <= 0.0:

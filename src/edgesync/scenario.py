@@ -178,12 +178,15 @@ SECTIONS = tuple(dict.fromkeys(section for section, _ in KEYS))
 
 @dataclass
 class Scenario:
-    """Parsed scenario, not yet realized into numerical objects."""
+    """Parsed scenario, not yet realized into numerical objects.
+
+    graph is the scenario's graph, inline or read from graph_file.
+    """
 
     name: str
     path: str
     graph_file: str = None
-    graph_inline: WeightedGraph = None
+    graph: WeightedGraph = None
     model_kind: str = ""
     model: dict = field(default_factory=dict)
     rho: float = 0.0
@@ -314,9 +317,9 @@ def parse_scenario_text(text, path="<string>"):
 
     if graph_lines:
         # parsed as a graph file whose lines keep their scenario line numbers
-        sc.graph_inline = parse_graph_text("\n".join(
+        sc.graph = parse_graph_text("\n".join(
             graph_lines.get(i, "") for i in range(1, max(graph_lines) + 1)), path)
-    if (sc.graph_file is None) == (sc.graph_inline is None):
+    if (sc.graph_file is None) == (sc.graph is None):
         raise ParseError("graph section needs exactly one of 'file' or inline "
                          "'nodes'/'edge' lines", path)
     if not sc.model_kind:
@@ -356,38 +359,31 @@ def parse_scenario_text(text, path="<string>"):
     if sc.h <= 0.0 or sc.t_end <= 0.0 or sc.record_interval <= 0.0:
         raise ParseError("integration needs positive h, t_end and "
                          "record_interval", path)
+    if sc.graph is None:
+        # last, so every other parse error comes first; relative to the
+        # scenario's directory, and an absolute path stays as is
+        sc.graph = read_graph_file(os.path.join(
+            os.path.dirname(os.path.abspath(path)), sc.graph_file))
     return sc
 
 
-def check_integration(sc, n_members=1):
+def check_integration(sc, n_members):
     """Reject step settings and record sizes simulate would refuse, as a ParseError.
 
     Called once the command line overrides are applied, so an --h that
     divides record_interval can stand in for one in the file that does
     not. The record budget is that of n_members runs on the scenario's
     graph with the state width of its initial section (realize rejects
-    a model of another width). Returns that graph, for realize.
+    a model of another width).
     """
     try:
-        # the step settings first, before a graph file is read
         per_record = steps_per_record(sc.h, sc.t_end, sc.record_interval)
-        graph = _graph(sc)
         state_dim = (sc.init_states.shape[1] if sc.init_states is not None
                      else sc.init_base.shape[0])
         check_record_budget(n_members, int(round(sc.t_end / sc.h)) // per_record,
-                            graph.n, state_dim)
+                            sc.graph.n, state_dim)
     except ValueError as exc:
         raise ParseError(f"integration: {exc}", sc.path)
-    return graph
-
-
-def _graph(sc):
-    """The scenario's graph: read from its file, or the inline one."""
-    if sc.graph_file is None:
-        return sc.graph_inline
-    # relative to the scenario's directory; an absolute path stays as is
-    return read_graph_file(os.path.join(
-        os.path.dirname(os.path.abspath(sc.path)), sc.graph_file))
 
 
 def _build_model_and_certificate(sc):
@@ -427,24 +423,23 @@ def _build_model_and_certificate(sc):
     return tanh_perturbed_model(a_design, b_design, gamma, gain), cert, False
 
 
-def realize(sc, require_connected=True, graph=None):
+def realize(sc, require_connected=True):
     """Build all run objects from a parsed scenario.
 
     require_connected enforces the connectivity precondition of the
     synchronization guarantee; diagnostic-only flows may relax it.
-    graph, when given, is the scenario's graph as check_integration
-    returned it; otherwise realize reads it.
     """
-    if graph is None:
-        graph = _graph(sc)
+    graph = sc.graph
     n_comp = components(graph)
     if require_connected and n_comp != 1:
         raise DisconnectedGraphError(
             f"controller requested on a graph with {n_comp} components"
         )
     matrices = build_matrices(graph)
-    spectral = spectral_report(matrices, graph)
+    # the lift first: weights that overflow the spectrum of L overflow it
+    # too, and it names them
     lift = build_edge_lift(matrices)
+    spectral = spectral_report(matrices, graph)
     model, cert, approximate = _build_model_and_certificate(sc)
 
     if sc.init_states is not None:
@@ -461,6 +456,9 @@ def realize(sc, require_connected=True, graph=None):
                 f"dimension is {model.state_dim}", sc.path)
         x0 = perturbed_initial_conditions(
             sc.init_base, graph.n, sc.init_radius, sc.init_seed)
+        if not np.isfinite(x0).all():
+            raise ParseError(f"initial base {sc.init_base.tolist()} plus radius "
+                             f"{sc.init_radius:g} overflows", sc.path)
 
     controller = make_controller(
         matrices, lift, sc.rho, beta=sc.beta, beta_multiplier=sc.beta_multiplier)

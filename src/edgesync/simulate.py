@@ -252,11 +252,13 @@ def _bind_rk4(g, model, betas, x0s, h):
     return x, u, largest, couple_x, advance
 
 
+@np.errstate(over="ignore")
 def perturbed_initial_conditions(base, n_agents, radius, seed):
     """Common base state plus a seeded uniform-ball perturbation per agent.
 
     Directions are isotropic and radii follow the uniform distribution on
-    the solid ball of the given radius. Returns the stacked vector.
+    the solid ball of the given radius. Returns the stacked vector, with
+    inf where base plus perturbation overflows and no warning.
     """
     base = np.asarray(base, dtype=float).reshape(-1)
     if radius < 0.0:

@@ -110,7 +110,9 @@ def _is_number(tok):
 def mutated_text(draw, texts):
     """One of texts with one to three space-separated tokens dropped or replaced.
 
-    A number may become nan, inf, -inf or -1; any token may be dropped.
+    A number may become nan, inf, -inf, -1, a finite extreme (+-1e308, the
+    subnormals 5e-324 and 1e-320) or be dropped; any other token may be
+    dropped.
     """
     text = draw(st.sampled_from(texts))
     lines = [line.split(" ") for line in text.splitlines()]
@@ -118,7 +120,9 @@ def mutated_text(draw, texts):
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         i, j = draw(st.sampled_from(spots))
         if _is_number(lines[i][j]):
-            lines[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "-1", ""]))
+            lines[i][j] = draw(st.sampled_from(
+                ["nan", "inf", "-inf", "-1", "1e308", "-1e308", "5e-324",
+                 "1e-320", ""]))
         else:
             lines[i][j] = ""
     return "\n".join(" ".join(toks) for toks in lines)

@@ -321,6 +321,21 @@ def c3_text():
         return fh.read()
 
 
+def write_edited(tmp_path, scenario, old, new):
+    """A shipped scenario with old replaced by new, written to tmp_path.
+
+    Its graph file, if any, is named by absolute path. Returns the path.
+    """
+    with open(scenario, encoding="utf-8") as fh:
+        text = fh.read().replace(
+            "file lorenz15.graph",
+            f"file {os.path.abspath(SCENARIO_DIR)}/lorenz15.graph")
+    assert old in text
+    scn = tmp_path / "edited.scn"
+    scn.write_text(text.replace(old, new))
+    return scn
+
+
 def expect_parse_error(capsys, argv):
     """main() exits 2 with one 'error:' line on stderr; returns the line."""
     assert main(argv) == 2
@@ -450,10 +465,11 @@ def test_diag_block_matches_dense(q):
 
 
 @pytest.mark.parametrize("verb, extra", [
-    ("run", []), ("sweep", ["--multipliers", "1", "2"])])
+    ("run", ["--t-end", "0.5"]), ("sweep", ["--t-end", "0.5", "--multipliers", "1", "2"]),
+    ("check", [])])
 def test_graph_file_read_once(tmp_path, monkeypatch, verb, extra):
-    # check_integration reads the file for the record budget's node
-    # count and hands the graph to realize
+    # parse_scenario reads the file into Scenario.graph; the record
+    # budget and realize take it from there
     reads = []
 
     def counted(path):
@@ -464,8 +480,7 @@ def test_graph_file_read_once(tmp_path, monkeypatch, verb, extra):
     (tmp_path / "c3.graph").write_text("nodes 3\n1 2 1.0\n1 3 1.0\n2 3 1.0\n")
     scn = tmp_path / "filed.scn"
     scn.write_text(c3_text().replace(C3_INLINE_GRAPH, "file c3.graph\n"))
-    assert main([verb, str(scn), "--t-end", "0.5",
-                 "--out-dir", str(tmp_path / "out")] + extra) == 0
+    assert main([verb, str(scn), "--out-dir", str(tmp_path / "out")] + extra) == 0
     assert len(reads) == 1
 
 
@@ -518,6 +533,60 @@ class TestMalformedInput:
         assert main(["check", str(scn), "--out-dir", str(tmp_path / "out")]) == 9
         assert "round-off" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scenario,old,new", [
+        (LINEAR_C3, "rho 1.0", "rho 1e308"),
+        (LINEAR_C3, "rho 1.0", "rho 1e-320"),
+        (LINEAR_C3, "b 0 1", "b 0 1e308"),
+        (LINEAR_C3, "a 0 1 ; 0 0", "a 0 1e154 ; 0 0"),
+        (TANH_P3, "mu 0.2", "mu 1e308"),
+        (LORENZ15, "a 10.0", "a -1e308"),
+    ], ids=["c3-rho", "c3-rho_subnormal", "c3-b", "c3-a", "p3-mu", "lorenz-a"])
+    def test_design_out_of_range(self, tmp_path, capsys, scenario, old, new):
+        # the Riccati design overflowed into numpy's LinAlgError (exit 1)
+        # and RuntimeWarnings; it is NonFiniteError's exit 9
+        scn = write_edited(tmp_path, scenario, old, new)
+        for argv in (["check"], ["run", "--t-end", "0.2"]):
+            out = tmp_path / argv[0]
+            assert main([argv[0], str(scn), "--out-dir", str(out)] + argv[1:]) == 9
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "out of floating-point range" in err
+            assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scenario,old,new,argv,code", [
+        (TANH_P3, "gamma 0.05", "gamma 1e308", ["check"], 9),
+        (TANH_P3, "gamma 0.05", "gamma 1e308", ["run", "--t-end", "0.2"], 7),
+        (LORENZ15, "beta 30.0", "beta 1e308", ["run", "--t-end", "0.2"], 7),
+        (LORENZ15, "beta 30.0", "beta -1e308", ["run", "--t-end", "0.2"], 7),
+    ], ids=["gamma-check", "gamma-run", "beta-run", "negative_beta-run"])
+    def test_model_or_gain_out_of_range(self, tmp_path, capsys, scenario, old,
+                                        new, argv, code):
+        # the sampled contraction check overflowed into a margin of -inf
+        # (exit 0) and the coupling gains beta w into warnings; now the
+        # check is NonFiniteError's exit 9 and the runs diverge at once
+        scn = write_edited(tmp_path, scenario, old, new)
+        assert main([argv[0], str(scn), "--out-dir", str(tmp_path / "out")]
+                    + argv[1:]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # check samples the certificate before it makes the output directory
+        assert (tmp_path / "out").exists() == (argv[0] == "run")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_initial_states_overflow(self, tmp_path, capsys):
+        # base + radius * direction overflowed with a warning; check
+        # passed and run diverged at t = 0
+        scn = tmp_path / "far.scn"
+        scn.write_text(c3_text().replace("base 0 0", "base 1e308 0").replace(
+            "radius 5.0", "radius 1e308"))
+        for verb in ("check", "run"):
+            err = expect_parse_error(
+                capsys, [verb, str(scn), "--out-dir", str(tmp_path / verb)])
+            assert "overflows" in err
+            assert not (tmp_path / verb).exists()
 
     @pytest.mark.parametrize("h", ["nan", "0.003"])
     def test_scenario_file_step(self, tmp_path, capsys, h):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from edgesync import (
     DimensionMismatchError,
+    NonFiniteError,
     NonSymmetricError,
     SingularMatrixError,
     lyapunov_solve,
@@ -68,6 +69,18 @@ class TestSymEig:
             assert np.all(np.isfinite(dec.eigenvalues))
             assert np.allclose(dec.eigenvalues, [-1.7e308, 1.7e308], rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a", [
+        [[np.nan, 5.0], [0.0, 1.0]],  # a nan skew passed the symmetry check
+        [[1.0, np.inf], [np.inf, 1.0]],  # gave eigenvalues [nan, nan]
+        [[1.7e308, 1.7e308], [1.7e308, 1.7e308]],  # eigenvalue 3.4e308
+    ], ids=["nan", "inf", "eigenvalue_overflow"])
+    def test_rejects_nonfinite(self, a):
+        for vectors in (True, False):
+            with pytest.raises(NonFiniteError) as info:
+                sym_eig(np.array(a), vectors=vectors)
+            assert info.value.exit_code == 9
+
     @given(st.integers(min_value=0, max_value=2**31 - 1),
            st.integers(min_value=1, max_value=8))
     @settings(max_examples=40, deadline=None)
@@ -98,6 +111,17 @@ class TestLyapunov:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             lyapunov_solve(-np.eye(2), np.eye(3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a,q", [
+        ([[-np.inf]], [[1.0]]),
+        ([[-1.0]], [[np.nan]]),
+        ([[-1e-10]], [[1e300]]),  # X = 5e309
+        ([[1e308, 1e308], [1e308, 1e308]], [[1.0, 0.0], [0.0, 1.0]]),  # 2e308
+    ], ids=["inf_a", "nan_q", "solution", "schur_form"])
+    def test_nonfinite(self, a, q):
+        with pytest.raises(NonFiniteError):
+            lyapunov_solve(np.array(a), np.array(q))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1),
            st.integers(min_value=1, max_value=6))

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesync import (
+    NonFiniteError,
     NotStabilizableError,
     bass_initial_gain,
     convective_linearization,
@@ -104,6 +105,22 @@ class TestSolveAri:
     def test_not_stabilizable(self):
         with pytest.raises(NotStabilizableError):
             solve_ari(np.eye(2), np.array([[1.0], [0.0]]), 1.0, 0.1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a,b,rho,mu", [
+        (DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, 1e308, 0.2),
+        (DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, 1e-320, 0.2),
+        (DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, 1.0, 1e308),
+        (DOUBLE_INTEGRATOR_A, [0.0, 1e154], 1.0, 0.2),
+        ([[0.0, 1e154], [0.0, 0.0]], DOUBLE_INTEGRATOR_B, 1.0, 0.2),
+        ([[1e308, 1.0], [0.0, 0.0]], DOUBLE_INTEGRATOR_B, 1.0, 0.2),
+    ], ids=["rho_huge", "rho_subnormal", "mu_huge", "b_huge", "a_entry",
+            "a_diagonal"])
+    def test_numbers_out_of_range(self, a, b, rho, mu):
+        # these overflowed into numpy's LinAlgError and RuntimeWarnings
+        with pytest.raises(NonFiniteError) as info:
+            solve_ari(np.array(a), np.array(b), rho, mu)
+        assert info.value.exit_code == 9
 
     def test_convective_origin_pair(self):
         # stabilizable with an uncontrollable (but stable) third mode

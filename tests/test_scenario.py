@@ -15,6 +15,7 @@ from edgesync import (
     solve_ari,
 )
 from edgesync import scenario
+from edgesync.graphs import read_graph_file
 from edgesync.scenario import KEYS, MODEL_KEYS
 
 from helpers import SCENARIO_DIR, SHIPPED_TEXTS, mutated_text
@@ -152,7 +153,7 @@ class TestShippedScenarios:
 class TestParseValidation:
     def test_minimal_parses(self):
         sc = parse_scenario_text(MINIMAL)
-        assert sc.graph_inline.n == 2
+        assert sc.graph.n == 2
         assert sc.init_seed == 11
 
     def test_missing_section(self):
@@ -305,6 +306,26 @@ class TestParseValidation:
             parse_scenario_text(text, path="case.scn")
         assert exc.value.line == lineno
         assert "repeats line" in str(exc.value)
+
+    def test_graph_file_read_at_parse(self, tmp_path):
+        (tmp_path / "c3.graph").write_text("nodes 3\n1 2 1.0\n1 3 2.0\n2 3 0.5\n")
+        (tmp_path / "sub").mkdir()
+        scn = tmp_path / "sub" / "filed.scn"
+        scn.write_text(replace_section(MINIMAL, "graph", "file ../c3.graph"))
+        sc = parse_scenario(str(scn))
+        assert sc.graph == read_graph_file(str(tmp_path / "c3.graph"))
+        assert sc.graph_file == "../c3.graph"
+
+    def test_missing_graph_file_is_a_parse_error(self, tmp_path):
+        scn = tmp_path / "filed.scn"
+        text = replace_section(MINIMAL, "graph", "file nope.graph")
+        scn.write_text(text)
+        with pytest.raises(ParseError, match="nope.graph"):
+            parse_scenario(str(scn))
+        # every other parse error is found before the graph file is read
+        scn.write_text(text.replace("h 0.005", "h -1"))
+        with pytest.raises(ParseError, match="positive h"):
+            parse_scenario(str(scn))
 
     def test_ragged_matrix(self):
         with pytest.raises(ParseError):
