@@ -26,6 +26,7 @@ from .edge_lift import (
     EdgeLift,
     build_edge_lift,
     lift_residual,
+    lift_rows,
 )
 from .errors import (
     DimensionMismatchError,
@@ -116,6 +117,7 @@ __all__ = [
     "edge_energy",
     "fit_decay_rate",
     "lift_residual",
+    "lift_rows",
     "linear_model",
     "lorenz_model",
     "lyapunov_solve",

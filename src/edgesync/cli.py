@@ -9,13 +9,16 @@ Artifacts are written atomically (temp file plus rename) into the output
 directory resolved as: --out-dir flag, else the scenario [output] dir,
 else the EDGESYNC_OUT_DIR environment variable, else ./edgesync_out.
 
-graph_check.txt's large matrix blocks (any table of at least 2 * 2**16
-cells) are formatted by forked workers, one per usable CPU but no more
-than one per 2**16 cells. The bytes do not depend on the CPU count, and
-without os.fork the formatting is serial. The process's own memory peak
-does not rise, but each worker holds its share's text until it is read:
-on a 300-node, 1185-edge graph `check` peaks at 121 MiB and the lift
-block's worker holds about 15 MiB of its own.
+No artifact is held whole, and no Q x Q array is formed: trajectory.csv's
+records and graph_check.txt's Laplacian and lift blocks are built and
+written a share of at most 2**16 cells at a time, the incidence and
+weight blocks a line at a time. A table of at least 2 * 2**16 cells is
+formatted by forked workers, in rounds of one share per usable CPU. The
+bytes do not depend on the CPU count, and without os.fork the formatting
+is serial. A worker holds one share's text, about 1.5 MiB, until it is
+read: on a 300-node, 1185-edge graph `check` peaks at 58 MiB, workers
+included (99 MiB with the whole lift held), and on a 1000-node,
+4000-edge graph at 289 MiB (700 MiB).
 
 Exit codes: 0 success, 1 unexpected failure, 2 parse error,
 3 disconnected graph, 4 dimension mismatch, 5 not stabilizable,
@@ -26,10 +29,12 @@ Exit codes: 0 success, 1 unexpected failure, 2 parse error,
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import analysis
+from .edge_lift import lift_rows
 from .errors import DivergedError, EdgeSyncError, ParseError
 from .metric import verify_ari_sampled, verify_killing_integrability
 from .scenario import check_integration, parse_scenario, realize
@@ -39,8 +44,9 @@ ENV_OUT_DIR = "EDGESYNC_OUT_DIR"
 CERT_SAMPLE_COUNT = 200
 CERT_SAMPLE_RADIUS = 10.0
 CERT_SAMPLE_SEED = 0
-# Cells a forked formatting worker takes at least: below that the fork
-# and the pipe cost more than the formatting they take over.
+# Cells in a share of a table, built and written at once (at least one
+# row), and in the share a forked formatting worker takes: below that the
+# fork and the pipe cost more than the formatting they take over.
 _MIN_CELLS_PER_WORKER = 2**16
 
 
@@ -55,12 +61,13 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _format_rows(table, row):
-    return [row % tuple(cells.tolist()) for cells in table]
+def _format_rows(block, row):
+    """The lines of a block's rows by the template row, each made as it is read."""
+    return (row % tuple(cells.tolist()) for cells in block)
 
 
-def _fork_rows(share, row):
-    """Fork a child that formats share's rows into a pipe: (pid, read fd), or None.
+def _fork_rows(block, row):
+    """Fork a child that formats block's rows into a pipe: (pid, read fd), or None.
 
     The child only converts and formats: it makes no BLAS call and takes
     no lock a thread of the parent may hold, so forking is safe. It
@@ -79,7 +86,7 @@ def _fork_rows(share, row):
         status = 1
         try:
             os.close(rfd)
-            lines = _format_rows(share, row)
+            lines = list(_format_rows(block, row))
             with open(wfd, "w", encoding="utf-8") as fh:
                 fh.writelines(lines)
             status = 0
@@ -89,95 +96,157 @@ def _fork_rows(share, row):
     return pid, rfd
 
 
-def _collect_rows(child, share, row):
-    """The lines a child formatted for share; formatted here if the child failed.
+def _collect_rows(child, n_rows):
+    """The text a child formatted for n_rows rows, or None if it failed.
 
     A child failed if it exited non-zero or sent other than one whole line
     per row.
     """
-    if child is not None:
-        pid, rfd = child
-        try:
-            with open(rfd, encoding="utf-8", newline="\n") as fh:
-                lines = fh.readlines()
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status == 0 and len(lines) == len(share) and lines[-1].endswith("\n"):
-            return lines
-    return _format_rows(share, row)
-
-
-def _table_lines(table, sep):
-    """Rows of a table as lines of cells joined by sep, each as _fmt writes it.
-
-    One "%.17g" template formats a whole row, much faster than _fmt per cell.
-    A table of at least 2 * _MIN_CELLS_PER_WORKER cells is split by rows
-    into one share per usable CPU, but no more than one per
-    _MIN_CELLS_PER_WORKER cells or per row. Forked children format every
-    share but the first, which the parent formats meanwhile, and their
-    lines are appended in row order. Every row is formatted on its own, so
-    the lines do not depend on the CPU count. Without os.fork it is all
-    serial.
-    """
-    table = np.atleast_2d(np.asarray(table, dtype=float))
-    row = sep.join(["%.17g"] * table.shape[1]) + "\n"
-    n_rows = table.shape[0]
-    workers = min(_usable_cpus(), table.size // _MIN_CELLS_PER_WORKER, n_rows)
-    if workers <= 1 or not hasattr(os, "fork"):
-        return _format_rows(table, row)
-    bounds = [n_rows * k // workers for k in range(workers + 1)]
-    pending = []
+    if child is None:
+        return None
+    pid, rfd = child
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pending.append((table[lo:hi], _fork_rows(table[lo:hi], row)))
-        lines = _format_rows(table[:bounds[1]], row)
-        while pending:
-            share, child = pending.pop(0)
-            lines += _collect_rows(child, share, row)
+        with open(rfd, encoding="utf-8", newline="\n") as fh:
+            text = fh.read()
     finally:
-        for _, child in pending:
-            if child is not None:
-                os.close(child[1])
-                os.waitpid(child[0], 0)
-    return lines
+        status = os.waitpid(pid, 0)[1]
+    if status == 0 and text.count("\n") == n_rows and text.endswith("\n"):
+        return text
+    return None
 
 
-def _atomic_write(path, chunks):
-    """Write the text chunks to path through a temp file; a ParseError if that fails."""
+class _Table:
+    """A table of floats whose lines are built and formatted a row share at a time.
+
+    rows(lo, hi) builds rows lo to hi, n_cols cells each. A line holds a
+    row's cells joined by sep, each as _fmt writes it; one "%.17g"
+    template formats a whole row, much faster than _fmt per cell.
+    Iterating yields the table's text in row order. A share holds at
+    most _MIN_CELLS_PER_WORKER cells, or one row, on any CPU count, so
+    rows whose last bits depend on the share they are built in still
+    give the same bytes. A table of at least 2 * _MIN_CELLS_PER_WORKER
+    cells goes in rounds of one share per usable CPU: the parent builds
+    each worker's rows just before it forks that worker, which only
+    formats them, then builds and formats its own share, the round's
+    first. It forks the next round's workers before it reads this
+    round's text in row order, so they format while it reads and builds,
+    and it formats a failed worker's share itself. So BLAS runs only in
+    the parent, and no more than two rounds' shares are held at once.
+    Without os.fork it is all serial.
+    """
+
+    def __init__(self, n_rows, n_cols, rows, sep):
+        self.n_rows = n_rows
+        self.cells = n_rows * n_cols
+        self.rows = rows
+        self.row = sep.join(["%.17g"] * n_cols) + "\n"
+        self.step = max(1, _MIN_CELLS_PER_WORKER // max(1, n_cols))
+
+    def __iter__(self):
+        bounds = list(range(0, self.n_rows, self.step)) + [self.n_rows]
+        shares = list(zip(bounds[:-1], bounds[1:]))
+        workers = 1
+        if self.cells >= 2 * _MIN_CELLS_PER_WORKER and hasattr(os, "fork"):
+            workers = min(_usable_cpus(), len(shares))
+        rounds = [shares[k:k + workers] for k in range(0, len(shares), workers)]
+        pending = []
+
+        def fork(k):
+            for lo, hi in rounds[k][1:] if k < len(rounds) else ():
+                pending.append(((lo, hi), _fork_rows(self.rows(lo, hi), self.row)))
+
+        try:
+            fork(0)
+            for k, (own, *others) in enumerate(rounds):
+                yield from _format_rows(self.rows(*own), self.row)
+                fork(k + 1)
+                for _ in others:
+                    (lo, hi), child = pending.pop(0)
+                    text = _collect_rows(child, hi - lo)
+                    yield text if text is not None else "".join(
+                        _format_rows(self.rows(lo, hi), self.row))
+        finally:
+            for _, child in pending:
+                if child is not None:
+                    os.close(child[1])
+                    os.waitpid(child[0], 0)
+
+
+def _row_text(values, sep):
+    """One line of the values joined by sep, each as _fmt writes it."""
+    values = np.asarray(values, dtype=float).tolist()
+    return sep.join(["%.17g"] * len(values)) % tuple(values) + "\n"
+
+
+def _chunks(parts):
+    """The text of a list of parts, each a str or an iterable of str such as a _Table."""
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            yield from part
+
+
+def _atomic_write(path, parts):
+    """Write the parts' text to path through a temp file; a ParseError if that fails.
+
+    parts is a list (see _chunks), so its length is known before it is
+    written. On any exception the temp file is removed and any formatting
+    worker still running is waited for.
+    """
     tmp = f"{path}.tmp{os.getpid()}"
+    chunks = _chunks(parts)
+    done = False
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
+        done = True
     except OSError as exc:
-        if os.path.isfile(tmp):
-            os.remove(tmp)
         raise ParseError(f"cannot write artifact: {exc}")
+    finally:
+        chunks.close()
+        if not done and os.path.isfile(tmp):
+            os.remove(tmp)
 
 
-def _matrix_block(name, mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    return [f"matrix {name} {mat.shape[0]} {mat.shape[1]}\n"] + _table_lines(mat, " ")
+def _matrix_block(name, n_rows, n_cols, rows):
+    """A matrix block's header line and its table; rows(lo, hi) builds rows lo to hi."""
+    return [f"matrix {name} {n_rows} {n_cols}\n", _Table(n_rows, n_cols, rows, " ")]
+
+
+def _incidence_block(incidence):
+    """The incidence matrix's block, each line made as it is read.
+
+    Its cells are -1, 0 and 1, which "%.17g" writes as "-1", "0" and "1":
+    a lookup gives those bytes at a small part of the cost of formatting.
+    """
+    n, q = incidence.shape
+    cell = {-1.0: "-1", 0.0: "0", 1.0: "1"}.__getitem__
+    return [f"matrix incidence {n} {q}\n",
+            (" ".join(map(cell, row.tolist())) + "\n" for row in incidence)]
 
 
 def _diag_block(name, diag):
-    """_matrix_block(name, np.diag(diag)), written without forming the matrix."""
+    """The block of the matrix np.diag(diag), each line made as it is read."""
     q = len(diag)
-    return [f"matrix {name} {q} {q}\n"] + [
+    return [f"matrix {name} {q} {q}\n", (
         "0 " * i + _fmt(w) + " 0" * (q - 1 - i) + "\n"
-        for i, w in enumerate(np.asarray(diag, dtype=float).tolist())]
+        for i, w in enumerate(np.asarray(diag, dtype=float).tolist()))]
 
 
 def graph_check_text(setup):
-    """Machine-parseable construction report, as a list of lines.
+    """Machine-parseable construction report, as a list of parts (see _chunks).
 
     Carries the matrices themselves so the critical gain can be
     recomputed from the emitted data and compared against the stated
-    value.
+    value. Each matrix block's rows are built as they are written, the
+    lift's by lift_rows, so no Q x Q array is formed.
     """
     m = setup.matrices
     lift = setup.lift
-    lines = [line + "\n" for line in (
+    n, q = m.incidence.shape
+    parts = [line + "\n" for line in (
         f"nodes {setup.graph.n}",
         f"edges {setup.graph.q}",
         f"components {setup.spectral.components}",
@@ -192,16 +261,15 @@ def graph_check_text(setup):
         f"endpoint_residual_terminal {_fmt(0.5 * setup.lift_residual)}",
         f"beta_star {_fmt(setup.controller.beta_star)}",
     )]
-    lines += [
-        "laplacian_eigs " + _table_lines(setup.spectral.laplacian_eigs, " ")[0],
-        "edge_laplacian_eigs " + _table_lines(
-            setup.spectral.edge_laplacian_eigs, " ")[0],
+    parts += [
+        "laplacian_eigs " + _row_text(setup.spectral.laplacian_eigs, " "),
+        "edge_laplacian_eigs " + _row_text(setup.spectral.edge_laplacian_eigs, " "),
     ]
-    lines += _matrix_block("incidence", m.incidence)
-    lines += _diag_block("weight_diag", m.weights)
-    lines += _matrix_block("laplacian", m.laplacian)
-    lines += _matrix_block("lift", lift.lift)
-    return lines
+    parts += _incidence_block(m.incidence)
+    parts += _diag_block("weight_diag", m.weights)
+    parts += _matrix_block("laplacian", n, n, lambda lo, hi: m.laplacian[lo:hi])
+    parts += _matrix_block("lift", q, q, partial(lift_rows, m, lift))
+    return parts
 
 
 def parse_graph_check(text):
@@ -268,7 +336,8 @@ def certificate_checks(setup):
 def trajectory_csv(traj, v, sync):
     """Header line, then one line per record: time, states, inputs, V, sync error.
 
-    A list of lines: the file is written without joining them into one text.
+    A list of the header and a _Table whose rows are stacked from slices
+    of the series a share at a time, as the file is written.
     """
     n_agents = traj.inputs.shape[1]
     state_dim = traj.states.shape[1] // n_agents
@@ -278,8 +347,13 @@ def trajectory_csv(traj, v, sync):
             header.append(f"x_{i}_{j}")
     header += [f"u_{i}" for i in range(1, n_agents + 1)]
     header += ["V", "sync_error"]
-    table = np.column_stack((traj.times, traj.states, traj.inputs, v, sync))
-    return [",".join(header) + "\n"] + _table_lines(table, ",")
+
+    def rows(lo, hi):
+        return np.column_stack((traj.times[lo:hi], traj.states[lo:hi],
+                                traj.inputs[lo:hi], v[lo:hi], sync[lo:hi]))
+
+    return [",".join(header) + "\n",
+            _Table(len(traj.times), len(header), rows, ",")]
 
 
 def report_text(setup, diag, warnings, fit, uptick, sync0, sync1):

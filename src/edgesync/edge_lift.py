@@ -18,17 +18,21 @@ matrix E W^2 E^T, reaches 0.89 to 0.998 of it on the graphs tested.
 Trees have full column rank incidence, so U is the edge Laplacian
 itself with mu = 0.
 
-On every graph no kernel basis is formed and no Q x Q eigensolve runs:
-Pi = I - Q1 Q1^T with Q1 an orthonormal basis of range(E^T) from the
-N x N matrix E E^T, and the margin comes from a matrix of size at most
-min(Q, 2N), solved for its eigenvalues alone. The products by E with
-exact entries, E E^T, Q1 = E^T Y and E^T L, are built from the edge
-lists (GraphMatrices.node_gram and et); the sums E W E^T and
-E W^2 E^T and the product U E^T stay dense.
+On every graph no kernel basis is formed, no Q x Q eigensolve runs and
+no Q x Q array is held: Pi = I - Q1 Q1^T with Q1 an orthonormal basis
+of range(E^T) from the N x N matrix E E^T, the margin comes from a
+matrix of size at most min(Q, 2N), solved for its eigenvalues alone,
+and U is kept as its factors Q1, Y and mu / w. lift_rows builds any
+rows of U from them, so U is written a share of rows at a time. The
+products by E with exact entries, E E^T, E^T E, Q1 = E^T Y and E^T L,
+are built from the edge lists (GraphMatrices.node_gram and et); the
+sums E W E^T and E W^2 E^T stay dense.
 
-The endpoint identities E_k^T L = U E_k^T + Omega, and alike for E_l,
-need no check: E_k, E_l = (|E| -+ E) / 2 and Omega = (|E^T| L - U |E^T|) / 2
-make their residuals half of the one lift_residual returns.
+The intertwining residual needs no U either: U E^T - E^T L is
+mu W^-1 (E^T - Q1 Y^T E E^T), of size Q x N. The endpoint identities
+E_k^T L = U E_k^T + Omega, and alike for E_l, need no check:
+E_k, E_l = (|E| -+ E) / 2 and Omega = (|E^T| L - U |E^T|) / 2 make
+their residuals half of the one lift_residual returns.
 """
 
 from dataclasses import dataclass
@@ -41,16 +45,20 @@ from .linalg import NULLSPACE_RTOL, sym_eig
 
 @dataclass(frozen=True)
 class EdgeLift:
-    """Constructed lift with its certificate quantities.
+    """Constructed lift, kept as its factors, with its certificate quantities.
 
+    The lift is U = E^T E W + mu * W^-1 Pi, with Pi = I - Q1 Q1^T the
+    projector onto the kernel_dim-dimensional ker(E) and mu the largest
+    eigenvalue of E W^2 E^T, or 0 when the kernel is empty. It is kept
+    as q1 (Q x r, Q1 = E^T Y, an orthonormal basis of range(E^T)), y
+    (N x r) and scale (mu / w per edge); lift_rows builds its rows.
     pd_margin is the smallest eigenvalue of (W U + U^T W) / 2, inf for
-    an edgeless graph. The lift is edge_laplacian + mu * W^-1 Pi, with
-    Pi the projector onto the kernel_dim-dimensional ker(E) and mu the
-    largest eigenvalue of E W^2 E^T, or 0 when the kernel is empty. No
-    kernel basis is formed.
+    an edgeless graph. No kernel basis is formed.
     """
 
-    lift: np.ndarray
+    q1: np.ndarray
+    y: np.ndarray
+    scale: np.ndarray
     mu: float
     pd_margin: float
     kernel_dim: int
@@ -81,18 +89,19 @@ def build_edge_lift(m):
     eps * mu: on a component whose weights are orders of magnitude
     below another's that is a large relative error. mu grows as w_max^2
     and the W^-1 scaling as mu / w_min: if either overflows, this raises
-    WeightRangeError before any Q x Q array is formed, and no warning.
-    It raises the same when the Gram matrix, H or their eigenvalues are
-    not finite, and on a forest when the margin is not above
-    r * eps * lambda_max(Y^T L^2 Y), the round-off of that eigensolve:
-    a path with one weight 1e-155 would otherwise certify a margin of
-    5.6e-17.
+    WeightRangeError, and no warning. It raises the same when the Gram
+    matrix, H or their eigenvalues are not finite, and on a forest when
+    the margin is not above r * eps * lambda_max(Y^T L^2 Y), the
+    round-off of that eigensolve: a path with one weight 1e-155 would
+    otherwise certify a margin of 5.6e-17. Every array it keeps or
+    forms is at most Q x N or (2N) x (2N).
     """
     w = m.weights
     dec = sym_eig(m.node_gram())
     d = dec.eigenvalues
     keep = d > NULLSPACE_RTOL * max(1.0, float(d[-1]))
     y = dec.eigenvectors[:, keep] / np.sqrt(d[keep])
+    q1 = m.et(y)
     ly = m.laplacian @ y
     r = y.shape[1]
     kdim = len(w) - r
@@ -104,9 +113,8 @@ def build_edge_lift(m):
             raise WeightRangeError(
                 f"edge weights {w.min():.3g} to {w.max():.3g} put the lift's "
                 f"margin {eigs[0]:.3g} at the round-off of {eigs[-1]:.3g}")
-        return EdgeLift(lift=m.edge_laplacian.copy(), mu=0.0,
+        return EdgeLift(q1=q1, y=y, scale=np.zeros(len(w)), mu=0.0,
                         pd_margin=float(eigs.min(initial=np.inf)), kernel_dim=0)
-    q1 = m.et(y)
     ew = m.incidence * w
     l2 = ew @ ew.T
     mu = float(_sym_eig_finite(l2, w).eigenvalues[-1])
@@ -114,19 +122,14 @@ def build_edge_lift(m):
     if not np.isfinite(scale).all():
         raise WeightRangeError(f"edge weights {w.min():.3g} to {w.max():.3g} "
                                f"overflow the lift: mu = {mu:.3g}")
-    # mu * W^-1 (I - Q1 Q1^T) + E^T E W, in place in one Q x Q array
-    lift = q1 @ q1.T
-    lift *= -1.0
-    lift.flat[::lift.shape[0] + 1] += 1.0
-    lift *= scale[:, None]
-    lift += m.edge_laplacian
     gram = _sym_eig_finite(l2 - ly @ ly.T, w)
     nonzero = gram.eigenvalues > NULLSPACE_RTOL * mu
     sigma = gram.eigenvalues[nonzero]
     cross = ly.T @ (gram.eigenvectors[:, nonzero] * np.sqrt(sigma))
     h = np.block([[ly.T @ ly, cross], [cross.T, np.diag(mu + sigma)]])
     margin = float(_sym_eig_finite(h, w, vectors=False).eigenvalues[0])
-    return EdgeLift(lift=lift, mu=mu, pd_margin=margin, kernel_dim=kdim)
+    return EdgeLift(q1=q1, y=y, scale=scale, mu=mu, pd_margin=margin,
+                    kernel_dim=kdim)
 
 
 def _sym_eig_finite(a, w, vectors=True):
@@ -138,7 +141,32 @@ def _sym_eig_finite(a, w, vectors=True):
                                f"overflow the lift") from None
 
 
+def lift_rows(m, lift, lo, hi):
+    """Rows lo to hi of the lift U = E^T E W + mu W^-1 (I - Q1 Q1^T), a new array.
+
+    The operations run in the order of the whole product, so rows 0 to Q
+    have the bits U had when it was formed at once (numpy computes
+    Q1 Q1^T by one syrk there); a share of fewer rows is a gemm, which
+    may differ from it in the last bit. On a forest mu = 0 and the rows
+    are those of E^T E W, bit for bit.
+    """
+    q1 = lift.q1
+    rows = q1[lo:hi] @ q1.T
+    rows *= -1.0
+    rows[np.arange(hi - lo), np.arange(lo, hi)] += 1.0
+    rows *= lift.scale[lo:hi, None]
+    ete = m.et(m.incidence, lo, hi)
+    ete *= m.weights
+    rows += ete
+    return rows
+
+
 def lift_residual(m, lift):
-    """max|U E^T - E^T L| of an EdgeLift, 0 on an edgeless graph."""
-    return float(np.max(np.abs(lift.lift @ m.incidence.T - m.et(m.laplacian)),
-                        initial=0.0))
+    """max|U E^T - E^T L| of an EdgeLift, 0 on a forest and on an edgeless graph.
+
+    Taken in the factored form mu W^-1 (E^T - Q1 (Y^T E E^T)), with no
+    Q x Q array: equal to U E^T - E^T L in exact arithmetic, since
+    E^T E W E^T = E^T L and Q1^T E^T = Y^T E E^T.
+    """
+    factor = m.incidence.T - lift.q1 @ (lift.y.T @ m.node_gram())
+    return float(np.max(np.abs(lift.scale[:, None] * factor), initial=0.0))

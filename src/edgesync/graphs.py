@@ -23,9 +23,9 @@ from .linalg import sym_eig
 MAX_NODES = int(np.iinfo(np.intp).max)
 
 # the most nodes and the most edges a parsed graph may have: a check holds
-# dense N x Q and N x N arrays and at most two Q x Q ones at a time, the
-# edge Laplacian and the lift (Q = 8192 is 512 MiB each); E^T E is
-# gathered from the rows of E, with no dense E.T @ E product
+# dense N x Q and N x N arrays (N = Q = 8192 is 512 MiB each) and no
+# Q x Q one, as the lift is kept factored and its rows, with those of
+# E^T E, are built a share at a time
 MAX_DENSE = 8192
 
 
@@ -109,7 +109,8 @@ class GraphMatrices:
     incidence has one column per edge, -1 at the initial and +1 at the
     terminal node; init and term are the graph's 0-based index arrays of
     those nodes. W = diag(weights) is only ever applied as a row or
-    column scaling: laplacian = E W E^T and edge_laplacian = E^T E W.
+    column scaling: laplacian = E W E^T, and the edge Laplacian
+    E^T E W is never held whole (edge_lift.lift_rows builds its rows).
     The products by E whose entries are exact, E^T E, E E^T and E^T a,
     are built from init and term with the bits of the dense products;
     L = E W E^T, whose degree sums round, is the one dense product.
@@ -120,20 +121,14 @@ class GraphMatrices:
     laplacian: np.ndarray
     init: np.ndarray
     term: np.ndarray
-    edge_laplacian: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        # E^T E has 2 on its diagonal, and 2 w overflows above about
-        # 9e307: build_edge_lift reports that weight range, so no warning
-        edge_laplacian = self.et(self.incidence)
-        with np.errstate(over="ignore"):
-            edge_laplacian *= self.weights
-        object.__setattr__(self, "edge_laplacian", edge_laplacian)
+    def et(self, a, lo=0, hi=None):
+        """Rows lo to hi of E^T a for an N-row array a: row j is a[term_j] - a[init_j].
 
-    def et(self, a):
-        """E^T a for an N-row array a: row j is a[term_j] - a[init_j]."""
-        out = a[self.term]
-        out -= a[self.init]
+        et(incidence, lo, hi) gives those rows of E^T E.
+        """
+        out = a[self.term[lo:hi]]
+        out -= a[self.init[lo:hi]]
         return out
 
     def node_gram(self):
@@ -153,7 +148,7 @@ class SpectralReport:
 
 
 def build_matrices(g):
-    """Assemble the incidence, Laplacian and edge Laplacian of g."""
+    """Assemble the incidence and Laplacian of g."""
     incidence = np.zeros((g.n, g.q))
     cols = np.arange(g.q)
     incidence[g.init, cols] = -1.0

@@ -120,7 +120,9 @@ def lyapunov_solve(a, q):
     fails: the equation is then singular to working precision, as when an
     eigenvalue pair of a sums to zero. The result is symmetrized exactly.
     Raises NonFiniteError, and no warning, when a, q, the Schur form or X
-    has an entry that is not finite.
+    has an entry that is not finite, and when an entry of the Schur form
+    has finite parts but a modulus that overflows, which would make max |T|
+    and the singularity test meaningless.
     """
     a = _as_square(a)
     q = _as_square(q, "q")
@@ -131,9 +133,13 @@ def lyapunov_solve(a, q):
         raise NonFiniteError("Lyapunov equation has an entry that is not "
                              "finite: its numbers are out of floating-point range")
     u, t = _complex_schur(a)
+    top = float(np.max(np.abs(t), initial=0.0))
+    if not np.isfinite(top):
+        raise NonFiniteError("Schur form overflows: an entry's modulus is "
+                             "out of floating-point range")
     diag = t.diagonal()
     gap = np.min(np.abs(diag.conj()[:, None] + diag), initial=np.inf)
-    if gap <= np.finfo(float).eps * max(1.0, float(np.max(np.abs(t), initial=0.0))):
+    if gap <= np.finfo(float).eps * max(1.0, top):
         raise SingularMatrixError(
             f"Lyapunov operator is singular: eigenvalue pair sum {gap:.3e}")
     f = u.conj().T @ q @ u

@@ -67,11 +67,19 @@ def bass_initial_gain(a, b):
     loop a - b K0 must then have all eigenvalues in the open left half
     plane, otherwise the pair is declared not stabilizable. Raises
     NonFiniteError, and no warning, when a number of the construction
-    overflows, as for entries near the float maximum or a subnormal b.
+    overflows, as for entries near the float maximum or a subnormal b,
+    and when ||a||_2 absorbs the + 1 (from 2^53 up): without it a
+    diagonal entry of -a near -lam cancels to 0, and a stabilizable pair
+    would look singular.
     """
     a, b = _check_pair(a, b)
     n = a.shape[0]
-    lam = float(np.linalg.norm(a, 2)) + 1.0
+    norm = float(np.linalg.norm(a, 2))
+    lam = norm + 1.0
+    if lam == norm:
+        raise NonFiniteError(f"initial gain's shift ||a||_2 + 1 rounds to "
+                             f"||a||_2 = {norm:.3g}: the pair's numbers are "
+                             f"out of floating-point range")
     shifted = -a - lam * np.eye(n)
     try:
         z = lyapunov_solve(shifted.T, 2.0 * b @ b.T)

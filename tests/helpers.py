@@ -5,7 +5,7 @@ import os
 import numpy as np
 from hypothesis import strategies as st
 
-from edgesync import WeightedGraph, random_connected_graph
+from edgesync import WeightedGraph, lift_rows, random_connected_graph
 
 # Canonical small graphs used all over the suite.
 P2 = WeightedGraph(2, ((1, 2, 1.0),))
@@ -30,6 +30,16 @@ SHIPPED_TEXTS = tuple(read_shipped(name) for name in SHIPPED_NAMES)
 def sym_part(weights, c):
     """(W C + C^T W) / 2 with W = diag(weights), as row and column scalings."""
     return 0.5 * (weights[:, None] * c + c.T * weights)
+
+
+def edge_laplacian(m):
+    """E^T E W, from the rows of E^T E that GraphMatrices.et gathers."""
+    return m.et(m.incidence) * m.weights
+
+
+def dense_lift(m, lift):
+    """The whole Q x Q lift U of an EdgeLift, as one share of lift_rows."""
+    return lift_rows(m, lift, 0, len(m.weights))
 
 
 def endpoint_correction(m, lift):

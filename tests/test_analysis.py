@@ -17,6 +17,7 @@ from edgesync import (
     simulate_batch,
     sync_error,
 )
+from edgesync import analysis
 from edgesync.analysis import FIT_FLOOR_RTOL
 
 from helpers import C3, P3, SCENARIO_DIR
@@ -71,6 +72,15 @@ def loop_sync_error(xs):
     return total
 
 
+def whole_record_sync_error(record):
+    """The pair sums over a whole (R, N, n) record at once, with no chunks."""
+    total = np.zeros(record.shape[0])
+    for i in range(record.shape[1] - 1):
+        diffs = record[:, i + 1:] - record[:, i:i + 1]
+        total += np.sqrt((diffs * diffs).sum(axis=2)).sum(axis=1)
+    return total
+
+
 def loop_edge_energy(xs, g, p):
     """Per-stack reference: w e^T P e summed in canonical edge order."""
     total = 0.0
@@ -107,6 +117,16 @@ class TestSeriesForms:
             assert sync[r] == sync_error(xs)
             assert v[r] == loop_edge_energy(xs, g, p)
             assert sync[r] == loop_sync_error(xs)
+
+    def test_sync_error_chunks_keep_the_bits(self):
+        # a lorenz15-sized record spans three chunks of stacks
+        rng = np.random.default_rng(3)
+        chunk = analysis._SYNC_CHUNK_CELLS // (15 * 3)
+        record = 10.0 * rng.standard_normal((2 * chunk + 3, 15, 3))
+        sync = sync_error(record)
+        assert np.array_equal(sync, whole_record_sync_error(record))
+        for r in (0, chunk - 1, chunk, chunk + 1, len(record) - 1):
+            assert sync[r] == sync_error(record[r])
 
     def test_leading_shape_kept(self):
         g, p, record = series_cases()["c3"]

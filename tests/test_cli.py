@@ -6,18 +6,21 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from edgesync import cli, random_connected_graph, scenario
+from edgesync import build_matrices, cli, random_connected_graph, scenario
 from edgesync.graphs import read_graph_file
 from edgesync.cli import (
+    _Table,
+    _chunks,
     _diag_block,
     _fmt,
     _matrix_block,
-    _table_lines,
+    _row_text,
     main,
     parse_graph_check,
 )
@@ -349,20 +352,30 @@ SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, math.inf, -math.inf,
                   math.nan, 1.0 / 3.0, -2.0 / 3.0, 0, 7, -12, 2**53 + 1]
 
 
+def table_text(table, sep, rows=None):
+    """The text a _Table writes for a 2-D array; rows(lo, hi) defaults to slicing it."""
+    table = np.atleast_2d(np.asarray(table, dtype=float))
+    rows = rows or (lambda lo, hi: table[lo:hi])
+    return "".join(_Table(table.shape[0], table.shape[1], rows, sep))
+
+
 def test_table_lines_match_fmt():
     values = list(SPECIAL_VALUES)
-    assert _table_lines(values, " ") == [" ".join(_fmt(v) for v in values) + "\n"]
+    assert _row_text(values, " ") == " ".join(_fmt(v) for v in values) + "\n"
     rows = [values, values[::-1]]
-    assert _table_lines(rows, ",") == [",".join(_fmt(v) for v in r) + "\n"
-                                       for r in rows]
-    assert _table_lines(np.zeros(0), " ") == ["\n"]
-    assert _table_lines(np.zeros((2, 0)), " ") == ["\n", "\n"]
+    assert table_text(rows, ",") == "".join(
+        ",".join(_fmt(v) for v in r) + "\n" for r in rows)
+    assert _row_text(np.zeros(0), " ") == "\n"
+    assert table_text(np.zeros((2, 0)), " ") == "\n\n"
+    assert table_text(np.zeros((0, 3)), " ") == ""
 
 
 @pytest.fixture
 def forked(monkeypatch):
-    """force(cpus): _table_lines forks for any table of 2 cells or more,
-    with cpus usable CPUs; returns the list the parent's forks append to."""
+    """force(cpus, min_cells=1): _Table takes shares of at most min_cells
+    cells (one row at 1), and forks for any table of 2 * min_cells cells
+    or more, with cpus usable CPUs; returns the list the parent's forks
+    append to."""
     forks = []
     fork = os.fork
 
@@ -370,8 +383,8 @@ def forked(monkeypatch):
         forks.append(1)
         return fork()
 
-    def force(cpus):
-        monkeypatch.setattr(cli, "_MIN_CELLS_PER_WORKER", 1)
+    def force(cpus, min_cells=1):
+        monkeypatch.setattr(cli, "_MIN_CELLS_PER_WORKER", min_cells)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks
@@ -379,7 +392,7 @@ def forked(monkeypatch):
 
 
 def fmt_lines(table, sep):
-    return [sep.join(_fmt(v) for v in row) + "\n" for row in table]
+    return "".join(sep.join(_fmt(v) for v in row) + "\n" for row in table)
 
 
 def distinct_rows(n_rows):
@@ -391,20 +404,36 @@ def distinct_rows(n_rows):
 
 @pytest.mark.parametrize("cpus, n_rows",
                          [(1, 7), (2, 7), (3, 7), (6, 40), (8, 3), (2, 1)])
-def test_forked_table_lines_match_serial(forked, cpus, n_rows):
+def test_forked_table_lines_match_serial(forked, cpus, n_rows, tmp_path):
+    # one-row shares in rounds of min(cpus, n_rows): each round's first
+    # share is the parent's, the others go to forked children, and every
+    # share's rows are built in the parent
     forks = forked(cpus)
     table = distinct_rows(n_rows)
+    log = tmp_path / "builders"
+
+    def rows(lo, hi):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {lo} {hi}\n")
+        return table[lo:hi]
+
     for sep in (" ", ","):
         forks.clear()
-        lines = _table_lines(table, sep)
-        assert lines == fmt_lines(table, sep)
-        assert len(forks) == min(cpus, n_rows) - 1
-    assert _table_lines(np.zeros((5, 0)), " ") == ["\n"] * 5
+        log.write_text("")
+        assert table_text(table, sep, rows) == fmt_lines(table, sep)
+        workers = min(cpus, n_rows)
+        assert len(forks) == n_rows - math.ceil(n_rows / workers)
+        built = [line.split() for line in log.read_text().splitlines()]
+        assert sorted((int(lo), int(hi)) for _, lo, hi in built) == [
+            (i, i + 1) for i in range(n_rows)]
+        assert {int(pid) for pid, _, _ in built} == {os.getpid()}
+    assert table_text(np.zeros((5, 0)), " ") == "\n" * 5
 
 
 @pytest.mark.parametrize("sabotage", ["exit", "exit_second", "short", "long",
                                       "unterminated", "reordered_exit", "no_fork"])
 def test_failed_child_share_formatted_by_parent(forked, monkeypatch, sabotage):
+    # 7 one-row shares in rounds of 3, 3 and 1: four children
     forks = forked(3)
     table = distinct_rows(7)
     parent = os.getpid()
@@ -420,7 +449,7 @@ def test_failed_child_share_formatted_by_parent(forked, monkeypatch, sabotage):
         return pid
 
     def corrupting_format_rows(share, row):
-        lines = format_rows(share, row)
+        lines = list(format_rows(share, row))
         if os.getpid() == parent:
             return lines
         if sabotage == "short":
@@ -439,16 +468,20 @@ def test_failed_child_share_formatted_by_parent(forked, monkeypatch, sabotage):
         # every line arrives, but the child reports a failure
         exit_ = os._exit
         monkeypatch.setattr(os, "_exit", lambda status: exit_(3))
-    assert _table_lines(table, " ") == fmt_lines(table, " ")
-    assert len(forks) == (0 if sabotage == "no_fork" else 2)
+    assert table_text(table, " ") == fmt_lines(table, " ")
+    assert len(forks) == (0 if sabotage == "no_fork" else 4)
 
 
 def test_check_bytes_with_and_without_fork(tmp_path, forked, monkeypatch):
-    scn = write_dense_scenario(
-        tmp_path, random_connected_graph(40, 0.22, (0.1, 6.0), 5))
-    forks = forked(3)
+    g = random_connected_graph(40, 0.22, (0.1, 6.0), 5)
+    scn = write_dense_scenario(tmp_path, g)
+    # shares of at most 2000 cells, three to a round: the lift (Q x Q)
+    # forks; the 40 x 40 Laplacian is too small, and the incidence and
+    # weight blocks are written by lookup
+    forks = forked(3, min_cells=2000)
     assert main(["check", scn, "--out-dir", str(tmp_path / "on")]) == 0
-    assert len(forks) == 6  # incidence, laplacian and lift, two children each
+    shares = math.ceil(g.q / (2000 // g.q))
+    assert len(forks) == shares - math.ceil(shares / 3) > 10
     monkeypatch.delattr(os, "fork")
     assert main(["check", scn, "--out-dir", str(tmp_path / "off")]) == 0
     forked_text, serial_text = (
@@ -456,12 +489,74 @@ def test_check_bytes_with_and_without_fork(tmp_path, forked, monkeypatch):
     assert forked_text == serial_text
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path, forked, monkeypatch):
+    # an error raised while a forked table is being written removes the
+    # temp file and leaves no worker behind
+    scn = write_dense_scenario(
+        tmp_path, random_connected_graph(40, 0.22, (0.1, 6.0), 5))
+    forks = forked(2, min_cells=2000)
+    calls = []
+
+    def failing_lift_rows(m, lift, lo, hi):
+        calls.append(lo)
+        if len(calls) == 4:
+            raise RuntimeError("lift rows failed")
+        return lift_rows(m, lift, lo, hi)
+
+    lift_rows = cli.lift_rows
+    monkeypatch.setattr(cli, "lift_rows", failing_lift_rows)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="lift rows failed"):
+        main(["check", scn, "--out-dir", str(out)])
+    assert forks
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("records", ["one", "block_less_one", "block", "block_plus_one"])
+def test_trajectory_csv_matches_one_shot_format(records):
+    # the table is stacked from slices of the series a share at a time;
+    # its bytes are those of formatting the whole stack at once
+    n_agents, state_dim = 2, 2
+    n_cols = 1 + n_agents * state_dim + n_agents + 2
+    block = cli._MIN_CELLS_PER_WORKER // n_cols
+    n = {"one": 1, "block_less_one": block - 1, "block": block,
+         "block_plus_one": block + 1}[records]
+    rng = np.random.default_rng(n)
+    traj = SimpleNamespace(
+        times=np.arange(n) * 0.1, states=rng.standard_normal((n, n_agents * state_dim)),
+        inputs=rng.standard_normal((n, n_agents)), n_samples=n)
+    v, sync = rng.standard_normal(n), rng.standard_normal(n)
+    v[0], sync[-1] = 5e-324, -0.0
+    parts = cli.trajectory_csv(traj, v, sync)
+    assert len(parts) == 2
+    table = np.column_stack((traj.times, traj.states, traj.inputs, v, sync))
+    text = "".join(_chunks(parts))
+    assert text == parts[0] + fmt_lines(table, ",")
+    assert text.count("\n") == n + 1
+
+
+@pytest.mark.parametrize("g", [
+    random_connected_graph(2, 0.0, (0.1, 6.0), 1),
+    random_connected_graph(9, 0.5, (0.1, 6.0), 2),
+    random_connected_graph(40, 0.22, (0.1, 6.0), 5)], ids=lambda g: f"n{g.n}q{g.q}")
+def test_incidence_block_matches_dense(g):
+    e = build_matrices(g).incidence
+    assert "".join(_chunks(cli._incidence_block(e))) == "".join(_chunks(
+        _matrix_block("incidence", g.n, g.q, lambda lo, hi: e[lo:hi])))
+    empty = np.zeros((3, 0))
+    assert "".join(_chunks(cli._incidence_block(empty))) == "matrix incidence 3 0\n" + "\n" * 3
+
+
 @pytest.mark.parametrize("q", [0, 1, 2, 5, 40])
 def test_diag_block_matches_dense(q):
     special = [1.0, 1.0 / 3.0, 5e-324, 1e300, 0.1, 6.0, 2.0**53 + 1]
     w = np.resize(special, q)
     w[len(special):] *= np.random.default_rng(q).uniform(0.5, 2.0, q)[len(special):]
-    assert _diag_block("weight_diag", w) == _matrix_block("weight_diag", np.diag(w))
+    dense = np.diag(w)
+    assert "".join(_chunks(_diag_block("weight_diag", w))) == "".join(_chunks(
+        _matrix_block("weight_diag", q, q, lambda lo, hi: dense[lo:hi])))
 
 
 @pytest.mark.parametrize("verb, extra", [
@@ -542,7 +637,9 @@ class TestMalformedInput:
         (LINEAR_C3, "a 0 1 ; 0 0", "a 0 1e154 ; 0 0"),
         (TANH_P3, "mu 0.2", "mu 1e308"),
         (LORENZ15, "a 10.0", "a -1e308"),
-    ], ids=["c3-rho", "c3-rho_subnormal", "c3-b", "c3-a", "p3-mu", "lorenz-a"])
+        (TANH_P3, "a 0 1 ; 0 0", "a -1e308 1 ; 0 0"),
+    ], ids=["c3-rho", "c3-rho_subnormal", "c3-b", "c3-a", "p3-mu", "lorenz-a",
+            "p3-a_shift"])
     def test_design_out_of_range(self, tmp_path, capsys, scenario, old, new):
         # the Riccati design overflowed into numpy's LinAlgError (exit 1)
         # and RuntimeWarnings; it is NonFiniteError's exit 9

@@ -11,14 +11,16 @@ from edgesync import (
     edge_lift,
     graphs,
     lift_residual,
+    lift_rows,
     linalg,
     random_connected_graph,
     read_graph_file,
     spectral_report,
 )
 
-from helpers import (C3, P2, P3, SCENARIO_DIR, endpoint_correction,
-                     endpoint_residuals, graph_family, shifted_union, sym_part)
+from helpers import (C3, P2, P3, SCENARIO_DIR, dense_lift, edge_laplacian,
+                     endpoint_correction, endpoint_residuals, graph_family,
+                     shifted_union, sym_part)
 
 
 def range_basis(m):
@@ -31,28 +33,41 @@ def range_basis(m):
 
 def dense_margin(m, lift):
     """Smallest eigenvalue of the lift's Q x Q symmetric part, inf for Q = 0."""
-    eigs = np.linalg.eigvalsh(sym_part(m.weights, lift.lift))
+    eigs = np.linalg.eigvalsh(sym_part(m.weights, dense_lift(m, lift)))
     return float(eigs.min(initial=np.inf))
 
 
 def intertwining_residual(m, lift):
-    r = lift.lift @ m.incidence.T - m.incidence.T @ m.laplacian
+    """max|U E^T - E^T L| from the dense products, with U formed whole."""
+    r = dense_lift(m, lift) @ m.incidence.T - m.incidence.T @ m.laplacian
     return float(np.max(np.abs(r))) if r.size else 0.0
+
+
+def reference_lift(m, lift):
+    """U = E^T E W + mu W^-1 (I - Q1 Q1^T) in one Q x Q array, in the order
+    of operations build_edge_lift used when it formed U whole."""
+    u = lift.q1 @ lift.q1.T
+    u *= -1.0
+    u.flat[::u.shape[0] + 1] += 1.0
+    u *= lift.scale[:, None]
+    u += (m.incidence.T @ m.incidence) * m.weights
+    return u
 
 
 class TestTreeCase:
     def test_p3_lift_is_edge_laplacian(self):
         m = build_matrices(P3)
         lift = build_edge_lift(m)
-        assert np.array_equal(lift.lift, m.edge_laplacian)
+        assert np.array_equal(dense_lift(m, lift), edge_laplacian(m))
         assert lift.mu == 0.0
         assert lift.kernel_dim == 0
         # symmetric part of W U has eigenvalues {1, 3}
         assert lift.pd_margin == pytest.approx(1.0, abs=1e-12)
 
     def test_p2(self):
-        lift = build_edge_lift(build_matrices(P2))
-        assert np.array_equal(lift.lift, [[2.0]])
+        m = build_matrices(P2)
+        lift = build_edge_lift(m)
+        assert np.array_equal(dense_lift(m, lift), [[2.0]])
         assert lift.pd_margin == pytest.approx(2.0)
 
 
@@ -62,7 +77,7 @@ class TestCycleCase:
         lift = build_edge_lift(m)
         assert lift.kernel_dim == 1
         assert lift.mu == pytest.approx(3.0, abs=1e-9)
-        eigs = np.sort(np.linalg.eigvals(lift.lift).real)
+        eigs = np.sort(np.linalg.eigvals(dense_lift(m, lift)).real)
         assert np.allclose(eigs, [3.0, 3.0, 3.0], atol=1e-9)
         assert lift.pd_margin == pytest.approx(3.0, abs=1e-9)
         v = null_space(m.incidence)[:, 0]
@@ -83,14 +98,15 @@ class TestCycleCase:
             assert kernel.shape[1] == lift.kernel_dim
             if not lift.kernel_dim:
                 assert lift.mu == 0.0
-                assert np.array_equal(lift.lift, m.edge_laplacian)
+                assert np.array_equal(dense_lift(m, lift), edge_laplacian(m))
                 continue
             q1 = range_basis(m)
             pi = np.eye(g.q) - q1 @ q1.T
             assert np.allclose(pi, kernel @ kernel.T, rtol=0.0, atol=1e-12)
-            rebuilt = m.edge_laplacian + lift.mu * (pi / m.weights[:, None])
+            rebuilt = edge_laplacian(m) + lift.mu * (pi / m.weights[:, None])
             scale = lift.mu / float(np.min(m.weights))
-            assert np.allclose(rebuilt, lift.lift, rtol=0.0, atol=1e-12 * scale)
+            assert np.allclose(rebuilt, dense_lift(m, lift), rtol=0.0,
+                               atol=1e-12 * scale)
             ew2et = (m.incidence * m.weights ** 2) @ m.incidence.T
             assert lift.mu == pytest.approx(
                 float(np.linalg.eigvalsh(ew2et)[-1]), rel=1e-12)
@@ -98,8 +114,10 @@ class TestCycleCase:
 
 class TestDegenerateCases:
     def test_edgeless_graph(self):
-        lift = build_edge_lift(build_matrices(WeightedGraph(2, ())))
-        assert lift.lift.shape == (0, 0)
+        m = build_matrices(WeightedGraph(2, ()))
+        lift = build_edge_lift(m)
+        assert dense_lift(m, lift).shape == (0, 0)
+        assert lift_residual(m, lift) == 0.0
         assert lift.pd_margin == np.inf
         assert lift.mu == 0.0 and lift.kernel_dim == 0
 
@@ -138,25 +156,83 @@ class TestEndpointCorrection:
     def test_p2_by_hand(self):
         m = build_matrices(P2)
         lift = build_edge_lift(m)
-        assert np.array_equal(endpoint_correction(m, lift.lift), [[-1.0, -1.0]])
-        assert max(endpoint_residuals(m, lift.lift)) <= 1e-12
+        u = dense_lift(m, lift)
+        assert np.array_equal(endpoint_correction(m, u), [[-1.0, -1.0]])
+        assert max(endpoint_residuals(m, u)) <= 1e-12
         assert lift_residual(m, lift) <= 1e-12
 
     def test_identities_on_family(self):
-        for g in graph_family(24):
+        # the factored residual mu W^-1 (E^T - Q1 Y^T E E^T) against the
+        # dense U E^T - E^T L: both at round-off, 0 on forests
+        family = graph_family(100)
+        assert sum(g.q > g.n for g in family) > 20
+        assert sum(0 < g.q < g.n for g in family) > 10
+        for g in family:
             m = build_matrices(g)
             lift = build_edge_lift(m)
-            assert lift_residual(m, lift) == intertwining_residual(m, lift)
-            assert lift_residual(m, lift) <= 1e-8
+            residual = lift_residual(m, lift)
+            assert residual <= 1e-8
+            if not lift.kernel_dim:
+                assert residual == 0.0
+                continue
+            scale = max(1.0, float(np.max(np.abs(dense_lift(m, lift)))))
+            assert abs(residual - intertwining_residual(m, lift)) <= 1e-12 * scale
 
     def test_corruption_is_detected(self):
+        # U E^T = E^T L holds for every mu; a basis Q1 that is not E^T Y
+        # breaks it, in U and in the factored residual alike
         import dataclasses
         m = build_matrices(C3)
         lift = build_edge_lift(m)
-        bad = lift.lift.copy()
+        bad = lift.q1.copy()
         bad[0, 0] += 0.1
-        corrupted = dataclasses.replace(lift, lift=bad)
+        corrupted = dataclasses.replace(lift, q1=bad)
         assert lift_residual(m, corrupted) > 1e-3
+        assert intertwining_residual(m, corrupted) > 1e-3
+
+
+class TestLiftRows:
+    """Rows of U built a share at a time from the lift's factors."""
+
+    @staticmethod
+    def graphs():
+        family = [C3, P3] + graph_family(40) + [
+            random_connected_graph(30, 0.5, (0.1, 6.0), 3),
+            random_connected_graph(12, 0.8, (1.0, 1e4), 4),
+            shifted_union(C3, random_connected_graph(9, 0.9, (0.1, 6.0), 2))]
+        assert any(g.q > 2 * g.n for g in family)
+        assert any(0 < g.q < g.n for g in family)
+        return [g for g in family if g.q]
+
+    def test_one_share_has_the_bits_of_the_whole_product(self):
+        for g in self.graphs():
+            m = build_matrices(g)
+            lift = build_edge_lift(m)
+            u = lift_rows(m, lift, 0, g.q)
+            ref = reference_lift(m, lift)
+            assert np.array_equal(u, ref)
+            assert np.array_equal(np.signbit(u), np.signbit(ref))
+            if not lift.kernel_dim:
+                assert np.array_equal(u, edge_laplacian(m))
+
+    def test_any_split_into_shares(self):
+        rng = np.random.default_rng(7)
+        for g in self.graphs():
+            m = build_matrices(g)
+            lift = build_edge_lift(m)
+            ref = reference_lift(m, lift)
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+            for _ in range(3):
+                cuts = rng.choice(np.arange(1, g.q), size=min(g.q - 1, 3),
+                                  replace=False) if g.q > 1 else []
+                bounds = [0] + sorted(int(c) for c in cuts) + [g.q]
+                shares = [lift_rows(m, lift, lo, hi)
+                          for lo, hi in zip(bounds[:-1], bounds[1:])]
+                assert [len(s) for s in shares] == np.diff(bounds).tolist()
+                assert np.max(np.abs(np.vstack(shares) - ref)) <= tol
+            for lo in range(g.q):
+                assert np.max(np.abs(lift_rows(m, lift, lo, lo + 1) - ref[lo:lo + 1]),
+                              initial=0.0) <= tol
 
 
 def lambda_comp(m):

@@ -21,6 +21,8 @@ from helpers import (
     C3,
     P2,
     P3,
+    dense_lift,
+    edge_laplacian,
     graph_family,
     mutated_text,
     read_shipped,
@@ -78,20 +80,20 @@ class TestMatrices:
         m = build_matrices(P2)
         assert np.array_equal(m.incidence, [[-1.0], [1.0]])
         assert np.array_equal(m.laplacian, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(m.edge_laplacian, [[2.0]])
+        assert np.array_equal(edge_laplacian(m), [[2.0]])
 
     def test_p3_by_hand(self):
         m = build_matrices(P3)
         assert np.array_equal(
             m.laplacian, [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        assert np.array_equal(m.edge_laplacian, [[2.0, -1.0], [-1.0, 2.0]])
+        assert np.array_equal(edge_laplacian(m), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_c3_by_hand(self):
         m = build_matrices(C3)
         assert np.array_equal(
             m.laplacian, [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
         assert np.array_equal(
-            m.edge_laplacian, [[2.0, 1.0, -1.0], [1.0, 2.0, 1.0], [-1.0, 1.0, 2.0]])
+            edge_laplacian(m), [[2.0, 1.0, -1.0], [1.0, 2.0, 1.0], [-1.0, 1.0, 2.0]])
 
     def test_incidence_split(self):
         m = build_matrices(C3)
@@ -107,7 +109,7 @@ class TestMatrices:
             m = build_matrices(g)
             w = np.diag(m.weights)
             assert np.max(np.abs(m.laplacian - m.incidence @ w @ m.incidence.T)) <= 1e-12
-            assert np.max(np.abs(m.edge_laplacian - m.incidence.T @ m.incidence @ w)) <= 1e-12
+            assert np.max(np.abs(edge_laplacian(m) - m.incidence.T @ m.incidence @ w)) <= 1e-12
             assert m.weights.tolist() == [wt for _, _, wt in g.edges]
             # row sums of L vanish
             assert np.max(np.abs(m.laplacian.sum(axis=1))) <= 1e-12
@@ -137,11 +139,11 @@ class TestDenseDiagonalReference:
         e = m.incidence
         w = np.diag(m.weights)
         assert_same_bits(m.laplacian, e @ w @ e.T)
-        assert_same_bits(m.edge_laplacian, e.T @ e @ w)
+        assert_same_bits(edge_laplacian(m), e.T @ e @ w)
         # the matrices whose symmetric part the lift tests take as their
         # dense margin reference; a -0.0 entry in C would give +0.0 in the
         # dense product but keep its sign when scaled
-        for c in (m.edge_laplacian, build_edge_lift(m).lift):
+        for c in (edge_laplacian(m), dense_lift(m, build_edge_lift(m))):
             assert_same_bits(sym_part(m.weights, c), 0.5 * (w @ c + c.T @ w))
 
     def test_graph_list(self):
@@ -152,7 +154,10 @@ class TestDenseDiagonalReference:
     def test_index_built_products(self, g):
         m = build_matrices(g)
         e = m.incidence
-        assert_same_bits(m.edge_laplacian, (e.T @ e) * m.weights)
+        assert_same_bits(edge_laplacian(m), (e.T @ e) * m.weights)
+        # any rows lo to hi of E^T E, as the lift's shares take them
+        lo, hi = g.q // 3, (2 * g.q) // 3 + 1
+        assert_same_bits(m.et(e, lo, hi), (e.T @ e)[lo:hi])
         assert_same_bits(m.node_gram(), e @ e.T)
         assert_same_bits(m.et(m.laplacian), e.T @ m.laplacian)
         # Y = Z d^-1/2 over the nonzero eigenpairs of E E^T, and all of Z

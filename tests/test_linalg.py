@@ -118,7 +118,9 @@ class TestLyapunov:
         ([[-1.0]], [[np.nan]]),
         ([[-1e-10]], [[1e300]]),  # X = 5e309
         ([[1e308, 1e308], [1e308, 1e308]], [[1.0, 0.0], [0.0, 1.0]]),  # 2e308
-    ], ids=["inf_a", "nan_q", "solution", "schur_form"])
+        # eigenvalues -1.7e308 +- 1.7e308 i: finite parts, modulus 2.4e308
+        ([[-1.7e308, 1.7e308], [-1.7e308, -1.7e308]], [[1.0, 0.0], [0.0, 1.0]]),
+    ], ids=["inf_a", "nan_q", "solution", "schur_form", "schur_modulus"])
     def test_nonfinite(self, a, q):
         with pytest.raises(NonFiniteError):
             lyapunov_solve(np.array(a), np.array(q))

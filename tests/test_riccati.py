@@ -114,8 +114,10 @@ class TestSolveAri:
         (DOUBLE_INTEGRATOR_A, [0.0, 1e154], 1.0, 0.2),
         ([[0.0, 1e154], [0.0, 0.0]], DOUBLE_INTEGRATOR_B, 1.0, 0.2),
         ([[1e308, 1.0], [0.0, 0.0]], DOUBLE_INTEGRATOR_B, 1.0, 0.2),
+        # stabilizable, but ||a||_2 absorbs Bass's shift of 1
+        ([[-1e308, 1.0], [0.0, 0.0]], DOUBLE_INTEGRATOR_B, 1.0, 0.2),
     ], ids=["rho_huge", "rho_subnormal", "mu_huge", "b_huge", "a_entry",
-            "a_diagonal"])
+            "a_diagonal", "a_shift_absorbed"])
     def test_numbers_out_of_range(self, a, b, rho, mu):
         # these overflowed into numpy's LinAlgError and RuntimeWarnings
         with pytest.raises(NonFiniteError) as info:

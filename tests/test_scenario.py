@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -11,6 +13,7 @@ from edgesync import (
     convective_linearization,
     parse_scenario,
     parse_scenario_text,
+    random_connected_graph,
     realize,
     solve_ari,
 )
@@ -371,6 +374,37 @@ class TestRealize:
         scn.write_text(text)
         setup = realize(parse_scenario(str(scn)))
         assert setup.graph.n == 2
+
+    def test_no_edge_space_square_held(self, tmp_path):
+        # on a graph with Q > 2N the setup holds N x Q, N x N and Q x N
+        # arrays, never one of Q^2 entries: no lift, no E^T E W
+        g = random_connected_graph(40, 0.22, (0.1, 6.0), 5)
+        assert g.q > 2 * g.n
+        (tmp_path / "dense.graph").write_text(g.canonical_text())
+        scn = tmp_path / "dense.scn"
+        scn.write_text(replace_section(MINIMAL, "graph", "file dense.graph"))
+        setup = realize(parse_scenario(str(scn)))
+        sizes = []
+
+        def walk(obj):
+            if isinstance(obj, np.ndarray):
+                sizes.append(obj.size)
+            elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+                for f in dataclasses.fields(obj):
+                    walk(getattr(obj, f.name))
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    walk(item)
+            elif isinstance(obj, dict):
+                for item in obj.values():
+                    walk(item)
+            elif isinstance(obj, functools.partial):
+                walk(obj.args)
+                walk(obj.keywords)
+
+        walk(setup)
+        assert setup.lift.q1.shape == (g.q, g.n - 1)
+        assert max(sizes) == g.n * g.q < g.q ** 2
 
     def test_lorenz_defaults(self):
         text = replace_section(MINIMAL, "model", "kind lorenz")
