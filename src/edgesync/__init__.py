@@ -7,6 +7,12 @@ integration. The cli module exposes the same pipeline as a command line
 tool driven by scenario files.
 """
 
+import os
+
+# One BLAS thread unless the caller chose a count: other counts give other bits.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .analysis import (
     DecayFit,
     check_monotone,

@@ -13,12 +13,10 @@ No artifact is held whole, and no Q x Q array is formed: trajectory.csv's
 records and graph_check.txt's Laplacian and lift blocks are built and
 written a share of at most 2**16 cells at a time, the incidence and
 weight blocks a line at a time. A table of at least 2 * 2**16 cells is
-formatted by forked workers, in rounds of one share per usable CPU. The
-bytes do not depend on the CPU count, and without os.fork the formatting
-is serial. A worker holds one share's text, about 1.5 MiB, until it is
-read: on a 300-node, 1185-edge graph `check` peaks at 58 MiB, workers
-included (99 MiB with the whole lift held), and on a 1000-node,
-4000-edge graph at 289 MiB (700 MiB).
+formatted by a pool of forked workers, one per usable CPU; the bytes do
+not depend on the CPU count. `check` peaks at 61 MiB, workers included,
+on a 300-node, 1185-edge graph and at 290 MiB on a 1000-node, 4000-edge
+graph (99 and 700 MiB with the whole lift held).
 
 Exit codes: 0 success, 1 unexpected failure, 2 parse error,
 3 disconnected graph, 4 dimension mismatch, 5 not stabilizable,
@@ -29,6 +27,7 @@ Exit codes: 0 success, 1 unexpected failure, 2 parse error,
 import argparse
 import os
 import sys
+from collections import deque
 from functools import partial
 
 import numpy as np
@@ -45,8 +44,8 @@ CERT_SAMPLE_COUNT = 200
 CERT_SAMPLE_RADIUS = 10.0
 CERT_SAMPLE_SEED = 0
 # Cells in a share of a table, built and written at once (at least one
-# row), and in the share a forked formatting worker takes: below that the
-# fork and the pipe cost more than the formatting they take over.
+# row), and in the share a pool worker formats: below two shares' cells
+# a pool costs more than the formatting it takes over.
 _MIN_CELLS_PER_WORKER = 2**16
 
 
@@ -66,53 +65,9 @@ def _format_rows(block, row):
     return (row % tuple(cells.tolist()) for cells in block)
 
 
-def _fork_rows(block, row):
-    """Fork a child that formats block's rows into a pipe: (pid, read fd), or None.
-
-    The child only converts and formats: it makes no BLAS call and takes
-    no lock a thread of the parent may hold, so forking is safe. It
-    formats all its rows before it writes any, so it does not wait on the
-    pipe while it could be formatting, and leaves through os._exit, so the
-    parent's buffers and exit hooks never run twice.
-    """
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(rfd)
-            lines = list(_format_rows(block, row))
-            with open(wfd, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(wfd)
-    return pid, rfd
-
-
-def _collect_rows(child, n_rows):
-    """The text a child formatted for n_rows rows, or None if it failed.
-
-    A child failed if it exited non-zero or sent other than one whole line
-    per row.
-    """
-    if child is None:
-        return None
-    pid, rfd = child
-    try:
-        with open(rfd, encoding="utf-8", newline="\n") as fh:
-            text = fh.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status == 0 and text.count("\n") == n_rows and text.endswith("\n"):
-        return text
-    return None
+def _format_share(block, row):
+    """The text of a block's rows by the template row: what a pool worker returns."""
+    return "".join(_format_rows(block, row))
 
 
 class _Table:
@@ -125,14 +80,10 @@ class _Table:
     most _MIN_CELLS_PER_WORKER cells, or one row, on any CPU count, so
     rows whose last bits depend on the share they are built in still
     give the same bytes. A table of at least 2 * _MIN_CELLS_PER_WORKER
-    cells goes in rounds of one share per usable CPU: the parent builds
-    each worker's rows just before it forks that worker, which only
-    formats them, then builds and formats its own share, the round's
-    first. It forks the next round's workers before it reads this
-    round's text in row order, so they format while it reads and builds,
-    and it formats a failed worker's share itself. So BLAS runs only in
-    the parent, and no more than two rounds' shares are held at once.
-    Without os.fork it is all serial.
+    cells is formatted by a pool of one worker per usable CPU (and
+    share), imported only then and forked before it starts a thread.
+    The parent builds each share, so BLAS runs only there, keeps at
+    most workers + 1 in flight and formats any the pool does not.
     """
 
     def __init__(self, n_rows, n_cols, rows, sep):
@@ -145,31 +96,42 @@ class _Table:
     def __iter__(self):
         bounds = list(range(0, self.n_rows, self.step)) + [self.n_rows]
         shares = list(zip(bounds[:-1], bounds[1:]))
-        workers = 1
-        if self.cells >= 2 * _MIN_CELLS_PER_WORKER and hasattr(os, "fork"):
-            workers = min(_usable_cpus(), len(shares))
-        rounds = [shares[k:k + workers] for k in range(0, len(shares), workers)]
-        pending = []
-
-        def fork(k):
-            for lo, hi in rounds[k][1:] if k < len(rounds) else ():
-                pending.append(((lo, hi), _fork_rows(self.rows(lo, hi), self.row)))
-
+        workers = min(_usable_cpus(), len(shares)) if hasattr(os, "fork") else 1
+        if self.cells < 2 * _MIN_CELLS_PER_WORKER or workers < 2:
+            for lo, hi in shares:
+                yield from _format_rows(self.rows(lo, hi), self.row)
+            return
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        children = set(multiprocessing.active_children())
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+        in_flight = deque()
         try:
-            fork(0)
-            for k, (own, *others) in enumerate(rounds):
-                yield from _format_rows(self.rows(*own), self.row)
-                fork(k + 1)
-                for _ in others:
-                    (lo, hi), child = pending.pop(0)
-                    text = _collect_rows(child, hi - lo)
-                    yield text if text is not None else "".join(
-                        _format_rows(self.rows(lo, hi), self.row))
+            for lo, hi in shares:
+                block = self.rows(lo, hi)
+                try:
+                    future = pool.submit(_format_share, block, self.row)
+                except (OSError, RuntimeError):
+                    # a fork failed or the pool broke: shut down, it refuses the rest
+                    pool.shutdown()
+                    future = None
+                in_flight.append((block, future))
+                if len(in_flight) > workers:
+                    yield self._text(*in_flight.popleft())
+            while in_flight:
+                yield self._text(*in_flight.popleft())
         finally:
-            for _, child in pending:
-                if child is not None:
-                    os.close(child[1])
-                    os.waitpid(child[0], 0)
+            pool.shutdown(cancel_futures=True)
+            # a fork failing after another leaves a worker the pool never serves
+            for child in set(multiprocessing.active_children()) - children:
+                child.terminate()
+                child.join()
+
+    def _text(self, block, future):
+        """A share's text, by the parent if the pool refused it or its worker failed."""
+        if future is None or future.exception() is not None:
+            return _format_share(block, self.row)
+        return future.result()
 
 
 def _row_text(values, sep):
@@ -191,22 +153,20 @@ def _atomic_write(path, parts):
     """Write the parts' text to path through a temp file; a ParseError if that fails.
 
     parts is a list (see _chunks), so its length is known before it is
-    written. On any exception the temp file is removed and any formatting
-    worker still running is waited for.
+    written. On any exception the temp file is removed and closing the
+    parts shuts down a formatting pool.
     """
     tmp = f"{path}.tmp{os.getpid()}"
     chunks = _chunks(parts)
-    done = False
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-        done = True
     except OSError as exc:
         raise ParseError(f"cannot write artifact: {exc}")
     finally:
         chunks.close()
-        if not done and os.path.isfile(tmp):
+        if os.path.isfile(tmp):
             os.remove(tmp)
 
 

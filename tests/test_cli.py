@@ -1,11 +1,13 @@
 import contextlib
 import io
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -373,14 +375,14 @@ def test_table_lines_match_fmt():
 @pytest.fixture
 def forked(monkeypatch):
     """force(cpus, min_cells=1): _Table takes shares of at most min_cells
-    cells (one row at 1), and forks for any table of 2 * min_cells cells
-    or more, with cpus usable CPUs; returns the list the parent's forks
-    append to."""
+    cells (one row at 1), and starts a pool for any table of 2 * min_cells
+    cells or more, with cpus usable CPUs; returns the list to which every
+    os.fork appends the number of threads running when it was called."""
     forks = []
     fork = os.fork
 
     def counting_fork():
-        forks.append(1)
+        forks.append(threading.active_count())
         return fork()
 
     def force(cpus, min_cells=1):
@@ -389,6 +391,13 @@ def forked(monkeypatch):
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks
     return force
+
+
+def assert_no_process_left():
+    """No pool worker outlives the table it formatted."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def fmt_lines(table, sep):
@@ -405,10 +414,10 @@ def distinct_rows(n_rows):
 @pytest.mark.parametrize("cpus, n_rows",
                          [(1, 7), (2, 7), (3, 7), (6, 40), (8, 3), (2, 1)])
 def test_forked_table_lines_match_serial(forked, cpus, n_rows, tmp_path):
-    # one-row shares in rounds of min(cpus, n_rows): each round's first
-    # share is the parent's, the others go to forked children, and every
-    # share's rows are built in the parent
-    forks = forked(cpus)
+    # shares of one row, and of two rows, which do not divide 7, 3 or 1:
+    # a pool of min(cpus, shares) workers formats them when that is more
+    # than one, every share's rows are built once, in the parent, and
+    # every fork happens while no other thread runs
     table = distinct_rows(n_rows)
     log = tmp_path / "builders"
 
@@ -417,80 +426,101 @@ def test_forked_table_lines_match_serial(forked, cpus, n_rows, tmp_path):
             fh.write(f"{os.getpid()} {lo} {hi}\n")
         return table[lo:hi]
 
-    for sep in (" ", ","):
-        forks.clear()
-        log.write_text("")
-        assert table_text(table, sep, rows) == fmt_lines(table, sep)
-        workers = min(cpus, n_rows)
-        assert len(forks) == n_rows - math.ceil(n_rows / workers)
-        built = [line.split() for line in log.read_text().splitlines()]
-        assert sorted((int(lo), int(hi)) for _, lo, hi in built) == [
-            (i, i + 1) for i in range(n_rows)]
-        assert {int(pid) for pid, _, _ in built} == {os.getpid()}
+    for rows_per_share in (1, 2):
+        forks = forked(cpus, min_cells=rows_per_share * table.shape[1])
+        shares = [(lo, min(lo + rows_per_share, n_rows))
+                  for lo in range(0, n_rows, rows_per_share)]
+        workers = min(cpus, len(shares)) if n_rows >= 2 * rows_per_share else 1
+        for sep in (" ", ","):
+            forks.clear()
+            log.write_text("")
+            assert table_text(table, sep, rows) == fmt_lines(table, sep)
+            assert forks == ([1] * workers if workers > 1 else [])
+            built = [line.split() for line in log.read_text().splitlines()]
+            assert sorted((int(lo), int(hi)) for _, lo, hi in built) == shares
+            assert {int(pid) for pid, _, _ in built} == {os.getpid()}
+            assert_no_process_left()
+    forks.clear()
     assert table_text(np.zeros((5, 0)), " ") == "\n" * 5
+    assert forks == []
 
 
-@pytest.mark.parametrize("sabotage", ["exit", "exit_second", "short", "long",
-                                      "unterminated", "reordered_exit", "no_fork"])
+@pytest.mark.parametrize("cells, cpus, n_forks", [
+    (2 * 2**16 - 1, 2, 0), (2 * 2**16, 1, 0), (2 * 2**16, 2, 2), (2 * 2**16, 3, 2)])
+def test_pool_only_for_two_shares_on_two_cpus(forked, cells, cpus, n_forks):
+    # at the real share size: no pool below two shares' cells or on one
+    # CPU, and a worker for each CPU up to one per share
+    forks = forked(cpus, min_cells=cli._MIN_CELLS_PER_WORKER)
+    table = np.random.default_rng(cells).standard_normal(cells).reshape(-1, 1)
+    assert table_text(table, " ") == fmt_lines(table, " ")
+    assert forks == [1] * n_forks
+    assert_no_process_left()
+
+
+PARENT_PID = os.getpid()
+FORMAT_SHARE = cli._format_share
+
+
+def format_share_failing_in_worker(block, row):
+    """cli._format_share, except in a pool worker, where it raises."""
+    if os.getpid() != PARENT_PID:
+        raise RuntimeError("worker failed")
+    return FORMAT_SHARE(block, row)
+
+
+@pytest.mark.parametrize("sabotage", ["exit", "exit_second", "raise", "no_fork",
+                                      "no_second_fork"])
 def test_failed_child_share_formatted_by_parent(forked, monkeypatch, sabotage):
-    # 7 one-row shares in rounds of 3, 3 and 1: four children
+    # 7 one-row shares for a pool of 3: every worker, or the second one,
+    # exits at once; every worker raises; every fork, or the second one,
+    # fails. The parent formats each share the pool did not, and no
+    # worker is left, not even one forked before a failed fork
     forks = forked(3)
     table = distinct_rows(7)
-    parent = os.getpid()
-    fork = os.fork
-    format_rows = cli._format_rows
+    counting_fork = os.fork
 
     def failing_fork():
-        if sabotage == "no_fork":
+        if sabotage == "no_fork" or (sabotage == "no_second_fork" and len(forks) == 1):
+            forks.append(threading.active_count())
             raise OSError("fork refused")
-        pid = fork()
+        pid = counting_fork()
         if pid == 0 and (sabotage == "exit" or len(forks) == 2):
             os._exit(3)
         return pid
 
-    def corrupting_format_rows(share, row):
-        lines = list(format_rows(share, row))
-        if os.getpid() == parent:
-            return lines
-        if sabotage == "short":
-            return lines[:-1]
-        if sabotage == "long":
-            return lines + lines[-1:]
-        if sabotage == "reordered_exit":
-            return lines[::-1]
-        return lines[:-1] + [lines[-1][:-1]]
-
-    if sabotage.startswith(("exit", "no_fork")):
-        monkeypatch.setattr(os, "fork", failing_fork)
+    if sabotage == "raise":
+        monkeypatch.setattr(cli, "_format_share", format_share_failing_in_worker)
     else:
-        monkeypatch.setattr(cli, "_format_rows", corrupting_format_rows)
-    if sabotage == "reordered_exit":
-        # every line arrives, but the child reports a failure
-        exit_ = os._exit
-        monkeypatch.setattr(os, "_exit", lambda status: exit_(3))
+        monkeypatch.setattr(os, "fork", failing_fork)
     assert table_text(table, " ") == fmt_lines(table, " ")
-    assert len(forks) == (0 if sabotage == "no_fork" else 4)
+    assert forks == [1] * {"no_fork": 1, "no_second_fork": 2}.get(sabotage, 3)
+    assert_no_process_left()
 
 
 def test_check_bytes_with_and_without_fork(tmp_path, forked, monkeypatch):
     g = random_connected_graph(40, 0.22, (0.1, 6.0), 5)
     scn = write_dense_scenario(tmp_path, g)
-    # shares of at most 2000 cells, three to a round: the lift (Q x Q)
-    # forks; the 40 x 40 Laplacian is too small, and the incidence and
-    # weight blocks are written by lookup
-    forks = forked(3, min_cells=2000)
+    # shares of at most 500 cells on 3 CPUs: the 40 x 40 Laplacian and the
+    # lift (Q x Q) each start a pool of 3; the incidence and weight blocks
+    # are written by lookup. The lift's pool forks after the Laplacian's
+    # threads are gone
+    forks = forked(3, min_cells=500)
     assert main(["check", scn, "--out-dir", str(tmp_path / "on")]) == 0
-    shares = math.ceil(g.q / (2000 // g.q))
-    assert len(forks) == shares - math.ceil(shares / 3) > 10
+    assert forks == [1] * 6
+    assert_no_process_left()
+    forked(1, min_cells=500)
+    assert main(["check", scn, "--out-dir", str(tmp_path / "one_cpu")]) == 0
     monkeypatch.delattr(os, "fork")
     assert main(["check", scn, "--out-dir", str(tmp_path / "off")]) == 0
-    forked_text, serial_text = (
-        (tmp_path / side / "graph_check.txt").read_bytes() for side in ("on", "off"))
-    assert forked_text == serial_text
+    assert forks == [1] * 6
+    pooled, one_cpu, serial = (
+        (tmp_path / side / "graph_check.txt").read_bytes()
+        for side in ("on", "one_cpu", "off"))
+    assert pooled == one_cpu == serial
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, forked, monkeypatch):
-    # an error raised while a forked table is being written removes the
+    # an error raised while a pooled table is being written removes the
     # temp file and leaves no worker behind
     scn = write_dense_scenario(
         tmp_path, random_connected_graph(40, 0.22, (0.1, 6.0), 5))
@@ -510,8 +540,7 @@ def test_failed_write_leaves_no_temp_file(tmp_path, forked, monkeypatch):
         main(["check", scn, "--out-dir", str(out)])
     assert forks
     assert list(out.iterdir()) == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_process_left()
 
 
 @pytest.mark.parametrize("records", ["one", "block_less_one", "block", "block_plus_one"])
@@ -949,3 +978,43 @@ def test_run_path_imports_no_scipy():
                          env=env, capture_output=True, text=True, check=True,
                          timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+NO_POOL_PROBE = """
+import sys
+from edgesync.cli import main
+main(["run", sys.argv[1], "--out-dir", sys.argv[3]])
+main(["run", sys.argv[2], "--t-end", "1", "--out-dir", sys.argv[3]])
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_small_tables_import_no_pool(tmp_path):
+    # every table of these runs is below the pool's threshold (as is the
+    # whole lorenz15 run's trajectory.csv, at 126 063 cells), so neither
+    # pool module is loaded
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", NO_POOL_PROBE, LINEAR_C3, LORENZ15, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("openblas, expected", [(None, "1 1 1"), ("2", "2 1 1")])
+def test_import_pins_one_blas_thread(openblas, expected):
+    # importing the package sets each BLAS thread count the caller left
+    # unset to 1, so the artifacts' bits do not depend on it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = src
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    probe = "import os, edgesync; print(*(os.environ[v] for v in %r))" % (BLAS_VARS,)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == expected
