@@ -50,10 +50,8 @@ from .errors import (
     WeightRangeError,
 )
 from .graphs import (
-    GraphMatrices,
     SpectralReport,
     WeightedGraph,
-    build_matrices,
     components,
     parse_graph_text,
     random_connected_graph,
@@ -94,7 +92,6 @@ __all__ = [
     "EdgeLift",
     "EdgeSyncError",
     "EmptyWindowError",
-    "GraphMatrices",
     "LinearDesign",
     "MetricCertificate",
     "NoConvergenceError",
@@ -113,7 +110,6 @@ __all__ = [
     "accumulate_coupling",
     "bass_initial_gain",
     "build_edge_lift",
-    "build_matrices",
     "check_monotone",
     "components",
     "convective_linearization",

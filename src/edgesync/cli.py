@@ -14,8 +14,8 @@ records and graph_check.txt's Laplacian and lift blocks are built and
 written a share of at most 2**16 cells at a time, the incidence and
 weight blocks a line at a time. A table of at least 2 * 2**16 cells is
 formatted by a pool of forked workers, one per usable CPU; the bytes do
-not depend on the CPU count. `check` peaks at 61 MiB, workers included,
-on a 300-node, 1185-edge graph and at 290 MiB on a 1000-node, 4000-edge
+not depend on the CPU count. `check` peaks at 59 MiB, workers included,
+on a 300-node, 1185-edge graph and at 222 MiB on a 1000-node, 4000-edge
 graph (99 and 700 MiB with the whole lift held).
 
 Exit codes: 0 success, 1 unexpected failure, 2 parse error,
@@ -175,16 +175,16 @@ def _matrix_block(name, n_rows, n_cols, rows):
     return [f"matrix {name} {n_rows} {n_cols}\n", _Table(n_rows, n_cols, rows, " ")]
 
 
-def _incidence_block(incidence):
-    """The incidence matrix's block, each line made as it is read.
+def _incidence_block(g):
+    """The block of g's incidence matrix, each line built and made as it is read.
 
     Its cells are -1, 0 and 1, which "%.17g" writes as "-1", "0" and "1":
     a lookup gives those bytes at a small part of the cost of formatting.
     """
-    n, q = incidence.shape
     cell = {-1.0: "-1", 0.0: "0", 1.0: "1"}.__getitem__
-    return [f"matrix incidence {n} {q}\n",
-            (" ".join(map(cell, row.tolist())) + "\n" for row in incidence)]
+    return [f"matrix incidence {g.n} {g.q}\n",
+            (" ".join(map(cell, g.incidence_rows([i])[0].tolist())) + "\n"
+             for i in range(g.n))]
 
 
 def _diag_block(name, diag):
@@ -203,12 +203,12 @@ def graph_check_text(setup):
     value. Each matrix block's rows are built as they are written, the
     lift's by lift_rows, so no Q x Q array is formed.
     """
-    m = setup.matrices
+    g = setup.graph
     lift = setup.lift
-    n, q = m.incidence.shape
+    lap = g.laplacian()
     parts = [line + "\n" for line in (
-        f"nodes {setup.graph.n}",
-        f"edges {setup.graph.q}",
+        f"nodes {g.n}",
+        f"edges {g.q}",
         f"components {setup.spectral.components}",
         f"lambda2 {_fmt(setup.spectral.lambda2)}",
         f"rho {_fmt(setup.certificate.rho)}",
@@ -225,10 +225,10 @@ def graph_check_text(setup):
         "laplacian_eigs " + _row_text(setup.spectral.laplacian_eigs, " "),
         "edge_laplacian_eigs " + _row_text(setup.spectral.edge_laplacian_eigs, " "),
     ]
-    parts += _incidence_block(m.incidence)
-    parts += _diag_block("weight_diag", m.weights)
-    parts += _matrix_block("laplacian", n, n, lambda lo, hi: m.laplacian[lo:hi])
-    parts += _matrix_block("lift", q, q, partial(lift_rows, m, lift))
+    parts += _incidence_block(g)
+    parts += _diag_block("weight_diag", g.weights)
+    parts += _matrix_block("laplacian", g.n, g.n, lambda lo, hi: lap[lo:hi])
+    parts += _matrix_block("lift", g.q, g.q, partial(lift_rows, g, lift))
     return parts
 
 

@@ -32,7 +32,7 @@ class ControllerConfig:
     below_critical: bool = False
 
 
-def critical_gain(m, lift, rho):
+def critical_gain(g, lift, rho):
     """Gain threshold rho * w_max / (2 * lambda_min).
 
     lambda_min is the smallest eigenvalue of the symmetric part
@@ -42,14 +42,14 @@ def critical_gain(m, lift, rho):
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if m.weights.size == 0:
+    if g.weights.size == 0:
         raise DimensionMismatchError("graph has no edges; no coupling to scale")
     lam_low = float(lift.pd_margin)
     if not lam_low > 0.0:
         raise NotPositiveDefiniteError(
             f"lift symmetric part has nonpositive minimal eigenvalue {lam_low:.3e}"
         )
-    return rho * float(m.weights.max()) / (2.0 * lam_low)
+    return rho * float(g.weights.max()) / (2.0 * lam_low)
 
 
 def edge_end_arrays(g, betas):
@@ -115,11 +115,11 @@ def coupling_inputs(states, g, model, beta):
     return accumulate_coupling(model.alpha_all(states), *edge_end_arrays(g, [beta]))
 
 
-def make_controller(m, lift, rho, beta=None, beta_multiplier=None):
+def make_controller(g, lift, rho, beta=None, beta_multiplier=None):
     """Resolve an absolute or multiplier-specified gain against beta_star."""
     if (beta is None) == (beta_multiplier is None):
         raise ValueError("exactly one of beta and beta_multiplier must be given")
-    beta_star = critical_gain(m, lift, rho)
+    beta_star = critical_gain(g, lift, rho)
     if beta is None:
         beta = beta_multiplier * beta_star
     return ControllerConfig(

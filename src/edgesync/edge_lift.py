@@ -23,10 +23,11 @@ no Q x Q array is held: Pi = I - Q1 Q1^T with Q1 an orthonormal basis
 of range(E^T) from the N x N matrix E E^T, the margin comes from a
 matrix of size at most min(Q, 2N), solved for its eigenvalues alone,
 and U is kept as its factors Q1, Y and mu / w. lift_rows builds any
-rows of U from them, so U is written a share of rows at a time. The
-products by E with exact entries, E E^T, E^T E, Q1 = E^T Y and E^T L,
-are built from the edge lists (GraphMatrices.node_gram and et); the
-sums E W E^T and E W^2 E^T stay dense.
+rows of U from them, so U is written a share of rows at a time. No
+dense incidence is formed either: the products by E are built from the
+graph's edge index arrays, E^T a by WeightedGraph.et, rows of E^T E by
+incidence_rows and the node sums E E^T, L = E W E^T and E W^2 E^T by
+gram.
 
 The intertwining residual needs no U either: U E^T - E^T L is
 mu W^-1 (E^T - Q1 Y^T E E^T), of size Q x N. The endpoint identities
@@ -65,8 +66,8 @@ class EdgeLift:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def build_edge_lift(m):
-    """Construct the edge lift for prepared graph matrices.
+def build_edge_lift(g):
+    """Construct the edge lift of the weighted graph g.
 
     With L0 = E E^T = Z diag(d) Z^T and Y = Z / sqrt(d) over its r
     nonzero eigenvalues, Q1 = E^T Y is an orthonormal basis of
@@ -96,13 +97,13 @@ def build_edge_lift(m):
     otherwise certify a margin of 5.6e-17. Every array it keeps or
     forms is at most Q x N or (2N) x (2N).
     """
-    w = m.weights
-    dec = sym_eig(m.node_gram())
+    w = g.weights
+    dec = sym_eig(g.gram(np.ones(g.q)))
     d = dec.eigenvalues
     keep = d > NULLSPACE_RTOL * max(1.0, float(d[-1]))
     y = dec.eigenvectors[:, keep] / np.sqrt(d[keep])
-    q1 = m.et(y)
-    ly = m.laplacian @ y
+    q1 = g.et(y)
+    ly = g.laplacian() @ y
     r = y.shape[1]
     kdim = len(w) - r
     if not kdim:
@@ -115,8 +116,7 @@ def build_edge_lift(m):
                 f"margin {eigs[0]:.3g} at the round-off of {eigs[-1]:.3g}")
         return EdgeLift(q1=q1, y=y, scale=np.zeros(len(w)), mu=0.0,
                         pd_margin=float(eigs.min(initial=np.inf)), kernel_dim=0)
-    ew = m.incidence * w
-    l2 = ew @ ew.T
+    l2 = g.gram(w * w)
     mu = float(_sym_eig_finite(l2, w).eigenvalues[-1])
     scale = mu / w
     if not np.isfinite(scale).all():
@@ -141,7 +141,7 @@ def _sym_eig_finite(a, w, vectors=True):
                                f"overflow the lift") from None
 
 
-def lift_rows(m, lift, lo, hi):
+def lift_rows(g, lift, lo, hi):
     """Rows lo to hi of the lift U = E^T E W + mu W^-1 (I - Q1 Q1^T), a new array.
 
     The operations run in the order of the whole product, so rows 0 to Q
@@ -155,18 +155,22 @@ def lift_rows(m, lift, lo, hi):
     rows *= -1.0
     rows[np.arange(hi - lo), np.arange(lo, hi)] += 1.0
     rows *= lift.scale[lo:hi, None]
-    ete = m.et(m.incidence, lo, hi)
-    ete *= m.weights
+    ete = g.incidence_rows(g.term[lo:hi])
+    ete -= g.incidence_rows(g.init[lo:hi])
+    ete *= g.weights
     rows += ete
     return rows
 
 
-def lift_residual(m, lift):
+def lift_residual(g, lift):
     """max|U E^T - E^T L| of an EdgeLift, 0 on a forest and on an edgeless graph.
 
     Taken in the factored form mu W^-1 (E^T - Q1 (Y^T E E^T)), with no
     Q x Q array: equal to U E^T - E^T L in exact arithmetic, since
-    E^T E W E^T = E^T L and Q1^T E^T = Y^T E E^T.
+    E^T E W E^T = E^T L and Q1^T E^T = Y^T E E^T. It holds two Q x N
+    arrays at a time.
     """
-    factor = m.incidence.T - lift.q1 @ (lift.y.T @ m.node_gram())
-    return float(np.max(np.abs(lift.scale[:, None] * factor), initial=0.0))
+    factor = g.et(np.eye(g.n))
+    factor -= lift.q1 @ (lift.y.T @ g.gram(np.ones(g.q)))
+    factor *= lift.scale[:, None]
+    return float(np.max(np.abs(factor, out=factor), initial=0.0))

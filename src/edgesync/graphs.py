@@ -6,8 +6,10 @@ incidence matrix carries -1 at the initial node k_j and +1 at the
 terminal node l_j; the smaller index is always the initial node, fixed
 once so every derived object is reproducible.
 
-The diagonal edge-weight matrix W is never formed: products with it are
-row or column scalings by the graph's weight vector.
+Neither E nor the diagonal edge-weight matrix W is formed whole: the
+graph's index arrays stand for E (WeightedGraph.et, incidence_rows and
+gram build the products by it) and products with W are row or column
+scalings by the weight vector.
 """
 
 import hashlib
@@ -23,9 +25,9 @@ from .linalg import sym_eig
 MAX_NODES = int(np.iinfo(np.intp).max)
 
 # the most nodes and the most edges a parsed graph may have: a check holds
-# dense N x Q and N x N arrays (N = Q = 8192 is 512 MiB each) and no
-# Q x Q one, as the lift is kept factored and its rows, with those of
-# E^T E, are built a share at a time
+# dense N x N arrays and the lift's Q x (N - c) basis q1 (N = Q = 8192 is
+# 512 MiB each) and no Q x Q one, as the lift is kept factored and its
+# rows, with those of E^T E, are built a share at a time
 MAX_DENSE = 8192
 
 
@@ -101,42 +103,31 @@ class WeightedGraph:
     def short_hash(self):
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
-
-@dataclass(frozen=True)
-class GraphMatrices:
-    """Incidence and Laplacian family of a weighted graph.
-
-    incidence has one column per edge, -1 at the initial and +1 at the
-    terminal node; init and term are the graph's 0-based index arrays of
-    those nodes. W = diag(weights) is only ever applied as a row or
-    column scaling: laplacian = E W E^T, and the edge Laplacian
-    E^T E W is never held whole (edge_lift.lift_rows builds its rows).
-    The products by E whose entries are exact, E^T E, E E^T and E^T a,
-    are built from init and term with the bits of the dense products;
-    L = E W E^T, whose degree sums round, is the one dense product.
-    """
-
-    incidence: np.ndarray
-    weights: np.ndarray
-    laplacian: np.ndarray
-    init: np.ndarray
-    term: np.ndarray
-
     def et(self, a, lo=0, hi=None):
-        """Rows lo to hi of E^T a for an N-row array a: row j is a[term_j] - a[init_j].
-
-        et(incidence, lo, hi) gives those rows of E^T E.
-        """
+        """Rows lo to hi of E^T a for an N-row array a: row j is a[term_j] - a[init_j]."""
         out = a[self.term[lo:hi]]
         out -= a[self.init[lo:hi]]
         return out
 
-    def node_gram(self):
-        """E E^T: the node degrees on the diagonal, -1 at both cells of an edge."""
-        ends = np.concatenate([self.init, self.term])
-        gram = np.diag(np.bincount(ends, minlength=len(self.laplacian)).astype(float))
-        gram[self.init, self.term] = gram[self.term, self.init] = -1.0
-        return gram
+    def incidence_rows(self, nodes):
+        """Rows nodes of the incidence E, as a len(nodes) x Q float array."""
+        nodes = np.asarray(nodes)[:, None]
+        return np.subtract(nodes == self.term, nodes == self.init, dtype=float)
+
+    def gram(self, v):
+        """E diag(v) E^T, from one bincount over the edges' interleaved ends.
+
+        -v at both cells of each edge; on the diagonal, each node's sum of
+        v over its edges, added in edge order from 0.0.
+        """
+        ends = np.stack((self.init, self.term), 1).ravel()
+        out = np.diag(np.bincount(ends, np.repeat(v, 2), self.n))
+        out[self.init, self.term] = out[self.term, self.init] = -v
+        return out
+
+    def laplacian(self):
+        """L = E W E^T, built anew at each call."""
+        return self.gram(self.weights)
 
 
 @dataclass(frozen=True)
@@ -145,18 +136,6 @@ class SpectralReport:
     edge_laplacian_eigs: np.ndarray
     lambda2: float
     components: int
-
-
-def build_matrices(g):
-    """Assemble the incidence and Laplacian of g."""
-    incidence = np.zeros((g.n, g.q))
-    cols = np.arange(g.q)
-    incidence[g.init, cols] = -1.0
-    incidence[g.term, cols] = 1.0
-    w = g.weights
-    return GraphMatrices(incidence=incidence, weights=w,
-                         laplacian=(incidence * w) @ incidence.T,
-                         init=g.init, term=g.term)
 
 
 def components(g):
@@ -176,7 +155,7 @@ def components(g):
     return len({find(i) for i in range(1, g.n + 1)})
 
 
-def spectral_report(m, g):
+def spectral_report(g):
     """Spectra of L and L_e plus connectivity facts, from one N x N eigensolve.
 
     The edge Laplacian E^T E W and L = E W E^T share their nonzero
@@ -185,7 +164,7 @@ def spectral_report(m, g):
     followed by the N - c nonzero eigenvalues of L, with no Q x Q
     eigensolve.
     """
-    lap_eigs = sym_eig(m.laplacian).eigenvalues
+    lap_eigs = sym_eig(g.laplacian()).eigenvalues
     comps = components(g)
     edge_eigs = np.concatenate([np.zeros(g.q - g.n + comps), lap_eigs[comps:]])
     lambda2 = float(lap_eigs[1]) if g.n >= 2 else 0.0

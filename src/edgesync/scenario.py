@@ -49,7 +49,6 @@ from .edge_lift import build_edge_lift, lift_residual
 from .errors import DimensionMismatchError, DisconnectedGraphError, ParseError
 from .graphs import (
     WeightedGraph,
-    build_matrices,
     components,
     parse_graph_text,
     read_graph_file,
@@ -210,7 +209,6 @@ class RunSetup:
 
     name: str
     graph: WeightedGraph
-    matrices: object
     spectral: object
     lift: object
     lift_residual: float
@@ -435,11 +433,10 @@ def realize(sc, require_connected=True):
         raise DisconnectedGraphError(
             f"controller requested on a graph with {n_comp} components"
         )
-    matrices = build_matrices(graph)
     # the lift first: weights that overflow the spectrum of L overflow it
     # too, and it names them
-    lift = build_edge_lift(matrices)
-    spectral = spectral_report(matrices, graph)
+    lift = build_edge_lift(graph)
+    spectral = spectral_report(graph)
     model, cert, approximate = _build_model_and_certificate(sc)
 
     if sc.init_states is not None:
@@ -461,15 +458,14 @@ def realize(sc, require_connected=True):
                              f"{sc.init_radius:g} overflows", sc.path)
 
     controller = make_controller(
-        matrices, lift, sc.rho, beta=sc.beta, beta_multiplier=sc.beta_multiplier)
+        graph, lift, sc.rho, beta=sc.beta, beta_multiplier=sc.beta_multiplier)
 
     return RunSetup(
         name=sc.name,
         graph=graph,
-        matrices=matrices,
         spectral=spectral,
         lift=lift,
-        lift_residual=lift_residual(matrices, lift),
+        lift_residual=lift_residual(graph, lift),
         model=model,
         certificate=cert,
         controller=controller,

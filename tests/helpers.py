@@ -32,37 +32,47 @@ def sym_part(weights, c):
     return 0.5 * (weights[:, None] * c + c.T * weights)
 
 
-def edge_laplacian(m):
-    """E^T E W, from the rows of E^T E that GraphMatrices.et gathers."""
-    return m.et(m.incidence) * m.weights
+def dense_incidence(g):
+    """The N x Q incidence E of g, the reference for every product by it."""
+    e = np.zeros((g.n, g.q))
+    cols = np.arange(g.q)
+    e[g.init, cols] = -1.0
+    e[g.term, cols] = 1.0
+    return e
 
 
-def dense_lift(m, lift):
+def edge_laplacian(g):
+    """E^T E W, from the rows of E^T E that WeightedGraph.et gathers."""
+    return g.et(dense_incidence(g)) * g.weights
+
+
+def dense_lift(g, lift):
     """The whole Q x Q lift U of an EdgeLift, as one share of lift_rows."""
-    return lift_rows(m, lift, 0, len(m.weights))
+    return lift_rows(g, lift, 0, g.q)
 
 
-def endpoint_correction(m, lift):
+def endpoint_correction(g, lift):
     """Omega = (|E^T| L - U |E^T|) / 2 of a lift U, with entrywise absolute value."""
-    abs_et = np.abs(m.incidence.T)
-    return 0.5 * (abs_et @ m.laplacian - lift @ abs_et)
+    abs_et = np.abs(dense_incidence(g).T)
+    return 0.5 * (abs_et @ g.laplacian() - lift @ abs_et)
 
 
-def endpoint_residuals(m, lift):
+def endpoint_residuals(g, lift):
     """Max-norm residuals of the two endpoint identities of a lift U.
 
     E_k^T L = U E_k^T + Omega and E_l^T L = U E_l^T + Omega, with Omega
     from endpoint_correction and the 0/1 splits E_k and E_l marking the
     negative and the positive entries of the incidence matrix E.
     """
-    omega = endpoint_correction(m, lift)
+    omega = endpoint_correction(g, lift)
+    e, lap = dense_incidence(g), g.laplacian()
 
     def residual(split):
         st = split.astype(float).T
-        return float(np.max(np.abs(st @ m.laplacian - (lift @ st + omega)),
+        return float(np.max(np.abs(st @ lap - (lift @ st + omega)),
                             initial=0.0))
 
-    return residual(m.incidence < 0.0), residual(m.incidence > 0.0)
+    return residual(e < 0.0), residual(e > 0.0)
 
 
 def input_field(model, xs):

@@ -16,8 +16,8 @@ import edgesync as es
 from edgesync.cli import main as cli_main
 
 from helpers import (C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P3,
-                     dense_lift, edge_laplacian, endpoint_residuals,
-                     graph_family, shifted_union)
+                     dense_incidence, dense_lift, edge_laplacian,
+                     endpoint_residuals, graph_family, shifted_union)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -57,9 +57,8 @@ def ball_samples(n, count, radius, seed):
 
 
 def network_checks(g, model, cert, multiplier, x0):
-    m = es.build_matrices(g)
-    lift = es.build_edge_lift(m)
-    ctrl = es.make_controller(m, lift, cert.rho, beta_multiplier=multiplier)
+    lift = es.build_edge_lift(g)
+    ctrl = es.make_controller(g, lift, cert.rho, beta_multiplier=multiplier)
     traj = es.simulate(g, model, ctrl.beta, x0, T_END, H, RECORD)
     stacks = traj.states.reshape(traj.n_samples, g.n, model.state_dim)
     v = es.edge_energy(stacks, g, cert.p)
@@ -77,21 +76,20 @@ def network_checks(g, model, cert, multiplier, x0):
 def test_criterion_1_lift_identity():
     with criterion(1, "edge lift identity", 10.0):
         for g in graph_family(100):
-            m = es.build_matrices(g)
-            lift = es.build_edge_lift(m)
+            lift = es.build_edge_lift(g)
             if g.q:
-                res = np.max(np.abs(
-                    dense_lift(m, lift) @ m.incidence.T - m.incidence.T @ m.laplacian))
-                assert res <= 1e-8 * max(1.0, np.max(np.abs(m.laplacian)))
+                et, lap = dense_incidence(g).T, g.laplacian()
+                res = np.max(np.abs(dense_lift(g, lift) @ et - et @ lap))
+                assert res <= 1e-8 * max(1.0, np.max(np.abs(lap)))
             assert lift.pd_margin > 0.0
 
 
-def check_edge_spectrum(m, g):
+def check_edge_spectrum(g):
     """The reported edge spectrum against a dense eigensolve of the
     symmetric form W^1/2 E^T E W^1/2, with exactly Q - N + c zeros."""
-    rep = es.spectral_report(m, g)
-    w_sqrt = np.sqrt(m.weights)
-    ref = np.linalg.eigvalsh((m.incidence * w_sqrt).T @ (m.incidence * w_sqrt))
+    rep = es.spectral_report(g)
+    ew = dense_incidence(g) * np.sqrt(g.weights)
+    ref = np.linalg.eigvalsh(ew.T @ ew)
     scale = max(1.0, float(ref[-1])) if g.q else 1.0
     assert rep.edge_laplacian_eigs.shape == (g.q,)
     assert np.max(np.abs(rep.edge_laplacian_eigs - ref), initial=0.0) <= 1e-9 * scale
@@ -102,41 +100,36 @@ def check_edge_spectrum(m, g):
 def test_criterion_2_graph_identities():
     with criterion(2, "graph identities", 10.0):
         for g in graph_family(100):
-            m = es.build_matrices(g)
-            w = np.diag(m.weights)
-            assert np.max(np.abs(
-                m.laplacian - m.incidence @ w @ m.incidence.T)) <= 1e-12
-            assert np.max(np.abs(
-                edge_laplacian(m) - m.incidence.T @ m.incidence @ w)) <= 1e-12
-            check_edge_spectrum(m, g)
-            lift = es.build_edge_lift(m)
+            e, w = dense_incidence(g), np.diag(g.weights)
+            assert np.max(np.abs(g.laplacian() - e @ w @ e.T)) <= 1e-12
+            assert np.max(np.abs(edge_laplacian(g) - e.T @ e @ w)) <= 1e-12
+            check_edge_spectrum(g)
+            lift = es.build_edge_lift(g)
             assert lift.kernel_dim == g.q - g.n + es.components(g)
         for g in (es.WeightedGraph(3, ()), es.WeightedGraph(4, ((1, 2, 2.0),)),
                   shifted_union(C3, C3)):
-            check_edge_spectrum(es.build_matrices(g), g)
+            check_edge_spectrum(g)
         for n in range(2, 9):
             tree = es.random_connected_graph(n, 0.0, (0.1, 6.0), 100 + n)
-            m = es.build_matrices(tree)
-            lift = es.build_edge_lift(m)
+            lift = es.build_edge_lift(tree)
             assert tree.q == n - 1
-            assert np.array_equal(dense_lift(m, lift), edge_laplacian(m))
+            assert np.array_equal(dense_lift(tree, lift), edge_laplacian(tree))
             assert lift.mu == 0.0
 
 
 def test_criterion_3_endpoint_identities():
     with criterion(3, "endpoint correction", 5.0):
         for g in graph_family(100):
-            m = es.build_matrices(g)
-            lift = es.build_edge_lift(m)
-            u = dense_lift(m, lift)
-            res_init, res_term = endpoint_residuals(m, u)
+            lift = es.build_edge_lift(g)
+            u = dense_lift(g, lift)
+            res_init, res_term = endpoint_residuals(g, u)
             assert res_init <= 1e-8 and res_term <= 1e-8
             # with E_k, E_l = (|E| -+ E) / 2 the endpoint residual matrices
             # are (U E^T - E^T L) / 2 and its negative, so graph_check.txt
             # writes half of lift_residual for each
-            half = 0.5 * es.lift_residual(m, lift)
+            half = 0.5 * es.lift_residual(g, lift)
             scale = max(1.0, float(np.max(np.abs(u))),
-                        float(np.max(np.abs(m.laplacian))))
+                        float(np.max(np.abs(g.laplacian()))))
             tol = 16.0 * np.finfo(float).eps * scale
             assert abs(res_init - half) <= tol and abs(res_term - half) <= tol
 
@@ -227,13 +220,13 @@ def test_criterion_8_controller_invariants():
         assert u1[0] == u0[0] and u1[1] == u0[1]
         # neighbor-sum vs Laplacian form
         rg = es.random_connected_graph(9, 0.4, (0.1, 6.0), 5)
-        m = es.build_matrices(rg)
+        lap = rg.laplacian()
         for _ in range(100):
             xs = rng.standard_normal((9, 2))
             beta = float(rng.uniform(0.1, 4.0))
             u = es.coupling_inputs(xs, rg, model, beta)
             alphas = xs @ np.array([1.0, 2.0])
-            oracle = -beta * m.laplacian @ alphas
+            oracle = -beta * lap @ alphas
             assert np.max(np.abs(u - oracle)) <= 1e-12 * max(
                 1.0, np.max(np.abs(oracle)))
 

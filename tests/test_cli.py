@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from edgesync import build_matrices, cli, random_connected_graph, scenario
+from edgesync import WeightedGraph, cli, random_connected_graph, scenario
 from edgesync.graphs import read_graph_file
 from edgesync.cli import (
     _Table,
@@ -27,7 +27,7 @@ from edgesync.cli import (
     parse_graph_check,
 )
 
-from helpers import SCENARIO_DIR, SHIPPED_TEXTS, mutated_text
+from helpers import SCENARIO_DIR, SHIPPED_TEXTS, dense_incidence, mutated_text
 
 LINEAR_C3 = os.path.join(SCENARIO_DIR, "linear_c3.scn")
 TANH_P3 = os.path.join(SCENARIO_DIR, "tanh_p3.scn")
@@ -527,11 +527,11 @@ def test_failed_write_leaves_no_temp_file(tmp_path, forked, monkeypatch):
     forks = forked(2, min_cells=2000)
     calls = []
 
-    def failing_lift_rows(m, lift, lo, hi):
+    def failing_lift_rows(g, lift, lo, hi):
         calls.append(lo)
         if len(calls) == 4:
             raise RuntimeError("lift rows failed")
-        return lift_rows(m, lift, lo, hi)
+        return lift_rows(g, lift, lo, hi)
 
     lift_rows = cli.lift_rows
     monkeypatch.setattr(cli, "lift_rows", failing_lift_rows)
@@ -571,10 +571,10 @@ def test_trajectory_csv_matches_one_shot_format(records):
     random_connected_graph(9, 0.5, (0.1, 6.0), 2),
     random_connected_graph(40, 0.22, (0.1, 6.0), 5)], ids=lambda g: f"n{g.n}q{g.q}")
 def test_incidence_block_matches_dense(g):
-    e = build_matrices(g).incidence
-    assert "".join(_chunks(cli._incidence_block(e))) == "".join(_chunks(
+    e = dense_incidence(g)
+    assert "".join(_chunks(cli._incidence_block(g))) == "".join(_chunks(
         _matrix_block("incidence", g.n, g.q, lambda lo, hi: e[lo:hi])))
-    empty = np.zeros((3, 0))
+    empty = WeightedGraph(3, ())
     assert "".join(_chunks(cli._incidence_block(empty))) == "matrix incidence 3 0\n" + "\n" * 3
 
 

@@ -8,7 +8,6 @@ from edgesync import (
     WeightedGraph,
     accumulate_coupling,
     build_edge_lift,
-    build_matrices,
     coupling_inputs,
     critical_gain,
     edge_end_arrays,
@@ -25,36 +24,32 @@ def scalar_identity_model():
     return linear_model(np.array([[0.0]]), np.array([1.0]), np.array([1.0]))
 
 
-def lift_for(g):
-    m = build_matrices(g)
-    return m, build_edge_lift(m)
-
-
 class TestCriticalGain:
     def test_c3_sixth(self):
-        m, lift = lift_for(C3)
-        assert critical_gain(m, lift, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
+        lift = build_edge_lift(C3)
+        assert critical_gain(C3, lift, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_p2_quarter_w(self):
         # single edge: beta_star = rho / (4 w)
         g = WeightedGraph(2, ((1, 2, 2.0),))
-        m, lift = lift_for(g)
-        assert critical_gain(m, lift, 3.0) == pytest.approx(3.0 / 8.0, abs=1e-12)
+        lift = build_edge_lift(g)
+        assert critical_gain(g, lift, 3.0) == pytest.approx(3.0 / 8.0, abs=1e-12)
 
     def test_scaled_weights_stay_finite(self):
         for c in (0.1, 1.0, 10.0):
             g = WeightedGraph(3, ((1, 2, c), (1, 3, c), (2, 3, c)))
-            m, lift = lift_for(g)
-            val = critical_gain(m, lift, 1.0)
+            lift = build_edge_lift(g)
+            val = critical_gain(g, lift, 1.0)
             assert np.isfinite(val) and val > 0
 
     def test_guards(self):
-        m, lift = lift_for(C3)
+        lift = build_edge_lift(C3)
         with pytest.raises(ValueError):
-            critical_gain(m, lift, 0.0)
-        m0, lift0 = lift_for(WeightedGraph(2, ()))
+            critical_gain(C3, lift, 0.0)
+        g0 = WeightedGraph(2, ())
+        lift0 = build_edge_lift(g0)
         with pytest.raises(DimensionMismatchError):
-            critical_gain(m0, lift0, 1.0)
+            critical_gain(g0, lift0, 1.0)
 
 
 class TestCouplingInputs:
@@ -90,12 +85,12 @@ class TestCouplingInputs:
             g = random_connected_graph(int(rng.integers(2, 10)),
                                        float(rng.uniform()), (0.1, 6.0),
                                        int(rng.integers(0, 2**31)))
-            m = build_matrices(g)
+            lap = g.laplacian()
             for _ in range(10):
                 states = rng.standard_normal((g.n, 1))
                 beta = float(rng.uniform(0.1, 5.0))
                 u = coupling_inputs(states, g, model, beta)
-                oracle = -beta * m.laplacian @ states[:, 0]
+                oracle = -beta * lap @ states[:, 0]
                 scale = max(1.0, float(np.max(np.abs(oracle))))
                 assert np.max(np.abs(u - oracle)) <= 1e-12 * scale
             # a stack of B copies at their own gains: copy b is the
@@ -104,7 +99,7 @@ class TestCouplingInputs:
             alphas = rng.standard_normal((4, g.n))
             u = accumulate_coupling(alphas.ravel(), *edge_end_arrays(g, betas))
             for beta, alpha, u_b in zip(betas, alphas, u.reshape(4, g.n)):
-                oracle = -beta * m.laplacian @ alpha
+                oracle = -beta * lap @ alpha
                 scale = max(1.0, float(np.max(np.abs(oracle))))
                 assert np.max(np.abs(u_b - oracle)) <= 1e-12 * scale
                 alone = accumulate_coupling(alpha, *edge_end_arrays(g, [beta]))
@@ -167,20 +162,20 @@ class TestEdgeIndexArrays:
 
 class TestMakeController:
     def test_multiplier_path(self):
-        m, lift = lift_for(C3)
-        cfg = make_controller(m, lift, 1.0, beta_multiplier=2.0)
+        lift = build_edge_lift(C3)
+        cfg = make_controller(C3, lift, 1.0, beta_multiplier=2.0)
         assert cfg.beta == pytest.approx(2.0 / 6.0)
         assert not cfg.below_critical
 
     def test_absolute_below_critical_flagged(self):
-        m, lift = lift_for(C3)
-        cfg = make_controller(m, lift, 1.0, beta=0.01)
+        lift = build_edge_lift(C3)
+        cfg = make_controller(C3, lift, 1.0, beta=0.01)
         assert cfg.below_critical
         assert cfg.beta_star == pytest.approx(1.0 / 6.0)
 
     def test_exactly_one_spec(self):
-        m, lift = lift_for(C3)
+        lift = build_edge_lift(C3)
         with pytest.raises(ValueError):
-            make_controller(m, lift, 1.0)
+            make_controller(C3, lift, 1.0)
         with pytest.raises(ValueError):
-            make_controller(m, lift, 1.0, beta=1.0, beta_multiplier=1.0)
+            make_controller(C3, lift, 1.0, beta=1.0, beta_multiplier=1.0)

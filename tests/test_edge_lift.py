@@ -7,7 +7,6 @@ from scipy.linalg import null_space
 from edgesync import (
     WeightedGraph,
     build_edge_lift,
-    build_matrices,
     edge_lift,
     graphs,
     lift_residual,
@@ -18,69 +17,72 @@ from edgesync import (
     spectral_report,
 )
 
-from helpers import (C3, P2, P3, SCENARIO_DIR, dense_lift, edge_laplacian,
-                     endpoint_correction, endpoint_residuals, graph_family,
-                     shifted_union, sym_part)
+from helpers import (C3, P2, P3, SCENARIO_DIR, dense_incidence, dense_lift,
+                     edge_laplacian, endpoint_correction, endpoint_residuals,
+                     graph_family, shifted_union, sym_part)
 
 
-def range_basis(m):
+def range_basis(g):
     """Q1 = E^T Z d^-1/2 over the nonzero eigenpairs (d, Z) of E E^T: an
     orthonormal basis of range(E^T)."""
-    d, z = np.linalg.eigh(m.incidence @ m.incidence.T)
+    e = dense_incidence(g)
+    d, z = np.linalg.eigh(e @ e.T)
     keep = d > 1e-9 * max(1.0, float(d[-1]))
-    return m.incidence.T @ (z[:, keep] / np.sqrt(d[keep]))
+    return e.T @ (z[:, keep] / np.sqrt(d[keep]))
 
 
-def dense_margin(m, lift):
+def dense_margin(g, lift):
     """Smallest eigenvalue of the lift's Q x Q symmetric part, inf for Q = 0."""
-    eigs = np.linalg.eigvalsh(sym_part(m.weights, dense_lift(m, lift)))
+    eigs = np.linalg.eigvalsh(sym_part(g.weights, dense_lift(g, lift)))
     return float(eigs.min(initial=np.inf))
 
 
-def intertwining_residual(m, lift):
+def intertwining_residual(g, lift):
     """max|U E^T - E^T L| from the dense products, with U formed whole."""
-    r = dense_lift(m, lift) @ m.incidence.T - m.incidence.T @ m.laplacian
+    et = dense_incidence(g).T
+    r = dense_lift(g, lift) @ et - et @ g.laplacian()
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 
-def reference_lift(m, lift):
+def reference_lift(g, lift):
     """U = E^T E W + mu W^-1 (I - Q1 Q1^T) in one Q x Q array, in the order
     of operations build_edge_lift used when it formed U whole."""
     u = lift.q1 @ lift.q1.T
     u *= -1.0
     u.flat[::u.shape[0] + 1] += 1.0
     u *= lift.scale[:, None]
-    u += (m.incidence.T @ m.incidence) * m.weights
+    e = dense_incidence(g)
+    u += (e.T @ e) * g.weights
     return u
 
 
 class TestTreeCase:
     def test_p3_lift_is_edge_laplacian(self):
-        m = build_matrices(P3)
-        lift = build_edge_lift(m)
-        assert np.array_equal(dense_lift(m, lift), edge_laplacian(m))
+        g = P3
+        lift = build_edge_lift(g)
+        assert np.array_equal(dense_lift(g, lift), edge_laplacian(g))
         assert lift.mu == 0.0
         assert lift.kernel_dim == 0
         # symmetric part of W U has eigenvalues {1, 3}
         assert lift.pd_margin == pytest.approx(1.0, abs=1e-12)
 
     def test_p2(self):
-        m = build_matrices(P2)
-        lift = build_edge_lift(m)
-        assert np.array_equal(dense_lift(m, lift), [[2.0]])
+        g = P2
+        lift = build_edge_lift(g)
+        assert np.array_equal(dense_lift(g, lift), [[2.0]])
         assert lift.pd_margin == pytest.approx(2.0)
 
 
 class TestCycleCase:
     def test_c3_shift_lands_on_lambda2(self):
-        m = build_matrices(C3)
-        lift = build_edge_lift(m)
+        g = C3
+        lift = build_edge_lift(g)
         assert lift.kernel_dim == 1
         assert lift.mu == pytest.approx(3.0, abs=1e-9)
-        eigs = np.sort(np.linalg.eigvals(dense_lift(m, lift)).real)
+        eigs = np.sort(np.linalg.eigvals(dense_lift(g, lift)).real)
         assert np.allclose(eigs, [3.0, 3.0, 3.0], atol=1e-9)
         assert lift.pd_margin == pytest.approx(3.0, abs=1e-9)
-        v = null_space(m.incidence)[:, 0]
+        v = null_space(dense_incidence(g))[:, 0]
         assert np.allclose(np.abs(v), 1.0 / np.sqrt(3.0), atol=1e-12)
 
     def test_reconstruction_from_parts(self):
@@ -92,74 +94,72 @@ class TestCycleCase:
         assert any(g.q > 2 * g.n for g in family)
         assert any(g.n <= g.q <= 2 * g.n for g in family)
         for g in family:
-            m = build_matrices(g)
-            lift = build_edge_lift(m)
-            kernel = null_space(m.incidence)
+            lift = build_edge_lift(g)
+            kernel = null_space(dense_incidence(g))
             assert kernel.shape[1] == lift.kernel_dim
             if not lift.kernel_dim:
                 assert lift.mu == 0.0
-                assert np.array_equal(dense_lift(m, lift), edge_laplacian(m))
+                assert np.array_equal(dense_lift(g, lift), edge_laplacian(g))
                 continue
-            q1 = range_basis(m)
+            q1 = range_basis(g)
             pi = np.eye(g.q) - q1 @ q1.T
             assert np.allclose(pi, kernel @ kernel.T, rtol=0.0, atol=1e-12)
-            rebuilt = edge_laplacian(m) + lift.mu * (pi / m.weights[:, None])
-            scale = lift.mu / float(np.min(m.weights))
-            assert np.allclose(rebuilt, dense_lift(m, lift), rtol=0.0,
+            rebuilt = edge_laplacian(g) + lift.mu * (pi / g.weights[:, None])
+            scale = lift.mu / float(np.min(g.weights))
+            assert np.allclose(rebuilt, dense_lift(g, lift), rtol=0.0,
                                atol=1e-12 * scale)
-            ew2et = (m.incidence * m.weights ** 2) @ m.incidence.T
+            e = dense_incidence(g)
+            ew2et = (e * g.weights ** 2) @ e.T
             assert lift.mu == pytest.approx(
                 float(np.linalg.eigvalsh(ew2et)[-1]), rel=1e-12)
 
 
 class TestDegenerateCases:
     def test_edgeless_graph(self):
-        m = build_matrices(WeightedGraph(2, ()))
-        lift = build_edge_lift(m)
-        assert dense_lift(m, lift).shape == (0, 0)
-        assert lift_residual(m, lift) == 0.0
+        g = WeightedGraph(2, ())
+        lift = build_edge_lift(g)
+        assert dense_lift(g, lift).shape == (0, 0)
+        assert lift_residual(g, lift) == 0.0
         assert lift.pd_margin == np.inf
         assert lift.mu == 0.0 and lift.kernel_dim == 0
 
     def test_disconnected_tree_blocks(self):
         g = shifted_union(P2, P2)
-        lift = build_edge_lift(build_matrices(g))
+        lift = build_edge_lift(g)
         assert lift.mu == 0.0
         assert lift.pd_margin > 0.0
 
     def test_disconnected_with_cycle(self):
         g = shifted_union(C3, P2)
-        m = build_matrices(g)
-        lift = build_edge_lift(m)
+        lift = build_edge_lift(g)
         assert lift.kernel_dim == 1
         assert lift.pd_margin > 0.0
-        assert intertwining_residual(m, lift) <= 1e-10
+        assert intertwining_residual(g, lift) <= 1e-10
 
 
 class TestFamilyProperties:
     def test_intertwining_and_margin(self):
         for g in graph_family(32):
-            m = build_matrices(g)
-            lift = build_edge_lift(m)
-            tol = 1e-8 * max(1.0, float(np.max(np.abs(m.laplacian))))
-            assert intertwining_residual(m, lift) <= tol
+            lift = build_edge_lift(g)
+            tol = 1e-8 * max(1.0, float(np.max(np.abs(g.laplacian()))))
+            assert intertwining_residual(g, lift) <= tol
             assert lift.pd_margin > 0.0
 
     def test_kernel_dimension_formula(self):
         from edgesync import components
         for g in graph_family(20):
-            lift = build_edge_lift(build_matrices(g))
+            lift = build_edge_lift(g)
             assert lift.kernel_dim == g.q - g.n + components(g)
 
 
 class TestEndpointCorrection:
     def test_p2_by_hand(self):
-        m = build_matrices(P2)
-        lift = build_edge_lift(m)
-        u = dense_lift(m, lift)
-        assert np.array_equal(endpoint_correction(m, u), [[-1.0, -1.0]])
-        assert max(endpoint_residuals(m, u)) <= 1e-12
-        assert lift_residual(m, lift) <= 1e-12
+        g = P2
+        lift = build_edge_lift(g)
+        u = dense_lift(g, lift)
+        assert np.array_equal(endpoint_correction(g, u), [[-1.0, -1.0]])
+        assert max(endpoint_residuals(g, u)) <= 1e-12
+        assert lift_residual(g, lift) <= 1e-12
 
     def test_identities_on_family(self):
         # the factored residual mu W^-1 (E^T - Q1 Y^T E E^T) against the
@@ -168,27 +168,26 @@ class TestEndpointCorrection:
         assert sum(g.q > g.n for g in family) > 20
         assert sum(0 < g.q < g.n for g in family) > 10
         for g in family:
-            m = build_matrices(g)
-            lift = build_edge_lift(m)
-            residual = lift_residual(m, lift)
+            lift = build_edge_lift(g)
+            residual = lift_residual(g, lift)
             assert residual <= 1e-8
             if not lift.kernel_dim:
                 assert residual == 0.0
                 continue
-            scale = max(1.0, float(np.max(np.abs(dense_lift(m, lift)))))
-            assert abs(residual - intertwining_residual(m, lift)) <= 1e-12 * scale
+            scale = max(1.0, float(np.max(np.abs(dense_lift(g, lift)))))
+            assert abs(residual - intertwining_residual(g, lift)) <= 1e-12 * scale
 
     def test_corruption_is_detected(self):
         # U E^T = E^T L holds for every mu; a basis Q1 that is not E^T Y
         # breaks it, in U and in the factored residual alike
         import dataclasses
-        m = build_matrices(C3)
-        lift = build_edge_lift(m)
+        g = C3
+        lift = build_edge_lift(g)
         bad = lift.q1.copy()
         bad[0, 0] += 0.1
         corrupted = dataclasses.replace(lift, q1=bad)
-        assert lift_residual(m, corrupted) > 1e-3
-        assert intertwining_residual(m, corrupted) > 1e-3
+        assert lift_residual(g, corrupted) > 1e-3
+        assert intertwining_residual(g, corrupted) > 1e-3
 
 
 class TestLiftRows:
@@ -206,45 +205,44 @@ class TestLiftRows:
 
     def test_one_share_has_the_bits_of_the_whole_product(self):
         for g in self.graphs():
-            m = build_matrices(g)
-            lift = build_edge_lift(m)
-            u = lift_rows(m, lift, 0, g.q)
-            ref = reference_lift(m, lift)
+            lift = build_edge_lift(g)
+            u = lift_rows(g, lift, 0, g.q)
+            ref = reference_lift(g, lift)
             assert np.array_equal(u, ref)
             assert np.array_equal(np.signbit(u), np.signbit(ref))
             if not lift.kernel_dim:
-                assert np.array_equal(u, edge_laplacian(m))
+                assert np.array_equal(u, edge_laplacian(g))
 
     def test_any_split_into_shares(self):
         rng = np.random.default_rng(7)
         for g in self.graphs():
-            m = build_matrices(g)
-            lift = build_edge_lift(m)
-            ref = reference_lift(m, lift)
+            lift = build_edge_lift(g)
+            ref = reference_lift(g, lift)
             tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
             for _ in range(3):
                 cuts = rng.choice(np.arange(1, g.q), size=min(g.q - 1, 3),
                                   replace=False) if g.q > 1 else []
                 bounds = [0] + sorted(int(c) for c in cuts) + [g.q]
-                shares = [lift_rows(m, lift, lo, hi)
+                shares = [lift_rows(g, lift, lo, hi)
                           for lo, hi in zip(bounds[:-1], bounds[1:])]
                 assert [len(s) for s in shares] == np.diff(bounds).tolist()
                 assert np.max(np.abs(np.vstack(shares) - ref)) <= tol
             for lo in range(g.q):
-                assert np.max(np.abs(lift_rows(m, lift, lo, lo + 1) - ref[lo:lo + 1]),
+                assert np.max(np.abs(lift_rows(g, lift, lo, lo + 1) - ref[lo:lo + 1]),
                               initial=0.0) <= tol
 
 
-def lambda_comp(m):
+def lambda_comp(g):
     """min over y orthogonal to 1 of y^T L^2 y / y^T L0 y, with L0 = E E^T.
 
     An N x N reference: the columns of Z span range(L0), scaled so that
     Z^T L0 Z = I, and the minimum is the smallest eigenvalue of Z^T L^2 Z.
     """
-    dec = np.linalg.eigh(m.incidence @ m.incidence.T)
+    e = dense_incidence(g)
+    dec = np.linalg.eigh(e @ e.T)
     keep = dec.eigenvalues > 1e-9 * max(1.0, float(dec.eigenvalues[-1]))
     z = dec.eigenvectors[:, keep] / np.sqrt(dec.eigenvalues[keep])
-    lap = m.laplacian
+    lap = g.laplacian()
     return float(np.linalg.eigvalsh(z.T @ lap @ lap @ z)[0])
 
 
@@ -255,13 +253,11 @@ class TestFixedShift:
         for g in graph_family(100):
             if g.q == 0:
                 continue
-            m = build_matrices(g)
-            margin = build_edge_lift(m).pd_margin
-            bound = lambda_comp(m)
+            margin = build_edge_lift(g).pd_margin
+            bound = lambda_comp(g)
             assert 0.85 * bound <= margin <= bound * (1.0 + 1e-9)
-        m = build_matrices(read_graph_file(
-            os.path.join(SCENARIO_DIR, "lorenz15.graph")))
-        assert build_edge_lift(m).pd_margin >= 0.99 * lambda_comp(m)
+        g = read_graph_file(os.path.join(SCENARIO_DIR, "lorenz15.graph"))
+        assert build_edge_lift(g).pd_margin >= 0.99 * lambda_comp(g)
 
     def test_one_margin_eigensolve(self, monkeypatch):
         # E E^T, E W^2 E^T, the Gram matrix of the part of W E^T outside
@@ -281,7 +277,7 @@ class TestFixedShift:
         kernel_dims = []
         for g in family:
             calls.clear()
-            lift = build_edge_lift(build_matrices(g))
+            lift = build_edge_lift(g)
             kernel_dims.append(lift.kernel_dim)
             assert len(calls) == (4 if lift.kernel_dim else 2)
         assert kernel_dims.count(0) > 5 and len(kernel_dims) - kernel_dims.count(0) > 10
@@ -289,12 +285,12 @@ class TestFixedShift:
     @pytest.mark.parametrize("s", [1e2, 1e4, 1e6])
     def test_extreme_weight_spread(self, s):
         for seed in range(5):
-            m = build_matrices(random_connected_graph(10, 0.5, (1.0, s), seed))
-            lift = build_edge_lift(m)
+            g = random_connected_graph(10, 0.5, (1.0, s), seed)
+            lift = build_edge_lift(g)
             assert lift.kernel_dim > 0
             assert lift.pd_margin > 0.0
-            tol = 1e-8 * max(1.0, float(np.max(np.abs(m.laplacian))))
-            assert intertwining_residual(m, lift) <= tol
+            tol = 1e-8 * max(1.0, float(np.max(np.abs(g.laplacian()))))
+            assert intertwining_residual(g, lift) <= tol
 
 
 def lift_graphs():
@@ -325,19 +321,17 @@ class TestNodeRoute:
         assert sum(g.q < g.n for g in graphs) > 10
         assert sum(g.n <= g.q <= 2 * g.n for g in graphs) > 40
         for g in graphs:
-            m = build_matrices(g)
-            lift = build_edge_lift(m)
-            ref = dense_margin(m, lift)
+            lift = build_edge_lift(g)
+            ref = dense_margin(g, lift)
             assert abs(lift.pd_margin - ref) <= 1e-10 * ref
 
     def test_kernel_dim_and_intertwining(self):
         from edgesync import components
         for g in lift_graphs():
-            m = build_matrices(g)
-            lift = build_edge_lift(m)
+            lift = build_edge_lift(g)
             assert lift.kernel_dim == g.q - g.n + components(g)
-            tol = 1e-8 * max(1.0, float(np.max(np.abs(m.laplacian))))
-            assert intertwining_residual(m, lift) <= tol
+            tol = 1e-8 * max(1.0, float(np.max(np.abs(g.laplacian()))))
+            assert intertwining_residual(g, lift) <= tol
 
     def test_no_eigensolve_above_2n(self, monkeypatch):
         # nothing above N but the margin matrix H, of size at most
@@ -359,9 +353,8 @@ class TestNodeRoute:
         for g in lift_graphs():
             for calls in sizes.values():
                 calls.clear()
-            m = build_matrices(g)
-            spectral_report(m, g)
-            build_edge_lift(m)
+            spectral_report(g)
+            build_edge_lift(g)
             bound = max(g.n, min(g.q, 2 * g.n))
             assert max(sizes["sym_eig"]) <= bound
             assert max(sizes["eigh"]) <= g.n
@@ -377,5 +370,5 @@ def test_margin_of_components_with_different_weight_scales():
     # sets mu = 4.5e12 and the computed margin reads 6.99968
     g = shifted_union(random_connected_graph(8, 0.9, (1.0, 1e6), 1),
                       random_connected_graph(9, 0.9, (1.0, 1.0), 2))
-    lift = build_edge_lift(build_matrices(g))
+    lift = build_edge_lift(g)
     assert abs(lift.pd_margin - 7.0) <= 1e-9 * 7.0

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from edgesync import (
     ParseError,
     WeightedGraph,
-    build_matrices,
     components,
     parse_graph_text,
     random_connected_graph,
@@ -21,6 +20,7 @@ from helpers import (
     C3,
     P2,
     P3,
+    dense_incidence,
     dense_lift,
     edge_laplacian,
     graph_family,
@@ -77,42 +77,38 @@ class TestWeightedGraph:
 
 class TestMatrices:
     def test_p2_by_hand(self):
-        m = build_matrices(P2)
-        assert np.array_equal(m.incidence, [[-1.0], [1.0]])
-        assert np.array_equal(m.laplacian, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(edge_laplacian(m), [[2.0]])
+        assert np.array_equal(P2.incidence_rows(np.arange(2)), [[-1.0], [1.0]])
+        assert np.array_equal(P2.laplacian(), [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.array_equal(edge_laplacian(P2), [[2.0]])
 
     def test_p3_by_hand(self):
-        m = build_matrices(P3)
         assert np.array_equal(
-            m.laplacian, [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        assert np.array_equal(edge_laplacian(m), [[2.0, -1.0], [-1.0, 2.0]])
+            P3.laplacian(), [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+        assert np.array_equal(edge_laplacian(P3), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_c3_by_hand(self):
-        m = build_matrices(C3)
         assert np.array_equal(
-            m.laplacian, [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+            C3.laplacian(), [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
         assert np.array_equal(
-            edge_laplacian(m), [[2.0, 1.0, -1.0], [1.0, 2.0, 1.0], [-1.0, 1.0, 2.0]])
+            edge_laplacian(C3), [[2.0, 1.0, -1.0], [1.0, 2.0, 1.0], [-1.0, 1.0, 2.0]])
 
     def test_incidence_split(self):
-        m = build_matrices(C3)
+        e = C3.incidence_rows(np.arange(C3.n))
         cols = np.arange(C3.q)
         # one -1 at the initial and one +1 at the terminal node per column
-        assert np.array_equal(m.incidence[C3.init, cols], -np.ones(C3.q))
-        assert np.array_equal(m.incidence[C3.term, cols], np.ones(C3.q))
-        assert np.array_equal(np.abs(m.incidence).sum(axis=0), 2.0 * np.ones(C3.q))
-        assert np.array_equal(m.weights, C3.weights)
+        assert np.array_equal(e[C3.init, cols], -np.ones(C3.q))
+        assert np.array_equal(e[C3.term, cols], np.ones(C3.q))
+        assert np.array_equal(np.abs(e).sum(axis=0), 2.0 * np.ones(C3.q))
 
     def test_defining_products_on_family(self):
         for g in graph_family(24):
-            m = build_matrices(g)
-            w = np.diag(m.weights)
-            assert np.max(np.abs(m.laplacian - m.incidence @ w @ m.incidence.T)) <= 1e-12
-            assert np.max(np.abs(edge_laplacian(m) - m.incidence.T @ m.incidence @ w)) <= 1e-12
-            assert m.weights.tolist() == [wt for _, _, wt in g.edges]
+            e, lap = dense_incidence(g), g.laplacian()
+            w = np.diag(g.weights)
+            assert np.max(np.abs(lap - e @ w @ e.T)) <= 1e-12
+            assert np.max(np.abs(edge_laplacian(g) - e.T @ e @ w)) <= 1e-12
+            assert g.weights.tolist() == [wt for _, _, wt in g.edges]
             # row sums of L vanish
-            assert np.max(np.abs(m.laplacian.sum(axis=1))) <= 1e-12
+            assert np.max(np.abs(lap.sum(axis=1))) <= 1e-12
 
 
 def assert_same_bits(a, b):
@@ -135,16 +131,17 @@ class TestDenseDiagonalReference:
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}q{g.q}")
     def test_matrices_and_symmetric_part(self, g):
-        m = build_matrices(g)
-        e = m.incidence
-        w = np.diag(m.weights)
-        assert_same_bits(m.laplacian, e @ w @ e.T)
-        assert_same_bits(edge_laplacian(m), e.T @ e @ w)
+        e = dense_incidence(g)
+        w = np.diag(g.weights)
+        # L's degree sums run in edge order, which a blocked gemm need not
+        # keep: the same to round-off
+        assert np.allclose(g.laplacian(), e @ w @ e.T, rtol=1e-14, atol=0.0)
+        assert_same_bits(edge_laplacian(g), e.T @ e @ w)
         # the matrices whose symmetric part the lift tests take as their
         # dense margin reference; a -0.0 entry in C would give +0.0 in the
         # dense product but keep its sign when scaled
-        for c in (edge_laplacian(m), dense_lift(m, build_edge_lift(m))):
-            assert_same_bits(sym_part(m.weights, c), 0.5 * (w @ c + c.T @ w))
+        for c in (edge_laplacian(g), dense_lift(g, build_edge_lift(g))):
+            assert_same_bits(sym_part(g.weights, c), 0.5 * (w @ c + c.T @ w))
 
     def test_graph_list(self):
         assert any(g.q > 2 * g.n for g in self.GRAPHS)
@@ -152,19 +149,44 @@ class TestDenseDiagonalReference:
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}q{g.q}")
     def test_index_built_products(self, g):
-        m = build_matrices(g)
-        e = m.incidence
-        assert_same_bits(edge_laplacian(m), (e.T @ e) * m.weights)
+        e = dense_incidence(g)
+        assert_same_bits(edge_laplacian(g), (e.T @ e) * g.weights)
         # any rows lo to hi of E^T E, as the lift's shares take them
         lo, hi = g.q // 3, (2 * g.q) // 3 + 1
-        assert_same_bits(m.et(e, lo, hi), (e.T @ e)[lo:hi])
-        assert_same_bits(m.node_gram(), e @ e.T)
-        assert_same_bits(m.et(m.laplacian), e.T @ m.laplacian)
+        assert_same_bits(g.et(e, lo, hi), (e.T @ e)[lo:hi])
+        ete = g.incidence_rows(g.term[lo:hi]) - g.incidence_rows(g.init[lo:hi])
+        assert_same_bits(ete, (e.T @ e)[lo:hi])
+        assert_same_bits(g.gram(np.ones(g.q)), e @ e.T)
+        assert_same_bits(g.et(np.eye(g.n)), e.T)
+        assert_same_bits(g.et(g.laplacian()), e.T @ g.laplacian())
         # Y = Z d^-1/2 over the nonzero eigenpairs of E E^T, and all of Z
         d, z = np.linalg.eigh(e @ e.T)
         keep = d > 1e-9 * max(1.0, float(d[-1]))
         for y in (z[:, keep] / np.sqrt(d[keep]), z):
-            assert_same_bits(m.et(y), e.T @ y)
+            assert_same_bits(g.et(y), e.T @ y)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}q{g.q}")
+    def test_gram_and_incidence_rows(self, g):
+        e = dense_incidence(g)
+        v = np.random.default_rng(g.q).uniform(0.1, 6.0, g.q)
+        gram = g.gram(v)
+        # the off-diagonal cells are exactly -v, and only the edges' cells
+        off = np.zeros((g.n, g.n))
+        off[g.init, g.term] = off[g.term, g.init] = -v
+        assert_same_bits(gram - np.diag(np.diag(gram)), off)
+        # each diagonal cell sums v over the node's edges from 0.0, left
+        # to right in edge order
+        for i in range(g.n):
+            total = 0.0
+            for j in range(g.q):
+                if i in (g.init[j], g.term[j]):
+                    total += v[j]
+            assert gram[i, i] == total
+        assert np.allclose(gram, (e * v) @ e.T, rtol=1e-14, atol=0.0)
+        assert_same_bits(g.incidence_rows(np.arange(g.n)), e)
+        rows = [g.n - 1, 0, g.n // 2, 0]
+        assert_same_bits(g.incidence_rows(rows), e[rows])
+        assert g.incidence_rows([]).shape == (0, g.q)
 
 
 class TestComponents:
@@ -184,25 +206,25 @@ class TestComponents:
 
 class TestSpectral:
     def test_p2(self):
-        rep = spectral_report(build_matrices(P2), P2)
+        rep = spectral_report(P2)
         assert np.allclose(rep.laplacian_eigs, [0.0, 2.0], atol=1e-12)
         assert np.allclose(rep.edge_laplacian_eigs, [2.0], atol=1e-12)
         assert rep.lambda2 == pytest.approx(2.0)
         assert rep.components == 1
 
     def test_c3(self):
-        rep = spectral_report(build_matrices(C3), C3)
+        rep = spectral_report(C3)
         assert np.allclose(rep.laplacian_eigs, [0.0, 3.0, 3.0], atol=1e-10)
         assert np.allclose(sorted(rep.edge_laplacian_eigs), [0.0, 3.0, 3.0], atol=1e-10)
 
     def test_p3(self):
-        rep = spectral_report(build_matrices(P3), P3)
+        rep = spectral_report(P3)
         assert np.allclose(rep.laplacian_eigs, [0.0, 1.0, 3.0], atol=1e-10)
         assert np.allclose(sorted(rep.edge_laplacian_eigs), [1.0, 3.0], atol=1e-10)
 
     def test_lambda2_positive_iff_connected(self):
         for g in graph_family(16):
-            rep = spectral_report(build_matrices(g), g)
+            rep = spectral_report(g)
             if rep.components == 1:
                 assert rep.lambda2 > 1e-9
             else:

@@ -376,8 +376,9 @@ class TestRealize:
         assert setup.graph.n == 2
 
     def test_no_edge_space_square_held(self, tmp_path):
-        # on a graph with Q > 2N the setup holds N x Q, N x N and Q x N
-        # arrays, never one of Q^2 entries: no lift, no E^T E W
+        # on a graph with Q > 2N the largest array the setup holds is the
+        # lift's Q x (N - 1) basis q1: no incidence of N x Q entries, no
+        # lift and no E^T E W of Q^2
         g = random_connected_graph(40, 0.22, (0.1, 6.0), 5)
         assert g.q > 2 * g.n
         (tmp_path / "dense.graph").write_text(g.canonical_text())
@@ -404,7 +405,8 @@ class TestRealize:
 
         walk(setup)
         assert setup.lift.q1.shape == (g.q, g.n - 1)
-        assert max(sizes) == g.n * g.q < g.q ** 2
+        assert max(sizes) == setup.lift.q1.size
+        assert g.n * g.q not in sizes
 
     def test_lorenz_defaults(self):
         text = replace_section(MINIMAL, "model", "kind lorenz")
