@@ -10,13 +10,14 @@ directory resolved as: --out-dir flag, else the scenario [output] dir,
 else the EDGESYNC_OUT_DIR environment variable, else ./edgesync_out.
 
 No artifact is held whole, and no Q x Q array is formed: trajectory.csv's
-records and graph_check.txt's Laplacian and lift blocks are built and
-written a share of at most 2**16 cells at a time, the incidence and
-weight blocks a line at a time. A table of at least 2 * 2**16 cells is
-formatted by a pool of forked workers, one per usable CPU; the bytes do
-not depend on the CPU count. `check` peaks at 59 MiB, workers included,
-on a 300-node, 1185-edge graph and at 222 MiB on a 1000-node, 4000-edge
-graph (99 and 700 MiB with the whole lift held).
+records and graph_check.txt's incidence, Laplacian and lift blocks are
+tables, built and written a share of at most 2**16 cells at a time;
+only the weight block is written by lookup, a line at a time. A table
+of at least 2 * 2**16 cells is formatted by a pool of forked workers,
+one per usable CPU; the bytes do not depend on the CPU count. `check`
+peaks at 59 MiB, workers included, on a 300-node, 1185-edge graph and
+at 222 MiB on a 1000-node, 4000-edge graph (99 and 700 MiB with the
+whole lift held).
 
 Exit codes: 0 success, 1 unexpected failure, 2 parse error,
 3 disconnected graph, 4 dimension mismatch, 5 not stabilizable,
@@ -70,68 +71,64 @@ def _format_share(block, row):
     return "".join(_format_rows(block, row))
 
 
-class _Table:
-    """A table of floats whose lines are built and formatted a row share at a time.
+def _table(n_rows, n_cols, rows, sep):
+    """The lines of a table of floats, built and formatted a row share at a time.
 
     rows(lo, hi) builds rows lo to hi, n_cols cells each. A line holds a
     row's cells joined by sep, each as _fmt writes it; one "%.17g"
-    template formats a whole row, much faster than _fmt per cell.
-    Iterating yields the table's text in row order. A share holds at
-    most _MIN_CELLS_PER_WORKER cells, or one row, on any CPU count, so
-    rows whose last bits depend on the share they are built in still
-    give the same bytes. A table of at least 2 * _MIN_CELLS_PER_WORKER
-    cells is formatted by a pool of one worker per usable CPU (and
-    share), imported only then and forked before it starts a thread.
-    The parent builds each share, so BLAS runs only there, keeps at
-    most workers + 1 in flight and formats any the pool does not.
+    template formats a whole row, much faster than _fmt per cell. The
+    text comes in row order, a line at a time on the serial path and a
+    share at a time from the pool. A share holds at most
+    _MIN_CELLS_PER_WORKER cells, or one row, on any CPU count, so rows
+    whose last bits depend on the share they are built in still give
+    the same bytes. A table of at least 2 * _MIN_CELLS_PER_WORKER cells
+    is formatted by a pool of one worker per usable CPU (and share),
+    imported only then and forked before it starts a thread. The parent
+    builds each share, so BLAS runs only there, keeps at most
+    workers + 1 in flight and formats any the pool does not. Closing
+    the generator shuts the pool down.
     """
+    row = sep.join(["%.17g"] * n_cols) + "\n"
+    step = max(1, _MIN_CELLS_PER_WORKER // max(1, n_cols))
+    bounds = list(range(0, n_rows, step)) + [n_rows]
+    shares = list(zip(bounds[:-1], bounds[1:]))
+    workers = min(_usable_cpus(), len(shares)) if hasattr(os, "fork") else 1
+    if n_rows * n_cols < 2 * _MIN_CELLS_PER_WORKER or workers < 2:
+        for lo, hi in shares:
+            yield from _format_rows(rows(lo, hi), row)
+        return
 
-    def __init__(self, n_rows, n_cols, rows, sep):
-        self.n_rows = n_rows
-        self.cells = n_rows * n_cols
-        self.rows = rows
-        self.row = sep.join(["%.17g"] * n_cols) + "\n"
-        self.step = max(1, _MIN_CELLS_PER_WORKER // max(1, n_cols))
-
-    def __iter__(self):
-        bounds = list(range(0, self.n_rows, self.step)) + [self.n_rows]
-        shares = list(zip(bounds[:-1], bounds[1:]))
-        workers = min(_usable_cpus(), len(shares)) if hasattr(os, "fork") else 1
-        if self.cells < 2 * _MIN_CELLS_PER_WORKER or workers < 2:
-            for lo, hi in shares:
-                yield from _format_rows(self.rows(lo, hi), self.row)
-            return
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        children = set(multiprocessing.active_children())
-        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-        in_flight = deque()
-        try:
-            for lo, hi in shares:
-                block = self.rows(lo, hi)
-                try:
-                    future = pool.submit(_format_share, block, self.row)
-                except (OSError, RuntimeError):
-                    # a fork failed or the pool broke: shut down, it refuses the rest
-                    pool.shutdown()
-                    future = None
-                in_flight.append((block, future))
-                if len(in_flight) > workers:
-                    yield self._text(*in_flight.popleft())
-            while in_flight:
-                yield self._text(*in_flight.popleft())
-        finally:
-            pool.shutdown(cancel_futures=True)
-            # a fork failing after another leaves a worker the pool never serves
-            for child in set(multiprocessing.active_children()) - children:
-                child.terminate()
-                child.join()
-
-    def _text(self, block, future):
+    def text(block, future):
         """A share's text, by the parent if the pool refused it or its worker failed."""
         if future is None or future.exception() is not None:
-            return _format_share(block, self.row)
+            return _format_share(block, row)
         return future.result()
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    children = set(multiprocessing.active_children())
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    in_flight = deque()
+    try:
+        for lo, hi in shares:
+            block = rows(lo, hi)
+            try:
+                future = pool.submit(_format_share, block, row)
+            except (OSError, RuntimeError):
+                # a fork failed or the pool broke: shut down, it refuses the rest
+                pool.shutdown()
+                future = None
+            in_flight.append((block, future))
+            if len(in_flight) > workers:
+                yield text(*in_flight.popleft())
+        while in_flight:
+            yield text(*in_flight.popleft())
+    finally:
+        pool.shutdown(cancel_futures=True)
+        # a fork failing after another leaves a worker the pool never serves
+        for child in set(multiprocessing.active_children()) - children:
+            child.terminate()
+            child.join()
 
 
 def _row_text(values, sep):
@@ -140,51 +137,36 @@ def _row_text(values, sep):
     return sep.join(["%.17g"] * len(values)) % tuple(values) + "\n"
 
 
-def _chunks(parts):
-    """The text of a list of parts, each a str or an iterable of str such as a _Table."""
-    for part in parts:
-        if isinstance(part, str):
-            yield part
-        else:
-            yield from part
-
-
 def _atomic_write(path, parts):
     """Write the parts' text to path through a temp file; a ParseError if that fails.
 
-    parts is a list (see _chunks), so its length is known before it is
-    written. On any exception the temp file is removed and closing the
-    parts shuts down a formatting pool.
+    parts is a list of str and of generators of lines, such as _table's,
+    so its length is known before it is written. On any exception the
+    temp file is removed. Every generator part is closed, written or
+    not, which shuts down a formatting pool.
     """
     tmp = f"{path}.tmp{os.getpid()}"
-    chunks = _chunks(parts)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            for part in parts:
+                if isinstance(part, str):
+                    fh.write(part)
+                else:
+                    fh.writelines(part)
         os.replace(tmp, path)
     except OSError as exc:
         raise ParseError(f"cannot write artifact: {exc}")
     finally:
-        chunks.close()
+        for part in parts:
+            if not isinstance(part, str):
+                part.close()
         if os.path.isfile(tmp):
             os.remove(tmp)
 
 
 def _matrix_block(name, n_rows, n_cols, rows):
     """A matrix block's header line and its table; rows(lo, hi) builds rows lo to hi."""
-    return [f"matrix {name} {n_rows} {n_cols}\n", _Table(n_rows, n_cols, rows, " ")]
-
-
-def _incidence_block(g):
-    """The block of g's incidence matrix, each line built and made as it is read.
-
-    Its cells are -1, 0 and 1, which "%.17g" writes as "-1", "0" and "1":
-    a lookup gives those bytes at a small part of the cost of formatting.
-    """
-    cell = {-1.0: "-1", 0.0: "0", 1.0: "1"}.__getitem__
-    return [f"matrix incidence {g.n} {g.q}\n",
-            (" ".join(map(cell, g.incidence_rows([i])[0].tolist())) + "\n"
-             for i in range(g.n))]
+    return [f"matrix {name} {n_rows} {n_cols}\n", _table(n_rows, n_cols, rows, " ")]
 
 
 def _diag_block(name, diag):
@@ -196,7 +178,7 @@ def _diag_block(name, diag):
 
 
 def graph_check_text(setup):
-    """Machine-parseable construction report, as a list of parts (see _chunks).
+    """Machine-parseable construction report, as a list of parts (see _atomic_write).
 
     Carries the matrices themselves so the critical gain can be
     recomputed from the emitted data and compared against the stated
@@ -225,7 +207,8 @@ def graph_check_text(setup):
         "laplacian_eigs " + _row_text(setup.spectral.laplacian_eigs, " "),
         "edge_laplacian_eigs " + _row_text(setup.spectral.edge_laplacian_eigs, " "),
     ]
-    parts += _incidence_block(g)
+    parts += _matrix_block("incidence", g.n, g.q,
+                           lambda lo, hi: g.incidence_rows(np.arange(lo, hi)))
     parts += _diag_block("weight_diag", g.weights)
     parts += _matrix_block("laplacian", g.n, g.n, lambda lo, hi: lap[lo:hi])
     parts += _matrix_block("lift", g.q, g.q, partial(lift_rows, g, lift))
@@ -296,8 +279,8 @@ def certificate_checks(setup):
 def trajectory_csv(traj, v, sync):
     """Header line, then one line per record: time, states, inputs, V, sync error.
 
-    A list of the header and a _Table whose rows are stacked from slices
-    of the series a share at a time, as the file is written.
+    A list of the header and _table's lines, whose rows are stacked from
+    slices of the series a share at a time, as the file is written.
     """
     n_agents = traj.inputs.shape[1]
     state_dim = traj.states.shape[1] // n_agents
@@ -313,7 +296,7 @@ def trajectory_csv(traj, v, sync):
                                 traj.inputs[lo:hi], v[lo:hi], sync[lo:hi]))
 
     return [",".join(header) + "\n",
-            _Table(len(traj.times), len(header), rows, ",")]
+            _table(len(traj.times), len(header), rows, ",")]
 
 
 def report_text(setup, diag, warnings, fit, uptick, sync0, sync1):

@@ -103,10 +103,10 @@ class WeightedGraph:
     def short_hash(self):
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
-    def et(self, a, lo=0, hi=None):
-        """Rows lo to hi of E^T a for an N-row array a: row j is a[term_j] - a[init_j]."""
-        out = a[self.term[lo:hi]]
-        out -= a[self.init[lo:hi]]
+    def et(self, a):
+        """E^T a for an N-row array a: row j is a[term_j] - a[init_j]."""
+        out = a[self.term]
+        out -= a[self.init]
         return out
 
     def incidence_rows(self, nodes):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import multiprocessing
@@ -17,12 +18,11 @@ from hypothesis import given, settings
 from edgesync import WeightedGraph, cli, random_connected_graph, scenario
 from edgesync.graphs import read_graph_file
 from edgesync.cli import (
-    _Table,
-    _chunks,
     _diag_block,
     _fmt,
     _matrix_block,
     _row_text,
+    _table,
     main,
     parse_graph_check,
 )
@@ -355,10 +355,15 @@ SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, math.inf, -math.inf,
 
 
 def table_text(table, sep, rows=None):
-    """The text a _Table writes for a 2-D array; rows(lo, hi) defaults to slicing it."""
+    """The text _table writes for a 2-D array; rows(lo, hi) defaults to slicing it."""
     table = np.atleast_2d(np.asarray(table, dtype=float))
     rows = rows or (lambda lo, hi: table[lo:hi])
-    return "".join(_Table(table.shape[0], table.shape[1], rows, sep))
+    return "".join(_table(table.shape[0], table.shape[1], rows, sep))
+
+
+def parts_text(parts):
+    """The text of an artifact's parts, each a str or a generator of lines."""
+    return "".join(map("".join, parts))
 
 
 def test_table_lines_match_fmt():
@@ -374,7 +379,7 @@ def test_table_lines_match_fmt():
 
 @pytest.fixture
 def forked(monkeypatch):
-    """force(cpus, min_cells=1): _Table takes shares of at most min_cells
+    """force(cpus, min_cells=1): _table takes shares of at most min_cells
     cells (one row at 1), and starts a pool for any table of 2 * min_cells
     cells or more, with cpus usable CPUs; returns the list to which every
     os.fork appends the number of threads running when it was called."""
@@ -500,19 +505,19 @@ def test_failed_child_share_formatted_by_parent(forked, monkeypatch, sabotage):
 def test_check_bytes_with_and_without_fork(tmp_path, forked, monkeypatch):
     g = random_connected_graph(40, 0.22, (0.1, 6.0), 5)
     scn = write_dense_scenario(tmp_path, g)
-    # shares of at most 500 cells on 3 CPUs: the 40 x 40 Laplacian and the
-    # lift (Q x Q) each start a pool of 3; the incidence and weight blocks
-    # are written by lookup. The lift's pool forks after the Laplacian's
-    # threads are gone
+    # shares of at most 500 cells on 3 CPUs: the incidence (40 x Q), the
+    # 40 x 40 Laplacian and the lift (Q x Q) each start a pool of 3; the
+    # weight block is written by lookup. Each pool forks after the
+    # threads of the one before are gone
     forks = forked(3, min_cells=500)
     assert main(["check", scn, "--out-dir", str(tmp_path / "on")]) == 0
-    assert forks == [1] * 6
+    assert forks == [1] * 9
     assert_no_process_left()
     forked(1, min_cells=500)
     assert main(["check", scn, "--out-dir", str(tmp_path / "one_cpu")]) == 0
     monkeypatch.delattr(os, "fork")
     assert main(["check", scn, "--out-dir", str(tmp_path / "off")]) == 0
-    assert forks == [1] * 6
+    assert forks == [1] * 9
     pooled, one_cpu, serial = (
         (tmp_path / side / "graph_check.txt").read_bytes()
         for side in ("on", "one_cpu", "off"))
@@ -543,6 +548,60 @@ def test_failed_write_leaves_no_temp_file(tmp_path, forked, monkeypatch):
     assert_no_process_left()
 
 
+def test_write_error_after_pooled_share(tmp_path, forked, monkeypatch, capsys):
+    # the file's write fails after the first share a pool formatted: the
+    # run exits 2, and neither the temp file nor a worker is left
+    scn = write_dense_scenario(
+        tmp_path, random_connected_graph(40, 0.22, (0.1, 6.0), 5))
+    forks = forked(2, min_cells=2000)
+    workers_at_error = []
+
+    class FailingFile:
+        """A text file whose writes raise OSError once a pool has written a share."""
+
+        def __init__(self, fh):
+            self.fh = fh
+            self.pooled_writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if forks:
+                self.pooled_writes += 1
+                if self.pooled_writes > 1:
+                    workers_at_error.append(len(multiprocessing.active_children()))
+                    raise OSError(28, "No space left on device")
+            self.fh.write(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    graph_check_text = cli.graph_check_text
+    kept = []
+
+    def kept_parts(setup):
+        # held here, so it is _atomic_write, not garbage collection, that
+        # closes the table whose pool is running
+        kept.append(graph_check_text(setup))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "graph_check_text", kept_parts)
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FailingFile(open(*args, **kwargs)),
+                        raising=False)
+    out = tmp_path / "out"
+    assert expect_parse_error(capsys, ["check", scn, "--out-dir", str(out)]).startswith(
+        "error: cannot write artifact: ")
+    assert forks == [1, 1]
+    assert workers_at_error[0] > 0
+    assert list(out.iterdir()) == []
+    assert_no_process_left()
+
+
 @pytest.mark.parametrize("records", ["one", "block_less_one", "block", "block_plus_one"])
 def test_trajectory_csv_matches_one_shot_format(records):
     # the table is stacked from slices of the series a share at a time;
@@ -558,24 +617,31 @@ def test_trajectory_csv_matches_one_shot_format(records):
         inputs=rng.standard_normal((n, n_agents)), n_samples=n)
     v, sync = rng.standard_normal(n), rng.standard_normal(n)
     v[0], sync[-1] = 5e-324, -0.0
-    parts = cli.trajectory_csv(traj, v, sync)
-    assert len(parts) == 2
+    header, lines = cli.trajectory_csv(traj, v, sync)
+    assert header.count("\n") == 1
     table = np.column_stack((traj.times, traj.states, traj.inputs, v, sync))
-    text = "".join(_chunks(parts))
-    assert text == parts[0] + fmt_lines(table, ",")
-    assert text.count("\n") == n + 1
+    text = "".join(lines)
+    assert text == table_text(table, ",") == fmt_lines(table, ",")
+    assert text.count("\n") == n
 
 
 @pytest.mark.parametrize("g", [
     random_connected_graph(2, 0.0, (0.1, 6.0), 1),
     random_connected_graph(9, 0.5, (0.1, 6.0), 2),
     random_connected_graph(40, 0.22, (0.1, 6.0), 5)], ids=lambda g: f"n{g.n}q{g.q}")
-def test_incidence_block_matches_dense(g):
-    e = dense_incidence(g)
-    assert "".join(_chunks(cli._incidence_block(g))) == "".join(_chunks(
-        _matrix_block("incidence", g.n, g.q, lambda lo, hi: e[lo:hi])))
-    empty = WeightedGraph(3, ())
-    assert "".join(_chunks(cli._incidence_block(empty))) == "matrix incidence 3 0\n" + "\n" * 3
+def test_incidence_block_matches_dense(tmp_path, g):
+    # graph_check.txt's incidence block is the table of the dense E, also
+    # on an edgeless graph, which realize refuses: its setup is g's with
+    # the graph replaced
+    setup = scenario.realize(scenario.parse_scenario(write_dense_scenario(tmp_path, g)),
+                             require_connected=False)
+    for h in (g, WeightedGraph(3, ())):
+        e = dense_incidence(h)
+        dense = parts_text(_matrix_block("incidence", h.n, h.q, lambda lo, hi: e[lo:hi]))
+        text = parts_text(cli.graph_check_text(dataclasses.replace(setup, graph=h)))
+        assert text.count("matrix incidence ") == 1
+        assert f"\n{dense}matrix weight_diag " in text
+    assert dense == "matrix incidence 3 0\n" + "\n" * 3
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 5, 40])
@@ -584,8 +650,8 @@ def test_diag_block_matches_dense(q):
     w = np.resize(special, q)
     w[len(special):] *= np.random.default_rng(q).uniform(0.5, 2.0, q)[len(special):]
     dense = np.diag(w)
-    assert "".join(_chunks(_diag_block("weight_diag", w))) == "".join(_chunks(
-        _matrix_block("weight_diag", q, q, lambda lo, hi: dense[lo:hi])))
+    assert parts_text(_diag_block("weight_diag", w)) == parts_text(
+        _matrix_block("weight_diag", q, q, lambda lo, hi: dense[lo:hi]))
 
 
 @pytest.mark.parametrize("verb, extra", [

@@ -153,7 +153,6 @@ class TestDenseDiagonalReference:
         assert_same_bits(edge_laplacian(g), (e.T @ e) * g.weights)
         # any rows lo to hi of E^T E, as the lift's shares take them
         lo, hi = g.q // 3, (2 * g.q) // 3 + 1
-        assert_same_bits(g.et(e, lo, hi), (e.T @ e)[lo:hi])
         ete = g.incidence_rows(g.term[lo:hi]) - g.incidence_rows(g.init[lo:hi])
         assert_same_bits(ete, (e.T @ e)[lo:hi])
         assert_same_bits(g.gram(np.ones(g.q)), e @ e.T)
