@@ -52,7 +52,6 @@ from .errors import (
 from .graphs import (
     SpectralReport,
     WeightedGraph,
-    components,
     parse_graph_text,
     random_connected_graph,
     read_graph_file,
@@ -111,7 +110,6 @@ __all__ = [
     "bass_initial_gain",
     "build_edge_lift",
     "check_monotone",
-    "components",
     "convective_linearization",
     "coupling_inputs",
     "critical_gain",

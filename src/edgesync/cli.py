@@ -191,7 +191,7 @@ def graph_check_text(setup):
     parts = [line + "\n" for line in (
         f"nodes {g.n}",
         f"edges {g.q}",
-        f"components {setup.spectral.components}",
+        f"components {g.components}",
         f"lambda2 {_fmt(setup.spectral.lambda2)}",
         f"rho {_fmt(setup.certificate.rho)}",
         f"lift_mu {_fmt(lift.mu)}",
@@ -341,11 +341,11 @@ def _resolve_out_dir(flag_value, setup_dir):
 
 def _apply_overrides(sc, args):
     """Apply --h, --t-end and --seed to sc and check the result."""
-    if getattr(args, "h", None) is not None:
+    if args.h is not None:
         sc.h = args.h
-    if getattr(args, "t_end", None) is not None:
+    if args.t_end is not None:
         sc.t_end = args.t_end
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if sc.init_states is not None:
             raise ParseError(
                 "--seed cannot override explicit initial states", sc.path)
@@ -403,7 +403,7 @@ def cmd_check(args):
     out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
     _atomic_write(os.path.join(out_dir, "graph_check.txt"), graph_check_text(setup))
     print(f"check {setup.name}: nodes={setup.graph.n} edges={setup.graph.q} "
-          f"components={setup.spectral.components}")
+          f"components={setup.graph.components}")
     print(f"  lift_pd_margin={setup.lift.pd_margin:.6g} "
           f"beta_star={setup.controller.beta_star:.6g}")
     print(f"  ari_sampled_margin={diag['ari_sampled_margin']:.6g}")

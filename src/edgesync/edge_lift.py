@@ -20,7 +20,9 @@ itself with mu = 0.
 
 On every graph no kernel basis is formed, no Q x Q eigensolve runs and
 no Q x Q array is held: Pi = I - Q1 Q1^T with Q1 an orthonormal basis
-of range(E^T) from the N x N matrix E E^T, the margin comes from a
+of range(E^T) from the top N - c eigenpairs of the N x N matrix E E^T
+(c the graph's component count, so ker(E) has Q - N + c dimensions,
+known before any eigensolve), the margin comes from a
 matrix of size at most min(Q, 2N), solved for its eigenvalues alone,
 and U is kept as its factors Q1, Y and mu / w. lift_rows builds any
 rows of U from them, so U is written a share of rows at a time. No
@@ -51,8 +53,9 @@ class EdgeLift:
     The lift is U = E^T E W + mu * W^-1 Pi, with Pi = I - Q1 Q1^T the
     projector onto the kernel_dim-dimensional ker(E) and mu the largest
     eigenvalue of E W^2 E^T, or 0 when the kernel is empty. It is kept
-    as q1 (Q x r, Q1 = E^T Y, an orthonormal basis of range(E^T)), y
-    (N x r) and scale (mu / w per edge); lift_rows builds its rows.
+    as q1 (Q x r, Q1 = E^T Y, an orthonormal basis of range(E^T), with
+    r = N - c on c components), y (N x r) and scale (mu / w per edge);
+    lift_rows builds its rows.
     pd_margin is the smallest eigenvalue of (W U + U^T W) / 2, inf for
     an edgeless graph. No kernel basis is formed.
     """
@@ -69,9 +72,11 @@ class EdgeLift:
 def build_edge_lift(g):
     """Construct the edge lift of the weighted graph g.
 
-    With L0 = E E^T = Z diag(d) Z^T and Y = Z / sqrt(d) over its r
-    nonzero eigenvalues, Q1 = E^T Y is an orthonormal basis of
-    range(E^T): Pi = I - Q1 Q1^T and ker(E) has Q - r dimensions. On
+    With L0 = E E^T = Z diag(d) Z^T, of rank r = N - c on c components,
+    and Y = Z / sqrt(d) over its r largest eigenpairs, Q1 = E^T Y is an
+    orthonormal basis of range(E^T): Pi = I - Q1 Q1^T and ker(E) has
+    Q - r dimensions. The rank is the graph's, not a cut on d, so a
+    small lambda_2 of E E^T (a long path) is kept. On
     range(E^T), A = W E^T E W is Y^T L^2 Y, so a forest (r = Q) has
     mu = 0, U = E^T E W and the margin lambda_min(Y^T L^2 Y).
     Otherwise mu = ||A||_2 is the largest eigenvalue of E W^2 E^T, and
@@ -99,9 +104,8 @@ def build_edge_lift(g):
     """
     w = g.weights
     dec = sym_eig(g.gram(np.ones(g.q)))
-    d = dec.eigenvalues
-    keep = d > NULLSPACE_RTOL * max(1.0, float(d[-1]))
-    y = dec.eigenvectors[:, keep] / np.sqrt(d[keep])
+    c = g.components
+    y = dec.eigenvectors[:, c:] / np.sqrt(dec.eigenvalues[c:])
     q1 = g.et(y)
     ly = g.laplacian() @ y
     r = y.shape[1]

@@ -46,6 +46,21 @@ def _edge_problem(k, l, w, n, prev):
     return None
 
 
+def _count_components(n, edges):
+    """Number of connected components of n nodes, by union-find over the edges."""
+    parent = list(range(n + 1))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for k, l, _ in edges:
+        parent[find(k)] = find(l)
+    return len({find(i) for i in range(1, n + 1)})
+
+
 def _frozen(values, dtype):
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -61,6 +76,8 @@ class WeightedGraph:
     (isolated nodes only). The same edges, in the same order, are kept as
     read-only arrays for vectorised use: init and term hold the 0-based
     initial and terminal nodes (k - 1 and l - 1) and weights the w.
+    components is the number c of connected components, counted once by
+    union-find: E E^T has rank N - c and ker(E) dimension Q - N + c.
     """
 
     n: int
@@ -68,6 +85,7 @@ class WeightedGraph:
     init: np.ndarray = field(init=False, repr=False, compare=False)
     term: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    components: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -83,6 +101,7 @@ class WeightedGraph:
         object.__setattr__(self, "init", _frozen([k - 1 for k, _, _ in edges], np.intp))
         object.__setattr__(self, "term", _frozen([l - 1 for _, l, _ in edges], np.intp))
         object.__setattr__(self, "weights", _frozen([w for _, _, w in edges], float))
+        object.__setattr__(self, "components", _count_components(self.n, edges))
 
     @classmethod
     def from_pairs(cls, n, weighted_pairs):
@@ -135,28 +154,10 @@ class SpectralReport:
     laplacian_eigs: np.ndarray
     edge_laplacian_eigs: np.ndarray
     lambda2: float
-    components: int
-
-
-def components(g):
-    """Number of connected components, by union-find over the edge list."""
-    parent = list(range(g.n + 1))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for k, l, _ in g.edges:
-        rk, rl = find(k), find(l)
-        if rk != rl:
-            parent[rk] = rl
-    return len({find(i) for i in range(1, g.n + 1)})
 
 
 def spectral_report(g):
-    """Spectra of L and L_e plus connectivity facts, from one N x N eigensolve.
+    """Spectra of L and L_e, from one N x N eigensolve.
 
     The edge Laplacian E^T E W and L = E W E^T share their nonzero
     eigenvalues, and E^T E W has Q - N + c zeros on a graph of c
@@ -165,14 +166,11 @@ def spectral_report(g):
     eigensolve.
     """
     lap_eigs = sym_eig(g.laplacian()).eigenvalues
-    comps = components(g)
-    edge_eigs = np.concatenate([np.zeros(g.q - g.n + comps), lap_eigs[comps:]])
-    lambda2 = float(lap_eigs[1]) if g.n >= 2 else 0.0
+    c = g.components
     return SpectralReport(
         laplacian_eigs=lap_eigs,
-        edge_laplacian_eigs=edge_eigs,
-        lambda2=lambda2,
-        components=comps,
+        edge_laplacian_eigs=np.concatenate([np.zeros(g.q - g.n + c), lap_eigs[c:]]),
+        lambda2=float(lap_eigs[1]),
     )
 
 

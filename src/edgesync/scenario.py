@@ -49,7 +49,6 @@ from .edge_lift import build_edge_lift, lift_residual
 from .errors import DimensionMismatchError, DisconnectedGraphError, ParseError
 from .graphs import (
     WeightedGraph,
-    components,
     parse_graph_text,
     read_graph_file,
     spectral_report,
@@ -428,10 +427,9 @@ def realize(sc, require_connected=True):
     synchronization guarantee; diagnostic-only flows may relax it.
     """
     graph = sc.graph
-    n_comp = components(graph)
-    if require_connected and n_comp != 1:
+    if require_connected and graph.components != 1:
         raise DisconnectedGraphError(
-            f"controller requested on a graph with {n_comp} components"
+            f"controller requested on a graph with {graph.components} components"
         )
     # the lift first: weights that overflow the spectrum of L overflow it
     # too, and it names them

@@ -94,7 +94,7 @@ def check_edge_spectrum(g):
     assert rep.edge_laplacian_eigs.shape == (g.q,)
     assert np.max(np.abs(rep.edge_laplacian_eigs - ref), initial=0.0) <= 1e-9 * scale
     zeros = int(np.count_nonzero(rep.edge_laplacian_eigs == 0.0))
-    assert zeros == g.q - g.n + es.components(g)
+    assert zeros == g.q - g.n + g.components
 
 
 def test_criterion_2_graph_identities():
@@ -105,7 +105,7 @@ def test_criterion_2_graph_identities():
             assert np.max(np.abs(edge_laplacian(g) - e.T @ e @ w)) <= 1e-12
             check_edge_spectrum(g)
             lift = es.build_edge_lift(g)
-            assert lift.kernel_dim == g.q - g.n + es.components(g)
+            assert lift.kernel_dim == g.q - g.n + g.components
         for g in (es.WeightedGraph(3, ()), es.WeightedGraph(4, ((1, 2, 2.0),)),
                   shifted_union(C3, C3)):
             check_edge_spectrum(g)

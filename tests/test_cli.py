@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -377,12 +378,35 @@ def test_table_lines_match_fmt():
     assert table_text(np.zeros((0, 3)), " ") == ""
 
 
+# a pool test that runs longer than this has a pool waiting on a share
+POOL_TEST_SECONDS = 120
+
+
 @pytest.fixture
 def forked(monkeypatch):
     """force(cpus, min_cells=1): _table takes shares of at most min_cells
     cells (one row at 1), and starts a pool for any table of 2 * min_cells
     cells or more, with cpus usable CPUs; returns the list to which every
-    os.fork appends the number of threads running when it was called."""
+    os.fork appends the number of threads running when it was called.
+
+    A worker the test leaves is stopped at teardown, and one still
+    running after POOL_TEST_SECONDS is stopped then and the test fails
+    with TimeoutError: a pool that is not shut down, or a worker that
+    never returns, fails its test rather than hang the pool's shutdown
+    or the session's exit, which joins every worker."""
+    children = set(multiprocessing.active_children())
+
+    def stop_workers():
+        for child in set(multiprocessing.active_children()) - children:
+            child.terminate()
+            child.join()
+
+    def expire(signum, frame):
+        stop_workers()
+        raise TimeoutError(f"pool test still running after {POOL_TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(POOL_TEST_SECONDS)
     forks = []
     fork = os.fork
 
@@ -395,7 +419,10 @@ def forked(monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks
-    return force
+    yield force
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    stop_workers()
 
 
 def assert_no_process_left():

@@ -23,12 +23,12 @@ from helpers import (C3, P2, P3, SCENARIO_DIR, dense_incidence, dense_lift,
 
 
 def range_basis(g):
-    """Q1 = E^T Z d^-1/2 over the nonzero eigenpairs (d, Z) of E E^T: an
+    """Q1 = E^T Z d^-1/2 over the top N - c eigenpairs (d, Z) of E E^T: an
     orthonormal basis of range(E^T)."""
     e = dense_incidence(g)
     d, z = np.linalg.eigh(e @ e.T)
-    keep = d > 1e-9 * max(1.0, float(d[-1]))
-    return e.T @ (z[:, keep] / np.sqrt(d[keep]))
+    c = g.components
+    return e.T @ (z[:, c:] / np.sqrt(d[c:]))
 
 
 def dense_margin(g, lift):
@@ -71,6 +71,19 @@ class TestTreeCase:
         lift = build_edge_lift(g)
         assert np.array_equal(dense_lift(g, lift), [[2.0]])
         assert lift.pd_margin == pytest.approx(2.0)
+
+    def test_rank_comes_from_the_graph_not_a_tolerance(self, monkeypatch):
+        # E E^T of a 6-node path has eigenvalues 2 - 2 cos(k pi / 6); a cut
+        # at half the largest would drop 0.27 and 1 and see a 2-dimensional
+        # ker(E), mu = 3.73 and a nonzero residual on a tree
+        monkeypatch.setattr(edge_lift, "NULLSPACE_RTOL", 0.5)
+        g = WeightedGraph.from_pairs(6, [(i, i + 1, 1.0) for i in range(1, 6)])
+        lift = build_edge_lift(g)
+        assert lift.kernel_dim == 0
+        assert lift.mu == 0.0
+        assert lift_residual(g, lift) == 0.0
+        assert lift.pd_margin == pytest.approx(2.0 - 2.0 * np.cos(np.pi / 6),
+                                               rel=1e-12)
 
 
 class TestCycleCase:
@@ -146,10 +159,9 @@ class TestFamilyProperties:
             assert lift.pd_margin > 0.0
 
     def test_kernel_dimension_formula(self):
-        from edgesync import components
         for g in graph_family(20):
             lift = build_edge_lift(g)
-            assert lift.kernel_dim == g.q - g.n + components(g)
+            assert lift.kernel_dim == g.q - g.n + g.components
 
 
 class TestEndpointCorrection:
@@ -326,10 +338,9 @@ class TestNodeRoute:
             assert abs(lift.pd_margin - ref) <= 1e-10 * ref
 
     def test_kernel_dim_and_intertwining(self):
-        from edgesync import components
         for g in lift_graphs():
             lift = build_edge_lift(g)
-            assert lift.kernel_dim == g.q - g.n + components(g)
+            assert lift.kernel_dim == g.q - g.n + g.components
             tol = 1e-8 * max(1.0, float(np.max(np.abs(g.laplacian()))))
             assert intertwining_residual(g, lift) <= tol
 

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from edgesync import (
     ParseError,
     WeightedGraph,
-    components,
     parse_graph_text,
     random_connected_graph,
     read_graph_file,
@@ -145,7 +146,7 @@ class TestDenseDiagonalReference:
 
     def test_graph_list(self):
         assert any(g.q > 2 * g.n for g in self.GRAPHS)
-        assert any(components(g) > 1 and g.q for g in self.GRAPHS)
+        assert any(g.components > 1 and g.q for g in self.GRAPHS)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}q{g.q}")
     def test_index_built_products(self, g):
@@ -158,10 +159,10 @@ class TestDenseDiagonalReference:
         assert_same_bits(g.gram(np.ones(g.q)), e @ e.T)
         assert_same_bits(g.et(np.eye(g.n)), e.T)
         assert_same_bits(g.et(g.laplacian()), e.T @ g.laplacian())
-        # Y = Z d^-1/2 over the nonzero eigenpairs of E E^T, and all of Z
+        # Y = Z d^-1/2 over the top N - c eigenpairs of E E^T, and all of Z
         d, z = np.linalg.eigh(e @ e.T)
-        keep = d > 1e-9 * max(1.0, float(d[-1]))
-        for y in (z[:, keep] / np.sqrt(d[keep]), z):
+        c = g.components
+        for y in (z[:, c:] / np.sqrt(d[c:]), z):
             assert_same_bits(g.et(y), e.T @ y)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}q{g.q}")
@@ -188,19 +189,51 @@ class TestDenseDiagonalReference:
         assert g.incidence_rows([]).shape == (0, g.q)
 
 
+def bfs_components(g):
+    """Connected components by breadth-first search, an oracle for g.components."""
+    adjacent = {i: set() for i in range(1, g.n + 1)}
+    for k, l, _ in g.edges:
+        adjacent[k].add(l)
+        adjacent[l].add(k)
+    seen, count = set(), 0
+    for start in adjacent:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for j in adjacent[queue.popleft()] - seen:
+                seen.add(j)
+                queue.append(j)
+    return count
+
+
 class TestComponents:
     def test_path_connected(self):
-        assert components(P3) == 1
+        assert P3.components == 1
 
     def test_single_edge_of_four(self):
-        assert components(WeightedGraph(4, ((1, 2, 1.0),))) == 3
+        assert WeightedGraph(4, ((1, 2, 1.0),)).components == 3
 
     def test_isolated_pair(self):
-        assert components(WeightedGraph(2, ())) == 2
+        assert WeightedGraph(2, ()).components == 2
 
     def test_union_counts_blocks(self):
         g = shifted_union(P3, C3)
-        assert components(g) == 2
+        assert g.components == 2
+
+    def test_matches_breadth_first_search(self):
+        # the family's disconnected unions, edgeless graphs, isolated nodes,
+        # and edges listed so that union-find joins two grown trees
+        graphs = graph_family(60) + [WeightedGraph(n, ()) for n in (2, 3, 7)] + [
+            WeightedGraph(6, ((2, 4, 1.0),)),
+            WeightedGraph(7, ((1, 3, 1.0), (2, 5, 1.0), (3, 6, 0.5))),
+            WeightedGraph(8, ((1, 5, 1.0), (2, 6, 1.0), (3, 4, 1.0), (4, 6, 1.0),
+                              (5, 6, 1.0), (7, 8, 1.0)))]
+        assert len({g.components for g in graphs}) >= 4
+        for g in graphs:
+            assert g.components == bfs_components(g), g.edges
 
 
 class TestSpectral:
@@ -209,7 +242,6 @@ class TestSpectral:
         assert np.allclose(rep.laplacian_eigs, [0.0, 2.0], atol=1e-12)
         assert np.allclose(rep.edge_laplacian_eigs, [2.0], atol=1e-12)
         assert rep.lambda2 == pytest.approx(2.0)
-        assert rep.components == 1
 
     def test_c3(self):
         rep = spectral_report(C3)
@@ -224,7 +256,7 @@ class TestSpectral:
     def test_lambda2_positive_iff_connected(self):
         for g in graph_family(16):
             rep = spectral_report(g)
-            if rep.components == 1:
+            if g.components == 1:
                 assert rep.lambda2 > 1e-9
             else:
                 assert rep.lambda2 <= 1e-9
@@ -239,7 +271,7 @@ class TestRandomGraph:
     def test_tree_at_p_zero(self):
         g = random_connected_graph(5, 0.0, (0.1, 6.0), 3)
         assert g.q == 4
-        assert components(g) == 1
+        assert g.components == 1
 
     def test_complete_at_p_one(self):
         g = random_connected_graph(5, 1.0, (0.1, 6.0), 3)
@@ -258,7 +290,7 @@ class TestRandomGraph:
         p = float(rng.uniform())
         g = random_connected_graph(n, p, (0.1, 6.0), seed)
         assert g.n == n
-        assert components(g) == 1
+        assert g.components == 1
         ws = [w for _, _, w in g.edges]
         assert min(ws) >= 0.1 and max(ws) <= 6.0
 

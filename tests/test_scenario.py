@@ -365,7 +365,7 @@ class TestRealize:
         with pytest.raises(DisconnectedGraphError):
             realize(sc)
         setup = realize(sc, require_connected=False)
-        assert setup.spectral.components == 2
+        assert setup.graph.components == 2
 
     def test_graph_file_relative_to_scenario(self, tmp_path):
         (tmp_path / "toy.graph").write_text("nodes 2\n1 2 1.0\n")
