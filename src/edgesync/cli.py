@@ -34,11 +34,12 @@ from functools import partial
 import numpy as np
 
 from . import analysis
-from .edge_lift import lift_rows
+from .edge_lift import lift_residual, lift_rows
 from .errors import DivergedError, EdgeSyncError, ParseError
+from .graphs import spectral_report
 from .metric import verify_ari_sampled, verify_killing_integrability
 from .scenario import check_integration, parse_scenario, realize
-from .simulate import simulate, simulate_batch
+from .simulate import perturbed_initial_conditions, simulate, simulate_batch
 
 ENV_OUT_DIR = "EDGESYNC_OUT_DIR"
 CERT_SAMPLE_COUNT = 200
@@ -182,30 +183,33 @@ def graph_check_text(setup):
 
     Carries the matrices themselves so the critical gain can be
     recomputed from the emitted data and compared against the stated
-    value. Each matrix block's rows are built as they are written, the
-    lift's by lift_rows, so no Q x Q array is formed.
+    value. The spectra and the lift residual are computed here, the one
+    place that reports them. Each matrix block's rows are built as they
+    are written, the lift's by lift_rows, so no Q x Q array is formed.
     """
     g = setup.graph
     lift = setup.lift
     lap = g.laplacian()
+    spectral = spectral_report(g)
+    residual = lift_residual(g, lift)
     parts = [line + "\n" for line in (
         f"nodes {g.n}",
         f"edges {g.q}",
         f"components {g.components}",
-        f"lambda2 {_fmt(setup.spectral.lambda2)}",
+        f"lambda2 {_fmt(spectral.lambda2)}",
         f"rho {_fmt(setup.certificate.rho)}",
         f"lift_mu {_fmt(lift.mu)}",
         f"lift_kernel_dim {lift.kernel_dim}",
         f"lift_pd_margin {_fmt(lift.pd_margin)}",
-        f"lift_residual {_fmt(setup.lift_residual)}",
+        f"lift_residual {_fmt(residual)}",
         # E_k, E_l = (|E| -+ E) / 2: each endpoint residual is half of it
-        f"endpoint_residual_initial {_fmt(0.5 * setup.lift_residual)}",
-        f"endpoint_residual_terminal {_fmt(0.5 * setup.lift_residual)}",
+        f"endpoint_residual_initial {_fmt(0.5 * residual)}",
+        f"endpoint_residual_terminal {_fmt(0.5 * residual)}",
         f"beta_star {_fmt(setup.controller.beta_star)}",
     )]
     parts += [
-        "laplacian_eigs " + _row_text(setup.spectral.laplacian_eigs, " "),
-        "edge_laplacian_eigs " + _row_text(setup.spectral.edge_laplacian_eigs, " "),
+        "laplacian_eigs " + _row_text(spectral.laplacian_eigs, " "),
+        "edge_laplacian_eigs " + _row_text(spectral.edge_laplacian_eigs, " "),
     ]
     parts += _matrix_block("incidence", g.n, g.q,
                            lambda lo, hi: g.incidence_rows(np.arange(lo, hi)))
@@ -242,13 +246,11 @@ def parse_graph_check(text):
 
 def certificate_checks(setup):
     """Sampled certificate diagnostics and any warnings they raise."""
-    rng = np.random.default_rng(CERT_SAMPLE_SEED)
     n = setup.model.state_dim
-    samples = []
-    for _ in range(CERT_SAMPLE_COUNT):
-        direction = rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
-        samples.append(CERT_SAMPLE_RADIUS * rng.uniform() ** (1.0 / n) * direction)
+    # uniform in the ball of CERT_SAMPLE_RADIUS about the origin
+    samples = perturbed_initial_conditions(
+        np.zeros(n), CERT_SAMPLE_COUNT, CERT_SAMPLE_RADIUS,
+        CERT_SAMPLE_SEED).reshape(-1, n)
     margin = verify_ari_sampled(setup.certificate, setup.model, samples)
     killing, integrability = verify_killing_integrability(
         setup.certificate, setup.model, samples[:20])

@@ -21,13 +21,10 @@ from .errors import ParseError
 from .linalg import sym_eig
 
 
-# node indices above this do not fit the 0-based index arrays
-MAX_NODES = int(np.iinfo(np.intp).max)
-
-# the most nodes and the most edges a parsed graph may have: a check holds
-# dense N x N arrays and the lift's Q x (N - c) basis q1 (N = Q = 8192 is
-# 512 MiB each) and no Q x Q one, as the lift is kept factored and its
-# rows, with those of E^T E, are built a share at a time
+# the most nodes a graph may have, and the most edges a parsed graph: a
+# check holds dense N x N arrays and the lift's Q x (N - c) basis q1
+# (N = Q = 8192 is 512 MiB each) and no Q x Q one, as the lift is kept
+# factored and its rows, with those of E^T E, are built a share at a time
 MAX_DENSE = 8192
 
 
@@ -36,9 +33,8 @@ def _edge_problem(k, l, w, n, prev):
 
     The one per-edge rule, shared by WeightedGraph and parse_graph_text.
     """
-    top = min(n, MAX_NODES)
-    if not 1 <= k < l <= top:
-        return f"edge ({k},{l}) violates 1 <= k < l <= {top}"
+    if not 1 <= k < l <= n:
+        return f"edge ({k},{l}) violates 1 <= k < l <= {n}"
     if not (w > 0.0 and np.isfinite(w)):
         return f"edge ({k},{l}) weight must be positive and finite, got {w}"
     if prev is not None and (k, l) <= prev:
@@ -71,13 +67,14 @@ def _frozen(values, dtype):
 class WeightedGraph:
     """Node count plus canonically ordered weighted edge list.
 
-    edges is a tuple of (k, l, w) with 1-based node indices, 1 <= k < l <= n,
-    w > 0, sorted by (k, l), no duplicates. An empty edge list is legal
-    (isolated nodes only). The same edges, in the same order, are kept as
-    read-only arrays for vectorised use: init and term hold the 0-based
-    initial and terminal nodes (k - 1 and l - 1) and weights the w.
-    components is the number c of connected components, counted once by
-    union-find: E E^T has rank N - c and ker(E) dimension Q - N + c.
+    2 <= n <= MAX_DENSE. edges is a tuple of (k, l, w) with 1-based node
+    indices, 1 <= k < l <= n, w > 0, sorted by (k, l), no duplicates. An
+    empty edge list is legal (isolated nodes only). The same edges, in
+    the same order, are kept as read-only arrays for vectorised use:
+    init and term hold the 0-based initial and terminal nodes (k - 1 and
+    l - 1) and weights the w. components is the number c of connected
+    components, counted once by union-find: E E^T has rank N - c and
+    ker(E) dimension Q - N + c.
     """
 
     n: int
@@ -90,6 +87,8 @@ class WeightedGraph:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
+        if self.n > MAX_DENSE:
+            raise ValueError(f"{self.n} nodes exceed the dense bound of {MAX_DENSE}")
         edges = tuple((int(k), int(l), float(w)) for k, l, w in self.edges)
         prev = None
         for k, l, w in edges:

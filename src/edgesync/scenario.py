@@ -9,6 +9,10 @@ any dependency and specified byte-for-byte.
 KEYS, with its model part MODEL_KEYS, is the one place a key is defined:
 the Scenario field it sets and the reader of its value. Only the
 structural lines (graph ``nodes``/``edge``, initial ``state``) are not in it.
+Every line is read once, in file order; ``kind`` opens ``[model]``, and
+each model key after it is read by that kind's reader. realize builds
+only what a run uses; graph_check.txt's spectra and lift residual are
+computed as it is written.
 
 Example::
 
@@ -45,14 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import make_controller
-from .edge_lift import build_edge_lift, lift_residual
+from .edge_lift import build_edge_lift
 from .errors import DimensionMismatchError, DisconnectedGraphError, ParseError
-from .graphs import (
-    WeightedGraph,
-    parse_graph_text,
-    read_graph_file,
-    spectral_report,
-)
+from .graphs import WeightedGraph, parse_graph_text, read_graph_file
 from .metric import MetricCertificate
 from .models import (
     convective_linearization,
@@ -124,16 +123,8 @@ def _matrix(key, tokens):
     return np.array([[_finite(tok) for tok in row] for row in rows])
 
 
-def _model_matrix(key, tokens):
-    # a lone entry is lorenz's number for the key: 'a 0 ;' is a 1 x 1 matrix
-    if len(tokens) == 1:
-        raise ValueError(f"key {key!r} takes a matrix with ';' between rows "
-                         f"(a one-entry matrix is '{key} {tokens[0]} ;')")
-    return _matrix(key, tokens)
-
-
 def _vector(key, tokens):
-    return _model_matrix(key, tokens).ravel()
+    return _matrix(key, tokens).ravel()
 
 
 def _kind(key, tokens):
@@ -163,10 +154,10 @@ KEYS = {
 }
 
 # The model part of the table: kind -> key -> reader for the [model]
-# keys besides 'kind', each read into Scenario.model.
+# keys after 'kind', each read into Scenario.model.
 MODEL_KEYS = {
-    "linear": {"a": _model_matrix, "b": _vector},
-    "tanh": {"a": _model_matrix, "b": _vector, "gamma": _nonnegative},
+    "linear": {"a": _matrix, "b": _vector},
+    "tanh": {"a": _matrix, "b": _vector, "gamma": _nonnegative},
     "lorenz": {"a": _number, "b": _number, "c": _number},
 }
 
@@ -208,9 +199,7 @@ class RunSetup:
 
     name: str
     graph: WeightedGraph
-    spectral: object
     lift: object
-    lift_residual: float
     model: object
     certificate: MetricCertificate
     controller: object
@@ -222,15 +211,12 @@ class RunSetup:
     approximate: bool
 
 
-def _read(readers, key, tokens, path, lineno, context=""):
-    """The value of the first reader that takes the tokens, else a ParseError."""
-    reasons = []
-    for reader in readers:
-        try:
-            return reader(key, tokens)
-        except ValueError as exc:
-            reasons.append(str(exc))
-    raise ParseError(context + "; ".join(dict.fromkeys(reasons)), path, lineno)
+def _read(reader, key, tokens, path, lineno, context=""):
+    """The reader's value for the tokens, or a ParseError with its reason."""
+    try:
+        return reader(key, tokens)
+    except ValueError as exc:
+        raise ParseError(context + str(exc), path, lineno) from None
 
 
 def _key_lines(text, path, sections):
@@ -272,7 +258,6 @@ def parse_scenario_text(text, path="<string>"):
     seen_keys = {}
     graph_lines = {}
     state_rows = {}
-    model_lines = []
 
     for section, key, tokens, lineno in _key_lines(text, path, seen_sections):
         if not tokens:
@@ -282,16 +267,20 @@ def parse_scenario_text(text, path="<string>"):
                 raise ParseError(f"key {key!r} repeats line "
                                  f"{seen_keys[section, key]}", path, lineno)
             seen_keys[section, key] = lineno
-        model_readers = [keys[key] for keys in MODEL_KEYS.values()
-                         if key in keys] if section == "model" else []
         if (section, key) in KEYS:
             name, reader = KEYS[section, key]
-            setattr(sc, name, _read([reader], key, tokens, path, lineno))
-        elif model_readers:
-            # a line no kind reads is refused here, in file order; whether
-            # the scenario's kind reads it waits for 'kind', which may follow
-            _read(model_readers, key, tokens, path, lineno)
-            model_lines.append((key, tokens, lineno))
+            setattr(sc, name, _read(reader, key, tokens, path, lineno))
+        elif section == "model":
+            # 'kind' opens the section, as 'nodes' opens a graph file
+            if not sc.model_kind:
+                raise ParseError(f"expected 'kind' before model key {key!r}",
+                                 path, lineno)
+            reads = MODEL_KEYS[sc.model_kind]
+            if key not in reads:
+                raise ParseError(f"model kind {sc.model_kind!r} reads no key "
+                                 f"{key!r}", path, lineno)
+            sc.model[key] = _read(reads[key], key, tokens, path, lineno,
+                                  f"model kind {sc.model_kind!r}: ")
         elif section == "graph" and key in ("nodes", "edge"):
             # graph-file syntax: 'nodes N', then one 'k l w' per edge
             graph_lines[lineno] = " ".join(
@@ -321,13 +310,6 @@ def parse_scenario_text(text, path="<string>"):
                          "'nodes'/'edge' lines", path)
     if not sc.model_kind:
         raise ParseError("model section needs 'kind'", path)
-    reads = MODEL_KEYS[sc.model_kind]
-    for key, tokens, lineno in model_lines:
-        if key not in reads:
-            raise ParseError(f"model kind {sc.model_kind!r} reads no key "
-                             f"{key!r}", path, lineno)
-        sc.model[key] = _read([reads[key]], key, tokens, path, lineno,
-                              f"model kind {sc.model_kind!r}: ")
     if sc.rho <= 0.0 or sc.mu <= 0.0:
         raise ParseError("certificate needs positive rho and mu", path)
     if (sc.beta is None) == (sc.beta_multiplier is None):
@@ -431,10 +413,9 @@ def realize(sc, require_connected=True):
         raise DisconnectedGraphError(
             f"controller requested on a graph with {graph.components} components"
         )
-    # the lift first: weights that overflow the spectrum of L overflow it
-    # too, and it names them
+    # the lift first, so weights out of its range raise WeightRangeError
+    # before the design runs or any file is written
     lift = build_edge_lift(graph)
-    spectral = spectral_report(graph)
     model, cert, approximate = _build_model_and_certificate(sc)
 
     if sc.init_states is not None:
@@ -461,9 +442,7 @@ def realize(sc, require_connected=True):
     return RunSetup(
         name=sc.name,
         graph=graph,
-        spectral=spectral,
         lift=lift,
-        lift_residual=lift_residual(graph, lift),
         model=model,
         certificate=cert,
         controller=controller,

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import math
 import multiprocessing
@@ -16,7 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from edgesync import WeightedGraph, cli, random_connected_graph, scenario
+from edgesync import (
+    WeightedGraph,
+    build_edge_lift,
+    cli,
+    random_connected_graph,
+    scenario,
+)
 from edgesync.graphs import read_graph_file
 from edgesync.cli import (
     _diag_block,
@@ -261,6 +268,25 @@ class TestSweepVerb:
                      "--multipliers", "0.0"]) == 0
         row = open(os.path.join(out, "sweep_summary.csv")).read().splitlines()[1]
         assert abs(float(row.split(",")[1])) <= 1e-9
+
+    def test_no_graph_check_quantities(self, tmp_path, monkeypatch):
+        # sweep writes no graph_check.txt, so it computes neither the
+        # spectra nor the lift residual, and its bytes do not depend on them
+        argv = ["--t-end", "2", "--multipliers", "0.5", "1", "1000"]
+        assert main(["sweep", LINEAR_C3, "--out-dir", str(tmp_path / "plain")]
+                    + argv) == 0
+
+        def refuse(*args):
+            raise AssertionError("graph check quantity computed")
+
+        monkeypatch.setattr(cli, "spectral_report", refuse)
+        monkeypatch.setattr(cli, "lift_residual", refuse)
+        assert main(["sweep", LINEAR_C3, "--out-dir", str(tmp_path / "bare")]
+                    + argv) == 0
+        plain, bare = ({p.relative_to(root): p.read_bytes()
+                        for p in root.rglob("*") if p.is_file()}
+                       for root in (tmp_path / "plain", tmp_path / "bare"))
+        assert len(plain) == 3 and bare == plain
 
     def test_failed_run_marked_and_continues(self, tmp_path):
         out = str(tmp_path)
@@ -568,11 +594,17 @@ def test_failed_write_leaves_no_temp_file(tmp_path, forked, monkeypatch):
     lift_rows = cli.lift_rows
     monkeypatch.setattr(cli, "lift_rows", failing_lift_rows)
     out = tmp_path / "out"
-    with pytest.raises(RuntimeError, match="lift rows failed"):
-        main(["check", scn, "--out-dir", str(out)])
-    assert forks
-    assert list(out.iterdir()) == []
-    assert_no_process_left()
+    # no collection until the check: a pool the table abandoned is then
+    # still running, rather than shut down when the collector frees it
+    gc.disable()
+    try:
+        with pytest.raises(RuntimeError, match="lift rows failed"):
+            main(["check", scn, "--out-dir", str(out)])
+        assert forks
+        assert list(out.iterdir()) == []
+        assert_no_process_left()
+    finally:
+        gc.enable()
 
 
 def test_write_error_after_pooled_share(tmp_path, forked, monkeypatch, capsys):
@@ -659,13 +691,14 @@ def test_trajectory_csv_matches_one_shot_format(records):
 def test_incidence_block_matches_dense(tmp_path, g):
     # graph_check.txt's incidence block is the table of the dense E, also
     # on an edgeless graph, which realize refuses: its setup is g's with
-    # the graph replaced
+    # the graph and its lift replaced
     setup = scenario.realize(scenario.parse_scenario(write_dense_scenario(tmp_path, g)),
                              require_connected=False)
     for h in (g, WeightedGraph(3, ())):
         e = dense_incidence(h)
         dense = parts_text(_matrix_block("incidence", h.n, h.q, lambda lo, hi: e[lo:hi]))
-        text = parts_text(cli.graph_check_text(dataclasses.replace(setup, graph=h)))
+        text = parts_text(cli.graph_check_text(
+            dataclasses.replace(setup, graph=h, lift=build_edge_lift(h))))
         assert text.count("matrix incidence ") == 1
         assert f"\n{dense}matrix weight_diag " in text
     assert dense == "matrix incidence 3 0\n" + "\n" * 3
@@ -714,6 +747,19 @@ class TestMalformedInput:
         err = expect_parse_error(
             capsys, ["run", str(scn), "--out-dir", str(tmp_path)])
         assert f"{scn}:{lineno}:" in err
+
+    @pytest.mark.parametrize("bad", ["b 0 1", "gamma 0.1", "wobble 1"],
+                             ids=["b", "gamma", "unknown"])
+    def test_model_key_before_kind(self, tmp_path, capsys, bad):
+        # 'kind' opens [model]: a key before it exits 2 at its own line
+        scn = write_edited(tmp_path, LINEAR_C3, "kind linear\n",
+                           f"{bad}\nkind linear\n")
+        lineno = scn.read_text().splitlines().index(bad) + 1
+        err = expect_parse_error(capsys, ["check", str(scn), "--out-dir",
+                                          str(tmp_path / "out")])
+        assert (f"{scn}:{lineno}: expected 'kind' before model key "
+                f"{bad.split()[0]!r}") in err
+        assert not (tmp_path / "out").exists()
 
     def test_graph_past_the_dense_bound(self, tmp_path, capsys):
         scn = tmp_path / "huge.scn"

@@ -15,6 +15,7 @@ from edgesync import (
 )
 
 from edgesync.edge_lift import build_edge_lift
+from edgesync import graphs
 from edgesync.graphs import MAX_DENSE
 
 from helpers import (
@@ -61,6 +62,15 @@ class TestWeightedGraph:
     def test_rejects_out_of_range_node(self):
         with pytest.raises(ValueError):
             WeightedGraph(3, ((1, 4, 1.0),))
+
+    def test_rejects_nodes_past_the_dense_bound(self, monkeypatch):
+        # refused before the union-find asks for a list of n + 1 entries
+        def no_count(n, edges):
+            raise AssertionError("components counted")
+
+        monkeypatch.setattr(graphs, "_count_components", no_count)
+        with pytest.raises(ValueError, match=f"{MAX_DENSE + 1} nodes exceed"):
+            WeightedGraph(MAX_DENSE + 1, ())
 
     def test_from_pairs_normalizes(self):
         g = WeightedGraph.from_pairs(3, [(3, 2, 2.0), (2, 1, 1.0)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from edgesync import (
+    DimensionMismatchError,
     DisconnectedGraphError,
     ParseError,
     Scenario,
@@ -249,19 +250,29 @@ class TestParseValidation:
         ("kind lorenz\nb 0 1", "b 0 1"),
         ("kind lorenz\nc 2.5\ngamma 0.1", "gamma 0.1"),
         ("kind linear\na 0 1 ; 0 0\nb 0 1\nc 1.0", "c 1.0"),
-        ("gamma 0.05\nkind linear\na 0 1 ; 0 0\nb 0 1", "gamma 0.05"),
+        ("kind linear\na 0 1 ; 0 0\nb 0 1\ngamma 0.05", "gamma 0.05"),
         ("kind tanh\na 0 1 ; 0 0\nb 0 1\ngamma 0.05\nc 1.0", "c 1.0"),
-        ("kind linear\na 0\nb 0 1", "a 0"),
-        ("kind tanh\na 0 1 ; 0 0\nb 1\ngamma 0.05", "b 1"),
     ], ids=["lorenz_matrix_a", "lorenz_matrix_a_before_kind", "lorenz_vector_b",
-            "lorenz_gamma", "linear_c", "linear_gamma", "tanh_c",
-            "linear_scalar_a", "tanh_scalar_b"])
+            "lorenz_gamma", "linear_c", "linear_gamma", "tanh_c"])
     def test_model_key_the_kind_does_not_read(self, body, bad):
         text = replace_section(MINIMAL, "model", body)
         with pytest.raises(ParseError) as exc:
             parse_scenario_text(text, path="case.scn")
         assert exc.value.line == text.splitlines().index(bad) + 1
         assert repr(bad.split()[0]) in str(exc.value)
+
+    @pytest.mark.parametrize("body", [
+        "kind linear\na 0\nb 0 1",
+        "kind tanh\na 0 1 ; 0 0\nb 1\ngamma 0.05",
+    ], ids=["linear_scalar_a", "tanh_scalar_b"])
+    def test_one_entry_model_matrix(self, body):
+        # a lone entry is the 1 x 1 matrix, so a and b disagree in size
+        # only when realize sees them: exit 4, not exit 2
+        sc = parse_scenario_text(replace_section(MINIMAL, "model", body))
+        assert 1 in (sc.model["a"].shape[0], sc.model["b"].shape[0])
+        with pytest.raises(DimensionMismatchError) as exc:
+            realize(sc)
+        assert exc.value.exit_code == 4
 
     @pytest.mark.parametrize("old,new", [
         ("rho 1.0", "rho nan"),
@@ -407,6 +418,16 @@ class TestRealize:
         assert setup.lift.q1.shape == (g.q, g.n - 1)
         assert max(sizes) == setup.lift.q1.size
         assert g.n * g.q not in sizes
+
+    def test_one_state_linear_model(self):
+        text = replace_section(MINIMAL, "model", "kind linear\na 0\nb 1")
+        text = replace_section(text, "initial", "base 0\nradius 1.0\nseed 3")
+        sc = parse_scenario_text(text)
+        assert np.array_equal(sc.model["a"], [[0.0]])
+        assert np.array_equal(sc.model["b"], [1.0])
+        setup = realize(sc)
+        assert setup.model.state_dim == 1
+        assert setup.x0.shape == (2,)
 
     def test_lorenz_defaults(self):
         text = replace_section(MINIMAL, "model", "kind lorenz")
