@@ -75,6 +75,12 @@ class TestTanhModel:
             tanh_perturbed_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, -0.1,
                                  np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # nan < 0.0 is False, so a sign test alone would let nan through
+        with pytest.raises(ValueError):
+            tanh_perturbed_model(np.zeros((2, 2)), [0.0, 1.0], gamma, [1.0, 1.0])
+
     def test_jacobian_at_origin(self):
         gamma = 0.3
         m = tanh_perturbed_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, gamma,
@@ -119,6 +125,14 @@ class TestLorenzModel:
         assert np.allclose(m.jac_f(x), fd_jacobian(m.f, x, 3),
                            atol=1e-5 * max(1.0, np.max(np.abs(x))))
         assert np.allclose(m.jac_g(x), fd_jacobian(m.g, x, 3), atol=1e-8)
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["a", "b", "c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, index, value):
+        abc = list(LORENZ)
+        abc[index] = value
+        with pytest.raises(ValueError):
+            lorenz_model(*abc, np.zeros(3))
 
     def test_input_field_bounded(self):
         m = lorenz_model(*LORENZ, np.zeros(3))
