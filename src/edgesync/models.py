@@ -6,16 +6,17 @@ saturating-perturbation model whose certificate conditions hold exactly
 (constant g, linear alpha, bounded Jacobian perturbation), and the
 three-state convective loop with a state-dependent input field.
 
-Each kind writes its drift and its g u once, as a binder:
-bind_f(xs, out) and bind_gu(xs, u, out) build what the formula needs
-besides its buffers (column views, scratch arrays, full-length
-constants) once and return a zero-argument call that evaluates the
-formula on what the buffers hold then, with positional-out ufunc calls
-and no allocation. The feedback alpha(x) = K x is one formula for every
-kind. The integrator binds once per set of running members on its own
-buffers; f_all, add_gu, alpha_all and the single-state f, g and alpha
-bind on the given or a fresh array and call once, so every caller runs
-the same operations.
+Each model writes its drift, its input field and its feedback once:
+f_all, add_gu and alpha_all evaluate a stack of states into an output
+buffer with positional-out ufunc calls. What a formula needs besides
+its buffers (column views, scratch arrays, full-length constants) are
+its operands, which f_operands and gu_operands build from the buffers
+and which a caller may pass back in. AgentModel.bind_f, bind_gu and
+bind_alpha fix the buffers and operands with functools.partial, so a
+bound call allocates nothing and still goes through the model's
+f_all, add_gu and alpha_all. The integrator binds them once per set of
+running members on its own buffers; called without an output, the
+same functions fill a fresh array.
 """
 
 from dataclasses import dataclass
@@ -31,14 +32,17 @@ class AgentModel:
     """One agent's dynamics, evaluated on stacks of states.
 
     xs is an (N, n) stack of states, one row per agent, and u holds N
-    inputs. bind_f(xs, out) returns a call that writes f(x_i) to row i
-    of out; bind_gu(xs, u, out) returns a call that adds g(x_i) u_i to
-    row i of out, leaving a component whose g is identically 0 alone;
-    bind_alpha(xs, out) returns a call that writes alpha(x_i) = K x_i to
-    out[i], K being params["k"]. The calls read the buffers when they
-    run, so the buffers must be float64 arrays changed in place, and an
-    output must not overlap an input. jac_f and jac_g act on a single
-    state vector. The input is scalar.
+    inputs. f_all(xs, out=None, *operands) writes f(x_i) to row i of
+    out and returns out, a fresh array when out is None;
+    add_gu(out, xs, u, *operands) adds g(x_i) u_i to row i of out,
+    leaving a component whose g is identically 0 alone; and
+    alpha_all(xs, out=None) writes alpha(x_i) to out[i] and returns out.
+    operands, when given, are f_operands(xs, out) or
+    gu_operands(xs, u, out) of the same buffers, and are built on the
+    spot otherwise: they hold views of the buffers, so the buffers must
+    be float64 arrays changed in place, and an output must not overlap
+    an input. jac_f and jac_g act on a single state vector. The input
+    is scalar.
     """
 
     name: str
@@ -46,27 +50,23 @@ class AgentModel:
     params: dict
     jac_f: callable
     jac_g: callable
-    bind_f: callable
-    bind_gu: callable
+    f_all: callable
+    f_operands: callable
+    add_gu: callable
+    gu_operands: callable
+    alpha_all: callable
+
+    def bind_f(self, xs, out):
+        """A zero-argument call of f_all on xs into out, its operands built once."""
+        return partial(self.f_all, xs, out, *self.f_operands(xs, out))
+
+    def bind_gu(self, xs, u, out):
+        """A zero-argument call of add_gu on xs and u into out, its operands built once."""
+        return partial(self.add_gu, out, xs, u, *self.gu_operands(xs, u, out))
 
     def bind_alpha(self, xs, out):
-        """A zero-argument call that writes xs K to out."""
-        return partial(xs.dot, self.params["k"], out)
-
-    def f_all(self, xs, out=None):
-        """f(x_i) written to row i of out, a fresh array when out is None."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape) if out is None else out
-        self.bind_f(xs, out)()
-        return out
-
-    def add_gu(self, out, xs, u):
-        """g(x_i) u_i added to row i of out in place."""
-        self.bind_gu(np.asarray(xs, dtype=float), np.asarray(u, dtype=float), out)()
-
-    def alpha_all(self, xs, out=None):
-        """alpha(x_i) written to out[i], a fresh array when out is None."""
-        return self.bind_alpha(np.asarray(xs, dtype=float), out)()
+        """A zero-argument call of alpha_all on xs into out."""
+        return partial(self.alpha_all, xs, out)
 
     def field_all(self, xs, u):
         """Closed-loop field f(x_i) + g(x_i) u_i of every row, one fresh array.
@@ -90,11 +90,16 @@ class AgentModel:
         return float(self.alpha_all(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _agent_model(name, n, k, params, bind_f, bind_gu, jac_f, jac_g):
+def _no_operands(*buffers):
+    return ()
+
+
+def _agent_model(name, n, k, params, drift, input_field, jac_f, jac_g):
     """The AgentModel of one kind on n states, with feedback alpha(x) = k x.
 
-    k is the gain row, of shape (n,) or (1, n); params gain its checked
-    copy as "k".
+    drift is the kind's (f_all, f_operands) and input_field its
+    (add_gu, gu_operands). k is the gain row, of shape (n,) or (1, n);
+    params gain its checked copy as "k".
     """
     kv = np.asarray(k, dtype=float)
     if kv.ndim == 2:
@@ -104,15 +109,29 @@ def _agent_model(name, n, k, params, bind_f, bind_gu, jac_f, jac_g):
         kv = kv[0]
     if kv.shape != (n,):
         raise DimensionMismatchError(f"gain has shape {kv.shape}, expected ({n},)")
-    return AgentModel(name=name, state_dim=n, params={**params, "k": kv},
-                      jac_f=jac_f, jac_g=jac_g, bind_f=bind_f, bind_gu=bind_gu)
+
+    def alpha_all(xs, out=None):
+        return xs.dot(kv, out)
+
+    return AgentModel(
+        name=name,
+        state_dim=n,
+        params={**params, "k": kv},
+        jac_f=jac_f,
+        jac_g=jac_g,
+        f_all=drift[0],
+        f_operands=drift[1],
+        add_gu=input_field[0],
+        gu_operands=input_field[1],
+        alpha_all=alpha_all,
+    )
 
 
 def _constant_input_model(name, a, b, k, drift, **params):
     """A model with a square drift matrix a and the constant input field g(x) = b.
 
     b is a vector or a one-column matrix. drift(a) returns the kind's
-    bind_f and jac_f on the checked float matrix a.
+    (f_all, f_operands) and jac_f on the checked float matrix a.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -131,29 +150,36 @@ def _constant_input_model(name, a, b, k, drift, **params):
     zero = np.zeros((n, n))
     multiply, add = np.multiply, np.add
 
-    # out += u[:, None] * b, with b tiled to every row
-    def bind_gu(xs, u, out):
-        u_col, bs, gu = u[:, None], np.tile(bv, (out.shape[0], 1)), np.empty(out.shape)
+    # u as a column, b tiled to every row, and the product's scratch
+    def gu_operands(xs, u, out):
+        return (np.asarray(u, dtype=float)[:, None], np.tile(bv, (out.shape[0], 1)),
+                np.empty(out.shape))
 
-        def gu_call():
-            multiply(u_col, bs, gu)
-            add(out, gu, out)
-        return gu_call
+    # out += u[:, None] * b
+    def add_gu(out, xs, u, *operands):
+        u_col, bs, gu = operands or gu_operands(xs, u, out)
+        multiply(u_col, bs, gu)
+        add(out, gu, out)
 
-    bind_f, jac_f = drift(a)
-    return _agent_model(name, n, k, {"a": a, "b": bv, **params}, bind_f, bind_gu,
-                        jac_f, lambda x: zero)
+    f_all, jac_f = drift(a)
+    return _agent_model(name, n, k, {"a": a, "b": bv, **params}, f_all,
+                        (add_gu, gu_operands), jac_f, lambda x: zero)
 
 
-def _bind_linear(a):
-    """bind_f of the drift f(x) = A x, row-wise xs @ A^T."""
-    return lambda xs, out: partial(np.matmul, xs, a.T, out)
+def _linear_drift(a):
+    """(f_all, f_operands) of the drift f(x) = A x, row-wise xs @ A^T."""
+    a_t, matmul = a.T, np.matmul
+
+    def f_all(xs, out=None):
+        return matmul(xs, a_t, out)
+
+    return f_all, _no_operands
 
 
 def linear_model(a, b, k):
     """Linear agent: f(x) = A x, constant g = B, alpha(x) = K x."""
     def drift(a):
-        return _bind_linear(a), (lambda x: a)
+        return _linear_drift(a), (lambda x: a)
 
     return _constant_input_model("linear", a, b, k, drift)
 
@@ -172,25 +198,26 @@ def tanh_perturbed_model(a, b, gamma, k):
     tanh, multiply, add = np.tanh, np.multiply, np.add
 
     def drift(a):
-        bind_linear = _bind_linear(a)
+        linear, _ = _linear_drift(a)
+
+        # gamma in every cell, and the perturbation's scratch
+        def f_operands(xs, out):
+            return np.full(out.shape, gamma), np.empty(out.shape)
 
         # A x first, then gamma * tanh(x) added to it
-        def bind_f(xs, out):
-            linear = bind_linear(xs, out)
-            gammas, perturbation = np.full(out.shape, gamma), np.empty(out.shape)
-
-            def f_call():
-                linear()
-                tanh(xs, perturbation)
-                multiply(gammas, perturbation, perturbation)
-                add(out, perturbation, out)
-            return f_call
+        def f_all(xs, out=None, *operands):
+            out = linear(xs, out)
+            gammas, perturbation = operands or f_operands(xs, out)
+            tanh(xs, perturbation)
+            multiply(gammas, perturbation, perturbation)
+            add(out, perturbation, out)
+            return out
 
         def jac_f(x):
             sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
             return a + gamma * np.diag(sech2)
 
-        return bind_f, jac_f
+        return (f_all, f_operands), jac_f
 
     return _constant_input_model("tanh_perturbed", a, b, k, drift, gamma=gamma)
 
@@ -218,34 +245,40 @@ def lorenz_model(a, b, c, k):
         raise ValueError("a, b and c must be finite")
     subtract, multiply, add, sin = np.subtract, np.multiply, np.add, np.sin
 
-    # each output column written in place; f1 holds x1 x2 until f3 is done
-    def bind_f(xs, out):
-        (x1, x2, x3), (f1, f2, f3) = xs.T, out.T
-        av, bv, cv = (np.full(out.shape[0], v) for v in (a, b, c))
+    # the columns of xs and out, and a, b and c for every row
+    def f_operands(xs, out):
+        return (xs[:, 0], xs[:, 1], xs[:, 2], out[:, 0], out[:, 1], out[:, 2],
+                *(np.full(out.shape[0], v) for v in (a, b, c)))
 
-        def f_call():
-            subtract(bv, x3, f2)
-            multiply(x1, f2, f2)
-            subtract(f2, x2, f2)
-            multiply(x1, x2, f1)
-            multiply(cv, x3, f3)
-            subtract(f1, f3, f3)
-            subtract(x2, x1, f1)
-            multiply(av, f1, f1)
-        return f_call
+    # each output column written in place; f1 holds x1 x2 until f3 is done
+    def f_all(xs, out=None, *operands):
+        if out is None:
+            xs = np.asarray(xs, dtype=float)
+            out = np.empty(xs.shape)
+        x1, x2, x3, f1, f2, f3, av, bv, cv = operands or f_operands(xs, out)
+        subtract(bv, x3, f2)
+        multiply(x1, f2, f2)
+        subtract(f2, x2, f2)
+        multiply(x1, x2, f1)
+        multiply(cv, x3, f3)
+        subtract(f1, f3, f3)
+        subtract(x2, x1, f1)
+        multiply(av, f1, f1)
+        return out
+
+    # x1, out's first two columns, 2 for every row and the scratch of g2 u
+    def gu_operands(xs, u, out):
+        return (np.asarray(xs, dtype=float)[:, 0], out[:, 0], out[:, 1],
+                np.full(out.shape[0], 2.0), np.empty(out.shape[0]))
 
     # u to column 0 and (sin x1 + 2) u to column 1; column 2's g is 0
-    def bind_gu(xs, u, out):
-        x1, out1, out2 = xs[:, 0], out[:, 0], out[:, 1]
-        twos, gu = np.full(out.shape[0], 2.0), np.empty(out.shape[0])
-
-        def gu_call():
-            add(out1, u, out1)
-            sin(x1, gu)
-            add(gu, twos, gu)
-            multiply(gu, u, gu)
-            add(out2, gu, out2)
-        return gu_call
+    def add_gu(out, xs, u, *operands):
+        x1, out1, out2, twos, gu = operands or gu_operands(xs, u, out)
+        add(out1, u, out1)
+        sin(x1, gu)
+        add(gu, twos, gu)
+        multiply(gu, u, gu)
+        add(out2, gu, out2)
 
     def jac_f(x):
         x1, x2, x3 = x
@@ -260,5 +293,5 @@ def lorenz_model(a, b, c, k):
         out[1, 0] = np.cos(x[0])
         return out
 
-    return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c}, bind_f, bind_gu,
-                        jac_f, jac_g)
+    return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c},
+                        (f_all, f_operands), (add_gu, gu_operands), jac_f, jac_g)

@@ -8,12 +8,13 @@ the monotonicity tolerances simple; there is no adaptive stepping.
 
 The loop allocates its buffers once per set of running members: the
 states, the stage input, k1..k4, the alpha values and the inputs u.
-The model's drift, g u and alpha (see models.AgentModel) and
-controller.accumulate_coupling are bound to them once, and every stage
-calls the bound kernels and runs the RK4 arithmetic in place, with
-positional-out ufunc calls on full-length constants. Only the
-coupling's gather and its bincount allocate. The buffers are rebuilt
-only when a member diverges and is dropped.
+The model's f_all, add_gu and alpha_all and
+controller.accumulate_coupling are bound to them once, with their
+operands (see models.AgentModel), and every stage calls them and runs
+the RK4 arithmetic in place, with positional-out ufunc calls on
+full-length constants. Only the coupling's gather and its bincount
+allocate. The buffers are rebuilt only when a member diverges and is
+dropped.
 
 One RK4 loop serves a single run and an ensemble alike: B members that
 share the graph, the model and the step but differ in beta and initial
@@ -194,8 +195,8 @@ def _bind_rk4(g, model, betas, x0s, h):
     betas holds the members' gains and x0s their (M, N*n) states. The
     buffers (states x, stage input, k1..k4, alpha values, inputs u,
     edge differences, the guard's scratch and the constants) are
-    allocated here once, and the model's bind_f, bind_gu and bind_alpha
-    and accumulate_coupling bound to them; the loop rebinds only when a
+    allocated here once, and the model's f_all, add_gu and alpha_all and
+    accumulate_coupling bound to them; the loop rebinds only when a
     member is dropped.
     Returns (x, u, largest, couple_x, advance), each closure taking no
     argument: largest() is max |x| over all entries, nan when one is

@@ -328,35 +328,26 @@ class TestStageArithmetic:
             assert_same_trajectory(batch[i], single)
 
 
-# the model's binders; each one's arguments are the buffers its call uses
-BINDERS = ("bind_f", "bind_gu", "bind_alpha")
+# each evaluator's leading buffer arguments: the rest are its operands
+BUFFERS = {"f_all": 2, "add_gu": 3, "alpha_all": 2}
 
 
 def spying_model(model, on_call):
-    """model whose bound drift, g u and alpha report each call to on_call.
+    """model whose f_all, add_gu and alpha_all report each call to on_call.
 
-    on_call(name, buffers) gets the binder's name and the buffers it was
-    bound to.
+    on_call(name, buffers) gets the evaluator's name and its buffers.
     """
-    def spied(name, bind):
-        def spied_bind(*buffers):
-            kernel = bind(*buffers)
-
-            def call():
-                on_call(name, buffers)
-                return kernel()
-            return call
-        return spied_bind
-
-    spy = dataclasses.replace(model)
-    # bind_alpha is a method, so the spy shadows it on the instance
-    for name in BINDERS:
-        object.__setattr__(spy, name, spied(name, getattr(model, name)))
-    return spy
+    def spied(name, evaluate):
+        def call(*args):
+            on_call(name, args[:BUFFERS[name]])
+            return evaluate(*args)
+        return call
+    return dataclasses.replace(model, **{
+        name: spied(name, getattr(model, name)) for name in BUFFERS})
 
 
 def counting_model(model, counts):
-    """model whose bound kernels count their calls in counts, by binder name."""
+    """model whose evaluators count their calls in counts, by name."""
     def on_call(name, buffers):
         counts[name] = counts.get(name, 0) + 1
     return spying_model(model, on_call)
@@ -376,8 +367,8 @@ class TestModelCalls:
                                t_end, h, interval)
         n_steps = int(round(t_end / h))
         assert all(not isinstance(r, DivergedError) for r in batch)
-        assert counts == {"bind_alpha": 4 * n_steps + 1,
-                          "bind_f": 4 * n_steps, "bind_gu": 4 * n_steps}
+        assert counts == {"alpha_all": 4 * n_steps + 1,
+                          "f_all": 4 * n_steps, "add_gu": 4 * n_steps}
 
 
 class TestLoopBuffers:
