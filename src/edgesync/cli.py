@@ -6,8 +6,8 @@ Verbs:
     sweep <scenario> --multipliers m1 m2 ...   all gain multipliers in one pass
 
 Artifacts are written atomically (temp file plus rename) into the output
-directory resolved as: --out-dir flag, else the scenario [output] dir,
-else the EDGESYNC_OUT_DIR environment variable, else ./edgesync_out.
+directory resolved as: --out-dir flag, else the EDGESYNC_OUT_DIR
+environment variable, else ./edgesync_out.
 
 No artifact is held whole, and no Q x Q array is formed: trajectory.csv's
 records and graph_check.txt's incidence, Laplacian and lift blocks are
@@ -336,9 +336,8 @@ def _make_dir(path):
     return path
 
 
-def _resolve_out_dir(flag_value, setup_dir):
-    return _make_dir(flag_value or setup_dir or os.environ.get(ENV_OUT_DIR)
-                     or "edgesync_out")
+def _resolve_out_dir(flag_value):
+    return _make_dir(flag_value or os.environ.get(ENV_OUT_DIR) or "edgesync_out")
 
 
 def _apply_overrides(sc, args):
@@ -378,7 +377,7 @@ def cmd_run(args):
     sc = parse_scenario(args.scenario)
     _apply_overrides(sc, args)
     setup = realize(sc, require_connected=True)
-    out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
+    out_dir = _resolve_out_dir(args.out_dir)
     traj = simulate(
         setup.graph, setup.model, setup.controller.beta, setup.x0,
         setup.t_end, setup.h, setup.record_interval,
@@ -402,7 +401,7 @@ def cmd_check(args):
     sc = parse_scenario(args.scenario)
     setup = realize(sc, require_connected=False)
     diag, warnings = certificate_checks(setup)
-    out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
+    out_dir = _resolve_out_dir(args.out_dir)
     _atomic_write(os.path.join(out_dir, "graph_check.txt"), graph_check_text(setup))
     print(f"check {setup.name}: nodes={setup.graph.n} edges={setup.graph.q} "
           f"components={setup.graph.components}")
@@ -433,7 +432,7 @@ def cmd_sweep(args):
     _apply_overrides(sc, args)
     _check_multipliers(args.multipliers)
     setup = realize(sc, require_connected=True)
-    out_dir = _resolve_out_dir(args.out_dir, setup.out_dir)
+    out_dir = _resolve_out_dir(args.out_dir)
     rows = ["multiplier,rate,largest_uptick,final_sync_error,status\n"]
     betas = [mult * setup.controller.beta_star for mult in args.multipliers]
     results = simulate_batch(
@@ -469,8 +468,7 @@ def build_parser():
     def add_common(p, with_sim_flags=True):
         p.add_argument("scenario", help="path to a scenario file")
         p.add_argument("--out-dir", default=None,
-                       help="output directory (overrides scenario and "
-                            f"{ENV_OUT_DIR})")
+                       help=f"output directory (overrides {ENV_OUT_DIR})")
         if with_sim_flags:
             p.add_argument("--seed", type=int, default=None,
                            help="override the initial-condition seed")

@@ -103,6 +103,10 @@ def build_edge_lift(g):
     forms is at most Q x N or (2N) x (2N).
     """
     w = g.weights
+    if not g.q:
+        # E E^T = 0: the solve below would yield these empty factors
+        return EdgeLift(q1=np.zeros((0, 0)), y=np.zeros((g.n, 0)), scale=np.zeros(0),
+                        mu=0.0, pd_margin=np.inf, kernel_dim=0)
     dec = sym_eig(g.gram(np.ones(g.q)))
     c = g.components
     y = dec.eigenvectors[:, c:] / np.sqrt(dec.eigenvalues[c:])

@@ -215,9 +215,11 @@ def parse_graph_text(text, path="<string>"):
     ``k l w`` with 1-based indices, k < l, in canonical sorted order.
     Violations raise ParseError carrying the offending line number, as do
     more than MAX_DENSE nodes or edges (the ``nodes`` line, the first edge past).
+    Edges past the bound are checked and counted, not kept.
     """
     n = nodes_line = past_line = None
     edges = []
+    q = 0
     prev = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -245,14 +247,16 @@ def parse_graph_text(text, path="<string>"):
         if problem:
             raise ParseError(problem, path, lineno)
         prev = (k, l)
-        edges.append((k, l, w))
-        if len(edges) == MAX_DENSE + 1:
+        q += 1
+        if q <= MAX_DENSE:
+            edges.append((k, l, w))
+        elif past_line is None:
             past_line = lineno
     if n is None:
         raise ParseError("empty graph file", path)
     # bounded after the loop, so a malformed line is reported before a size
     for count, what, lineno in ((n, "nodes", nodes_line),
-                                (len(edges), "edges", past_line)):
+                                (q, "edges", past_line)):
         if count > MAX_DENSE:
             raise ParseError(f"{count} {what} exceed the dense bound of "
                              f"{MAX_DENSE}", path, lineno)

@@ -1,18 +1,20 @@
 """Line-oriented scenario files and their realization into run objects.
 
 A scenario is structured text with ``[section]`` headers and
-``key value...`` lines; comments start with ``#``. Required sections:
-graph, model, certificate, controller, initial, integration; output is
-optional. The format is deliberately flat so it can be parsed without
-any dependency and specified byte-for-byte.
+``key value...`` lines; comments start with ``#``. Every section is
+required: graph, model, certificate, controller, initial, integration.
+The format is deliberately flat so it can be parsed without any
+dependency and specified byte-for-byte.
 
 KEYS, with its model part MODEL_KEYS, is the one place a key is defined:
-the Scenario field it sets and the reader of its value. Only the
-structural lines (graph ``nodes``/``edge``, initial ``state``) are not in it.
-Every line is read once, in file order; ``kind`` opens ``[model]``, and
-each model key after it is read by that kind's reader. realize builds
-only what a run uses; graph_check.txt's spectra and lift residual are
-computed as it is written.
+the Scenario field it sets and the reader of its value. Only the inline
+graph's ``nodes``/``edge`` lines are not in it; they are read as a graph
+file. Every line is read once, in file order; ``kind`` opens ``[model]``,
+each model key after it is read by that kind's reader, and every key the
+kind reads is required. Initial states are either sampled (``base``,
+``radius``, ``seed``) or given as one ``states`` matrix, a row per agent.
+realize builds only what a run uses; graph_check.txt's spectra and lift
+residual are computed as it is written.
 
 Example::
 
@@ -135,7 +137,7 @@ def _kind(key, tokens):
 
 
 # (section, key) -> the Scenario field it sets and its reader. Graph
-# 'nodes'/'edge' and initial 'state' lines are structural and read apart.
+# 'nodes'/'edge' lines are structural and read apart.
 KEYS = {
     ("graph", "file"): ("graph_file", _word),
     ("model", "kind"): ("model_kind", _kind),
@@ -147,21 +149,21 @@ KEYS = {
     ("initial", "base"): ("init_base", _row),
     ("initial", "radius"): ("init_radius", _nonnegative),
     ("initial", "seed"): ("init_seed", _count),
+    ("initial", "states"): ("init_states", _matrix),
     ("integration", "h"): ("h", _number),
     ("integration", "t_end"): ("t_end", _number),
     ("integration", "record_interval"): ("record_interval", _number),
-    ("output", "dir"): ("out_dir", _word),
 }
 
 # The model part of the table: kind -> key -> reader for the [model]
-# keys after 'kind', each read into Scenario.model.
+# keys after 'kind', each required and read into Scenario.model.
 MODEL_KEYS = {
     "linear": {"a": _matrix, "b": _vector},
     "tanh": {"a": _matrix, "b": _vector, "gamma": _nonnegative},
     "lorenz": {"a": _number, "b": _number, "c": _number},
 }
 
-# in file order; all but the last, output, are required
+# in file order, each required
 SECTIONS = tuple(dict.fromkeys(section for section, _ in KEYS))
 
 
@@ -170,6 +172,8 @@ class Scenario:
     """Parsed scenario, not yet realized into numerical objects.
 
     graph is the scenario's graph, inline or read from graph_file.
+    init_states, one row per agent, is set when the initial states are
+    given rather than sampled from init_base, init_radius and init_seed.
     """
 
     name: str
@@ -190,7 +194,6 @@ class Scenario:
     h: float = 0.0
     t_end: float = 0.0
     record_interval: float = 0.0
-    out_dir: str = None
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,6 @@ class RunSetup:
     h: float
     t_end: float
     record_interval: float
-    out_dir: str
     approximate: bool
 
 
@@ -253,16 +255,15 @@ def parse_scenario(path):
 
 def parse_scenario_text(text, path="<string>"):
     sc = Scenario(name=os.path.splitext(os.path.basename(path))[0], path=path)
-    # first line of each section and key; edge and state lines repeat
+    # first line of each section and key; edge lines repeat
     seen_sections = {}
     seen_keys = {}
     graph_lines = {}
-    state_rows = {}
 
     for section, key, tokens, lineno in _key_lines(text, path, seen_sections):
         if not tokens:
             raise ParseError(f"key {key!r} needs a value", path, lineno)
-        if key not in ("edge", "state"):
+        if key != "edge":
             if (section, key) in seen_keys:
                 raise ParseError(f"key {key!r} repeats line "
                                  f"{seen_keys[section, key]}", path, lineno)
@@ -285,19 +286,10 @@ def parse_scenario_text(text, path="<string>"):
             # graph-file syntax: 'nodes N', then one 'k l w' per edge
             graph_lines[lineno] = " ".join(
                 tokens if key == "edge" else [key] + tokens)
-        elif section == "initial" and key == "state":
-            try:
-                idx, values = _integer(tokens[0]), _row(key, tokens[1:])
-            except ValueError as exc:
-                raise ParseError(str(exc), path, lineno) from None
-            if idx in state_rows:
-                raise ParseError(f"state {idx} repeats line "
-                                 f"{state_rows[idx][1]}", path, lineno)
-            state_rows[idx] = (values, lineno)
         else:
             raise ParseError(f"unknown {section} key {key!r}", path, lineno)
 
-    missing = [s for s in SECTIONS[:-1] if s not in seen_sections]
+    missing = [s for s in SECTIONS if s not in seen_sections]
     if missing:
         raise ParseError(f"missing sections: {', '.join(missing)}", path)
 
@@ -310,31 +302,26 @@ def parse_scenario_text(text, path="<string>"):
                          "'nodes'/'edge' lines", path)
     if not sc.model_kind:
         raise ParseError("model section needs 'kind'", path)
+    missing = [key for key in MODEL_KEYS[sc.model_kind] if key not in sc.model]
+    if missing:
+        raise ParseError(f"model kind {sc.model_kind!r} needs "
+                         f"{', '.join(map(repr, missing))}", path,
+                         seen_keys["model", "kind"])
     if sc.rho <= 0.0 or sc.mu <= 0.0:
         raise ParseError("certificate needs positive rho and mu", path)
     if (sc.beta is None) == (sc.beta_multiplier is None):
         raise ParseError("controller needs exactly one of beta and "
                          "beta_multiplier", path)
-    if state_rows:
+    if sc.init_states is not None:
         # base, radius and seed, the only other initial keys, in file order
-        mixed = [lineno for (section, _), lineno in seen_keys.items()
-                 if section == "initial"]
+        mixed = [lineno for (section, key), lineno in seen_keys.items()
+                 if section == "initial" and key != "states"]
         if mixed:
             raise ParseError("initial section mixes explicit states with "
                              "base/radius/seed", path, mixed[0])
-        count = max(state_rows)
-        if sorted(state_rows) != list(range(1, count + 1)):
-            raise ParseError("explicit states must cover agents 1..N", path)
-        rows = [state_rows[i] for i in range(1, count + 1)]
-        width = rows[0][0].shape[0]
-        for agent, (values, lineno) in enumerate(rows, start=1):
-            if values.shape[0] != width:
-                raise ParseError(f"state of agent {agent} has {values.shape[0]} "
-                                 f"entries, agent 1 has {width}", path, lineno)
-        sc.init_states = np.vstack([values for values, _ in rows])
     elif sc.init_base is None or sc.init_radius is None or sc.init_seed is None:
         raise ParseError("initial section needs base, radius and seed "
-                         "(or explicit state lines)", path)
+                         "(or states)", path)
     if sc.h <= 0.0 or sc.t_end <= 0.0 or sc.record_interval <= 0.0:
         raise ParseError("integration needs positive h, t_end and "
                          "record_interval", path)
@@ -373,12 +360,9 @@ def _build_model_and_certificate(sc):
     """
     given = sc.model
     if sc.model_kind == "lorenz":
-        abc = given.get("a", 10.0), given.get("b", 8.0 / 3.0), given.get("c", 28.0)
+        abc = given["a"], given["b"], given["c"]
         a_design, b_design = convective_linearization(*abc)
     else:
-        if "a" not in given or "b" not in given:
-            raise ParseError(f"model kind {sc.model_kind!r} needs matrix 'a' and "
-                             "vector 'b'", sc.path)
         a_design, b_design = given["a"], given["b"]
         if b_design.shape[0] != a_design.shape[0]:
             raise DimensionMismatchError(
@@ -398,8 +382,7 @@ def _build_model_and_certificate(sc):
         return lorenz_model(*abc, gain), cert, True
     if sc.model_kind == "linear":
         return linear_model(a_design, b_design, gain), cert, False
-    gamma = given.get("gamma", 0.0)
-    return tanh_perturbed_model(a_design, b_design, gamma, gain), cert, False
+    return tanh_perturbed_model(a_design, b_design, given["gamma"], gain), cert, False
 
 
 def realize(sc, require_connected=True):
@@ -450,6 +433,5 @@ def realize(sc, require_connected=True):
         h=sc.h,
         t_end=sc.t_end,
         record_interval=sc.record_interval,
-        out_dir=sc.out_dir,
         approximate=approximate,
     )

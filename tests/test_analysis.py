@@ -31,6 +31,8 @@ class TestSyncError:
 
     def test_three_scalars(self):
         assert sync_error(np.array([[0.0], [1.0], [3.0]])) == 6.0
+        # a 1-D array is one stack of scalar agents
+        assert sync_error(np.array([0.0, 1.0, 3.0])) == 6.0
 
     def test_vector_states(self):
         states = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -224,6 +226,10 @@ class TestCheckMonotone:
 
     def test_constant_zero(self):
         assert check_monotone(np.ones(5)) == 0.0
+
+    def test_fewer_than_two_samples(self):
+        assert check_monotone([]) == 0.0
+        assert check_monotone([7.0]) == 0.0
 
     def test_uptick_measured_relative(self):
         # jump of 0.2 against max(1, 4)

@@ -88,8 +88,7 @@ mu 0.5
 beta_multiplier 1.0
 
 [initial]
-state 1 0.0
-state 2 2.0
+states 0.0 ; 2.0
 
 [integration]
 h 0.01
@@ -340,9 +339,8 @@ SCENARIO_KEYS = {
     "model": ("kind", "a", "b", "c", "gamma"),
     "certificate": ("rho", "mu", "p"),
     "controller": ("beta", "beta_multiplier"),
-    "initial": ("base", "radius", "seed", "state"),
+    "initial": ("base", "radius", "seed", "states"),
     "integration": ("h", "t_end", "record_interval"),
-    "output": ("dir",),
 }
 
 C3_INLINE_GRAPH = "nodes 3\nedge 1 2 1.0\nedge 1 3 1.0\nedge 2 3 1.0\n"
@@ -739,7 +737,7 @@ class TestMalformedInput:
         (section, key) for section, keys in SCENARIO_KEYS.items() for key in keys
     ])
     def test_key_without_value(self, tmp_path, capsys, section, key):
-        lines = (c3_text() + "\n[output]\n").splitlines()
+        lines = c3_text().splitlines()
         lineno = lines.index(f"[{section}]") + 2
         lines.insert(lineno - 1, key)
         scn = tmp_path / "bare.scn"
@@ -913,8 +911,7 @@ class TestMalformedInput:
         (LORENZ15, "a 10.0", "a 0 1 ; 0 0", "a 0 1 ; 0 0"),
         (LINEAR_C3, "b 0 1", "b 0 1\ngamma 0.05", "gamma 0.05"),
         (TANH_P3, "gamma 0.05", "gamma 0.05\nc 1.0", "c 1.0"),
-        (LINEAR_C3, "base 0 0", "state 1 0 0\nstate 2 1 0\nstate 3 2 1",
-         "radius 5.0"),
+        (LINEAR_C3, "base 0 0", "states 0 0 ; 1 0 ; 2 1", "radius 5.0"),
     ], ids=["lorenz_matrix_a", "linear_gamma", "tanh_c", "states_and_radius"])
     def test_key_the_scenario_does_not_read(self, tmp_path, capsys, scenario,
                                             old, new, bad):
@@ -932,15 +929,37 @@ class TestMalformedInput:
             assert f"{scn}:{lines.index(bad) + 1}:" in err
             assert not os.path.exists(tmp_path / verb)
 
+    @pytest.mark.parametrize("scenario,old,new,message,bad", [
+        (LINEAR_C3, "a 0 1 ; 0 0", "a 0 1 ; ; 0 0", "empty matrix row",
+         "a 0 1 ; ; 0 0"),
+        (LINEAR_C3, "kind linear\na 0 1 ; 0 0\nb 0 1\n", "", "needs 'kind'", None),
+        (LINEAR_C3, "seed 11\n", "", "needs base, radius and seed", None),
+        (LINEAR_C3, "base 0 0", "base 0 0 0", "base state has 3 entries", None),
+        (LORENZ15, "c 2.6666666666666665\n", "", "needs 'c'", "kind lorenz"),
+        (TANH_P3, "gamma 0.05\n", "", "needs 'gamma'", "kind tanh"),
+    ], ids=["empty_matrix_row", "empty_model", "no_seed", "base_length",
+            "lorenz_c", "tanh_gamma"])
+    def test_incomplete_scenario(self, tmp_path, capsys, scenario, old, new,
+                                 message, bad):
+        scn = write_edited(tmp_path, scenario, old, new)
+        for verb in ("check", "run"):
+            err = expect_parse_error(
+                capsys, [verb, str(scn), "--out-dir", str(tmp_path / verb)])
+            assert message in err
+            if bad is not None:
+                assert f"{scn}:{scn.read_text().splitlines().index(bad) + 1}:" in err
+            assert not (tmp_path / verb).exists()
+
     def test_ragged_state_lines(self, tmp_path, capsys):
         lines = c3_text().splitlines()
         first = lines.index("base 0 0")
-        lines[first:first + 3] = ["state 1 0 0", "state 2 2 0", "state 3 3 1 1"]
+        lines[first:first + 3] = ["states 0 0 ; 2 0 ; 3 1 1"]
         scn = tmp_path / "ragged.scn"
         scn.write_text("\n".join(lines) + "\n")
         err = expect_parse_error(
             capsys, ["check", str(scn), "--out-dir", str(tmp_path)])
-        assert f"{scn}:{first + 3}:" in err
+        assert f"{scn}:{first + 1}:" in err
+        assert "ragged" in err
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_negative_seed_flag(self, tmp_path, capsys, verb):
@@ -1045,16 +1064,15 @@ class TestMalformedInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["run", "check", "sweep"])
-    def test_out_dir_not_creatable(self, tmp_path, capsys, verb):
+    def test_out_dir_not_creatable(self, tmp_path, capsys, monkeypatch, verb):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory\n")
         for out in (blocker, blocker / "sub"):
             err = expect_parse_error(
                 capsys, [verb, LINEAR_C3, "--out-dir", str(out)])
             assert "output directory" in err
-        scn = tmp_path / "out.scn"
-        scn.write_text(c3_text() + f"\n[output]\ndir {blocker}\n")
-        err = expect_parse_error(capsys, [verb, str(scn)])
+        monkeypatch.setenv("EDGESYNC_OUT_DIR", str(blocker))
+        err = expect_parse_error(capsys, [verb, LINEAR_C3])
         assert "output directory" in err
         assert blocker.read_text() == "not a directory\n"
 

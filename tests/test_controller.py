@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from edgesync import (
     DimensionMismatchError,
+    NotPositiveDefiniteError,
     WeightedGraph,
     accumulate_coupling,
     build_edge_lift,
@@ -50,6 +53,9 @@ class TestCriticalGain:
         lift0 = build_edge_lift(g0)
         with pytest.raises(DimensionMismatchError):
             critical_gain(g0, lift0, 1.0)
+        for margin in (0.0, -1e-3, np.nan):
+            with pytest.raises(NotPositiveDefiniteError):
+                critical_gain(C3, dataclasses.replace(lift, pd_margin=margin), 1.0)
 
 
 class TestCouplingInputs:

@@ -17,9 +17,11 @@ from edgesync import (
     spectral_report,
 )
 
+from edgesync.cli import main
+
 from helpers import (C3, P2, P3, SCENARIO_DIR, dense_incidence, dense_lift,
                      edge_laplacian, endpoint_correction, endpoint_residuals,
-                     graph_family, shifted_union, sym_part)
+                     graph_family, read_shipped, shifted_union, sym_part)
 
 
 def range_basis(g):
@@ -135,6 +137,26 @@ class TestDegenerateCases:
         assert lift_residual(g, lift) == 0.0
         assert lift.pd_margin == np.inf
         assert lift.mu == 0.0 and lift.kernel_dim == 0
+
+    def test_edgeless_graph_needs_no_eigensolve(self, tmp_path, monkeypatch):
+        # E E^T = 0, so the lift's empty factors need no N x N eigensolve;
+        # critical_gain alone refuses the graph
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve on an edgeless graph")
+
+        monkeypatch.setattr(edge_lift, "sym_eig", refuse)
+        for n in (2, 7):
+            lift = build_edge_lift(WeightedGraph(n, ()))
+            for name, shape in (("q1", (0, 0)), ("y", (n, 0)), ("scale", (0,))):
+                arr = getattr(lift, name)
+                assert arr.shape == shape and arr.dtype == np.float64
+            assert lift.mu == 0.0 and lift.pd_margin == np.inf
+            assert lift.kernel_dim == 0
+        scn = tmp_path / "edgeless.scn"
+        scn.write_text(read_shipped("linear_c3.scn").replace(
+            "edge 1 2 1.0\nedge 1 3 1.0\nedge 2 3 1.0\n", ""))
+        assert main(["check", str(scn), "--out-dir", str(tmp_path / "out")]) == 4
+        assert not (tmp_path / "out").exists()
 
     def test_disconnected_tree_blocks(self):
         g = shifted_union(P2, P2)
@@ -274,7 +296,7 @@ class TestFixedShift:
     def test_one_margin_eigensolve(self, monkeypatch):
         # E E^T, E W^2 E^T, the Gram matrix of the part of W E^T outside
         # range(E^T) and the margin matrix H on a graph with a cycle; E E^T
-        # and the margin matrix Y^T L^2 Y on a forest
+        # and the margin matrix Y^T L^2 Y on a forest; none on an edgeless one
         calls = []
         sym_eig = edge_lift.sym_eig
 
@@ -291,7 +313,7 @@ class TestFixedShift:
             calls.clear()
             lift = build_edge_lift(g)
             kernel_dims.append(lift.kernel_dim)
-            assert len(calls) == (4 if lift.kernel_dim else 2)
+            assert len(calls) == (4 if lift.kernel_dim else 2 if g.q else 0)
         assert kernel_dims.count(0) > 5 and len(kernel_dims) - kernel_dims.count(0) > 10
 
     @pytest.mark.parametrize("s", [1e2, 1e4, 1e6])

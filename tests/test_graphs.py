@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -62,6 +64,10 @@ class TestWeightedGraph:
     def test_rejects_out_of_range_node(self):
         with pytest.raises(ValueError):
             WeightedGraph(3, ((1, 4, 1.0),))
+
+    def test_rejects_fewer_than_two_nodes(self):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            WeightedGraph(1, ())
 
     def test_rejects_nodes_past_the_dense_bound(self, monkeypatch):
         # refused before the union-find asks for a list of n + 1 entries
@@ -287,6 +293,16 @@ class TestRandomGraph:
         g = random_connected_graph(5, 1.0, (0.1, 6.0), 3)
         assert g.q == 10
 
+    @pytest.mark.parametrize("n,p,weights,message", [
+        (1, 0.5, (0.1, 6.0), "2 nodes"),
+        (5, 1.5, (0.1, 6.0), "edge_probability"),
+        (5, 0.5, (0.0, 6.0), "weight_range"),
+        (5, 0.5, (6.0, 0.1), "weight_range"),
+    ], ids=["one_node", "probability", "zero_weight", "reversed_weights"])
+    def test_rejects_bad_arguments(self, n, p, weights, message):
+        with pytest.raises(ValueError, match=message):
+            random_connected_graph(n, p, weights, 0)
+
     def test_deterministic(self):
         a = random_connected_graph(9, 0.5, (0.5, 2.0), 77)
         b = random_connected_graph(9, 0.5, (0.5, 2.0), 77)
@@ -347,6 +363,31 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_graph_text(f"nodes {MAX_DENSE + 1}\n2 1 1.0\n")
         assert exc.value.line == 2
+
+    def test_edges_past_the_bound_counted_not_kept(self):
+        # every line is still checked, but only the first MAX_DENSE edges
+        # are kept, so the parse peaks near its list of lines (keeping all
+        # 100 000 edges takes 2.8 times that)
+        pairs = itertools.islice(itertools.combinations(range(1, 451), 2), 100_000)
+        text = "nodes 450\n" + "\n".join(f"{k} {l} 1.5" for k, l in pairs)
+        tracemalloc.start()
+        try:
+            text.splitlines()
+            lines_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(ParseError) as exc:
+                parse_graph_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line == MAX_DENSE + 2
+        assert "100000 edges exceed" in str(exc.value)
+        assert peak < 1.5 * lines_peak
+        # a malformed line past the bound is still reported first
+        with pytest.raises(ParseError) as exc:
+            parse_graph_text(text + "\n1 2 1.0")
+        assert exc.value.line == 100_002
+        assert "canonical order" in str(exc.value)
 
     def test_read_graph_file(self, tmp_path):
         path = tmp_path / "g.graph"

@@ -225,6 +225,16 @@ def test_wrong_shape_rejected(kind, case):
         build_with(kind, **{arg: np.ones(shape(n))})
 
 
+@pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
+def test_gain_row_matches_gain_vector(kind):
+    n = build_with(kind).state_dim
+    k = np.linspace(0.5, 2.0, n)
+    flat, row = build_with(kind, k=k), build_with(kind, k=k.reshape(1, n))
+    xs = np.random.default_rng(3).standard_normal((6, n))
+    assert np.array_equal(row.params["k"], flat.params["k"])
+    assert np.array_equal(row.alpha_all(xs), flat.alpha_all(xs))
+
+
 def same_bits(a, b):
     """Equal shape and equal IEEE bits: tells -0.0 from 0.0 and NaN payloads apart."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)

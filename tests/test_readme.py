@@ -32,6 +32,5 @@ def test_scenario_example_parses(tmp_path):
     scn.write_text(readme_block("Scenario files", "ini"))
     sc = es.parse_scenario(str(scn))
     assert sc.model_kind == "lorenz" and sc.graph.n == 4
-    assert sc.out_dir == "results"
     setup = es.realize(sc)
     assert setup.model.state_dim == 3 and setup.x0.shape == (12,)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesync import (
+    DimensionMismatchError,
     NonFiniteError,
     NotStabilizableError,
     bass_initial_gain,
@@ -105,6 +106,16 @@ class TestSolveAri:
     def test_not_stabilizable(self):
         with pytest.raises(NotStabilizableError):
             solve_ari(np.eye(2), np.array([[1.0], [0.0]]), 1.0, 0.1)
+
+    @pytest.mark.parametrize("a,b,rho,mu,error", [
+        (np.ones((2, 3)), DOUBLE_INTEGRATOR_B, 1.0, 0.2, DimensionMismatchError),
+        (DOUBLE_INTEGRATOR_A, np.ones(3), 1.0, 0.2, DimensionMismatchError),
+        (DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, 0.0, 0.2, ValueError),
+        (DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, 1.0, -0.2, ValueError),
+    ], ids=["a_not_square", "b_long", "rho_zero", "mu_negative"])
+    def test_bad_arguments(self, a, b, rho, mu, error):
+        with pytest.raises(error):
+            solve_ari(a, b, rho, mu)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("a,b,rho,mu", [

@@ -83,7 +83,6 @@ ONE_TOKEN_CASES = {
     "h": ("h 0.005", "h 0.005 oops"),
     "t_end": ("t_end 1.0", "t_end 1.0 2.0"),
     "record_interval": ("record_interval 0.05", "record_interval 0.05 0.1"),
-    "dir": ("record_interval 0.05", "record_interval 0.05\n[output]\ndir a b"),
 }
 
 
@@ -223,20 +222,22 @@ class TestParseValidation:
             parse_scenario_text(bad)
 
     def test_explicit_states_must_cover_all(self):
-        body = "state 1 0.0 0.0\nstate 3 1.0 1.0"
-        with pytest.raises(ParseError):
-            parse_scenario_text(replace_section(MINIMAL, "initial", body))
+        # one row for two agents parses, and realize refuses its shape
+        sc = parse_scenario_text(replace_section(MINIMAL, "initial", "states 0.0 0.0"))
+        with pytest.raises(ParseError, match="shape"):
+            realize(sc)
 
     def test_states_exclusive_with_base(self):
-        body = "state 1 0.0 0.0\nstate 2 1.0 1.0\nbase 0 0\nradius 1.0\nseed 4"
+        body = "states 0.0 0.0 ; 1.0 1.0\nbase 0 0\nradius 1.0\nseed 4"
         with pytest.raises(ParseError):
             parse_scenario_text(replace_section(MINIMAL, "initial", body))
 
     @pytest.mark.parametrize("body,bad", [
-        ("state 1 0.0 0.0\nradius 1.0\nstate 2 1.0 1.0", "radius 1.0"),
-        ("seed 4\nstate 1 0.0 0.0\nstate 2 1.0 1.0", "seed 4"),
-        ("state 1 0.0 0.0\nstate 2 1.0 1.0\nradius 5\nseed 3", "radius 5"),
-    ], ids=["radius", "seed", "radius_and_seed"])
+        ("radius 1.0\nstates 0.0 0.0 ; 1.0 1.0", "radius 1.0"),
+        ("seed 4\nstates 0.0 0.0 ; 1.0 1.0", "seed 4"),
+        ("states 0.0 0.0 ; 1.0 1.0\nradius 5\nseed 3", "radius 5"),
+        ("states 0.0 0.0 ; 1.0 1.0\nbase 0 0", "base 0 0"),
+    ], ids=["radius", "seed", "radius_and_seed", "base"])
     def test_states_exclusive_with_each_sampling_key(self, body, bad):
         text = replace_section(MINIMAL, "initial", body)
         with pytest.raises(ParseError) as exc:
@@ -260,6 +261,20 @@ class TestParseValidation:
             parse_scenario_text(text, path="case.scn")
         assert exc.value.line == text.splitlines().index(bad) + 1
         assert repr(bad.split()[0]) in str(exc.value)
+
+    @pytest.mark.parametrize("body,missing", [
+        ("kind lorenz", "'a', 'b', 'c'"),
+        ("kind lorenz\nc 2.5\na 10.0", "'b'"),
+        ("kind linear\nb 0 1", "'a'"),
+        ("kind tanh\na 0 1 ; 0 0\nb 0 1", "'gamma'"),
+    ], ids=["lorenz", "lorenz_b", "linear_a", "tanh_gamma"])
+    def test_kind_missing_a_key(self, body, missing):
+        # every key a kind reads is required, at the 'kind' line
+        text = replace_section(MINIMAL, "model", body)
+        with pytest.raises(ParseError) as exc:
+            parse_scenario_text(text, path="case.scn")
+        assert exc.value.line == text.splitlines().index(body.split("\n")[0]) + 1
+        assert f"needs {missing}" in str(exc.value)
 
     @pytest.mark.parametrize("body", [
         "kind linear\na 0\nb 0 1",
@@ -310,9 +325,9 @@ class TestParseValidation:
         (MINIMAL.replace("rho 1.0", "rho 1.0\nrho 7.0"), "rho 7.0"),
         (MINIMAL.replace("b 0 1", "b 0 1\nb 1 0"), "b 1 0"),
         (replace_section(MINIMAL, "initial",
-                         "state 1 0 0\nstate 2 1 1\nstate 02 2 2"), "state 02 2 2"),
+                         "states 0 0 ; 1 1\nstates 2 2 ; 3 3"), "states 2 2 ; 3 3"),
         (MINIMAL + "\n[certificate]\nmu 0.3\n", "[certificate]"),
-    ], ids=["key", "matrix_key", "state", "section"])
+    ], ids=["key", "matrix_key", "states", "section"])
     def test_repeat_carries_its_line(self, text, repeat):
         lines = text.splitlines()
         lineno = len(lines) - lines[::-1].index(repeat)
@@ -348,13 +363,13 @@ class TestParseValidation:
 
 class TestRealize:
     def test_explicit_states(self):
-        body = "state 1 0.5 0.0\nstate 2 -0.5 1.0"
+        body = "states 0.5 0.0 ; -0.5 1.0"
         sc = parse_scenario_text(replace_section(MINIMAL, "initial", body))
         setup = realize(sc)
         assert np.array_equal(setup.x0, [0.5, 0.0, -0.5, 1.0])
 
     def test_state_dimension_checked(self):
-        body = "state 1 0.5\nstate 2 -0.5"
+        body = "states 0.5 ; -0.5"
         sc = parse_scenario_text(replace_section(MINIMAL, "initial", body))
         with pytest.raises(ParseError):
             realize(sc)
@@ -428,19 +443,6 @@ class TestRealize:
         setup = realize(sc)
         assert setup.model.state_dim == 1
         assert setup.x0.shape == (2,)
-
-    def test_lorenz_defaults(self):
-        text = replace_section(MINIMAL, "model", "kind lorenz")
-        text = replace_section(text, "certificate", "rho 10.0\nmu 0.5")
-        text = replace_section(text, "initial",
-                               "base 0 0 0\nradius 1.0\nseed 1")
-        sc = parse_scenario_text(text)
-        assert sc.model == {}
-        setup = realize(sc)
-        assert setup.model.params["a"] == 10.0
-        assert setup.model.params["b"] == pytest.approx(8.0 / 3.0)
-        assert setup.model.params["c"] == 28.0
-        assert setup.approximate
 
 
 @given(mutated_text(SHIPPED_TEXTS))

@@ -417,6 +417,10 @@ class TestPerturbedInitialConditions:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius"):
+            perturbed_initial_conditions(np.zeros(2), 3, -1.0, 0)
+
     def test_agents_distinct(self):
         x0 = perturbed_initial_conditions(np.zeros(2), 5, 1.0, 0).reshape(5, 2)
         for i in range(5):
