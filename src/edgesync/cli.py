@@ -11,13 +11,13 @@ environment variable, else ./edgesync_out.
 
 No artifact is held whole, and no Q x Q array is formed: trajectory.csv's
 records and graph_check.txt's incidence, Laplacian and lift blocks are
-tables, built and written a share of at most 2**16 cells at a time;
-only the weight block is written by lookup, a line at a time. A table
-of at least 2 * 2**16 cells is formatted by a pool of forked workers,
-one per usable CPU; the bytes do not depend on the CPU count. `check`
-peaks at 59 MiB, workers included, on a 300-node, 1185-edge graph and
-at 222 MiB on a 1000-node, 4000-edge graph (99 and 700 MiB with the
-whole lift held).
+tables, built 2048 cells at a time (the lift's rows in shares of 2**16
+cells) and written as they are formatted; only the weight block is
+written by lookup, a line at a time. One serial formatter writes every
+table cell with the bytes of '%.17g', numpy taking the 17 digits of a
+cell in [1e-4, 1e17) exactly and '%.17g' itself the rest. `check`
+peaks at 54 MiB on a 300-node, 1185-edge graph and at 223 MiB on a
+1000-node, 4000-edge graph (99 and 700 MiB with the whole lift held).
 
 Exit codes: 0 success, 1 unexpected failure, 2 parse error,
 3 disconnected graph, 4 dimension mismatch, 5 not stabilizable,
@@ -28,7 +28,6 @@ Exit codes: 0 success, 1 unexpected failure, 2 parse error,
 import argparse
 import os
 import sys
-from collections import deque
 from functools import partial
 
 import numpy as np
@@ -45,106 +44,216 @@ ENV_OUT_DIR = "EDGESYNC_OUT_DIR"
 CERT_SAMPLE_COUNT = 200
 CERT_SAMPLE_RADIUS = 10.0
 CERT_SAMPLE_SEED = 0
-# Cells in a share of a table, built and written at once (at least one
-# row), and in the share a pool worker formats: below two shares' cells
-# a pool costs more than the formatting it takes over.
-_MIN_CELLS_PER_WORKER = 2**16
+# Cells that _cells_text formats at once, and the cells of a table built
+# at once (at least one row): few enough that their arrays stay within a
+# few hundred KiB, many enough that numpy's per-call cost is small
+# against the cells'.
+_CHUNK_CELLS = 2048
+# Cells in a share of the lift's rows, built at once (at least one row):
+# lift_rows' last bits depend on the rows it builds together.
+_LIFT_SHARE_CELLS = 2**16
+# '%.17g' writes a magnitude in [1e-4, 1e17) without an exponent, with
+# 17 - X digits after the point for the decade X in -4..16; 10**(16 - X)
+# is exact in binary64.
+_FIXED_MIN, _FIXED_MAX = 1e-4, 1e17
+_POW10 = np.array([10**k for k in range(21)], dtype=float)
+# 10**(X + 1) for X in -5..16, the bound that ends decade X
+_DECADE_END = np.array([10.0**x for x in range(-4, 18)])
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64
+# _cells_text's layouts, per sign: 21 decades times 17 trailing zero
+# counts, a zero and a cell left to '%.17g'
+_LAYOUTS = 21 * 17 + 2
+_ZERO, _OTHER = _LAYOUTS - 2, _LAYOUTS - 1
 
 
 def _fmt(value):
     return f"{value:.17g}"
 
 
-def _usable_cpus():
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _split(a):
+    """Veltkamp's split a = hi + lo, each half with at most 26 significant bits."""
+    c = a * _SPLITTER
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _format_rows(block, row):
-    """The lines of a block's rows by the template row, each made as it is read."""
-    return (row % tuple(cells.tolist()) for cells in block)
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
-def _format_share(block, row):
-    """The text of a block's rows by the template row: what a pool worker returns."""
-    return "".join(_format_rows(block, row))
+def _text_tables():
+    """The lookup tables of _cells_text, built from arrays at import.
+
+    A cell's text is laid out in a frame of 40 bytes, five uint64 words:
+    '-', '0', '.', '0', '0', '0', then the 17 significant digits D0..D16,
+    each followed by a '.' slot; the slot after D16 holds the cell's end
+    byte. Word 0 is head[D0], the other four are group[g], the digits of
+    a four-digit group g with their slots, and zeros[g] counts g's
+    trailing zero digits. keep[layout] has 0xff at each byte of a
+    layout's text and 0 elsewhere. A layout is (sign, decade X in
+    -4..16, trailing zeros z of the 17 digits): for X >= 0 it keeps
+    D0..DX, then, if 16 - z > X, the '.' after DX and D(X+1)..D(16-z);
+    for X < 0 it keeps '0', '.', -X-1 zeros and D0..D(16-z). Two more
+    per sign are a zero, '0' or '-0', and a cell left to '%.17g', whose
+    frame is default, with the byte 1 at D0.
+    """
+    ten = np.arange(48, 58, dtype=np.uint8)
+    group = np.full((10000, 8), 46, np.uint8)
+    for i in range(4):
+        group[:, 2 * i] = np.tile(np.repeat(ten, 10 ** (3 - i)), 10**i)
+    zeros = np.zeros(10000, np.intp)
+    for step in (10, 100, 1000, 10000):
+        zeros[::step] += 1
+    head = np.full((10, 8), 48, np.uint8)
+    head[:, 0], head[:, 2], head[:, 6], head[:, 7] = 45, 46, ten, 46
+    default = head[0].copy()
+    default[6] = 1
+    keep = np.zeros((2, _LAYOUTS, 40), np.uint8)
+    for x in range(-4, 17):
+        for z in range(17):
+            row = keep[0, (x + 4) * 17 + z]
+            last = 16 - z
+            if x >= 0:
+                row[6:7 + 2 * max(x, last):2] = 255
+                if last > x:
+                    row[7 + 2 * x] = 255
+            else:
+                row[1:2 - x] = 255
+                row[6:7 + 2 * last:2] = 255
+    keep[:, _ZERO, 1] = keep[:, _OTHER, 6] = 255
+    keep[1] = keep[0]
+    keep[1, :_OTHER, 0] = 255
+    keep[:, :, 39] = 255
+    return (head.view(np.uint64).ravel(), group.view(np.uint64).ravel(), zeros,
+            default.view(np.uint64), keep.reshape(-1, 40).view(np.uint64))
 
 
-def _table(n_rows, n_cols, rows, sep):
-    """The lines of a table of floats, built and formatted a row share at a time.
+_HEAD, _GROUP, _GROUP_ZEROS, _DEFAULT_WORD, _KEEP = _text_tables()
+
+
+def _product_error(a, k, hi):
+    """hi's error as a * 10**k: hi + the error is the product exactly (Dekker)."""
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    return ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _digits17(mag):
+    """The 17 significant digits of magnitudes in [1e-4, 1e17), rounded exactly.
+
+    Returns (n, decade). The decade X is floor(log10(mag)) exactly:
+    estimated from the binary exponent, then raised by one comparison
+    with 10**(X + 1), which as a binary64 is exact or, for X + 1 in
+    -4..-1, just above the power. Dekker's two-product gives
+    mag * 10**(16 - X), in [1e16, 1e17), exactly as hi + lo, and n is it
+    rounded half to even, what '%.17g' writes. n < 1e17: 17 digits tell
+    every binary64 apart, so none below 10**(X + 1) is written as it.
+    """
+    # floor(e * log10(2)) of the binary exponent e, by 78913 / 2**18
+    decade = (mag.view(np.int64) >> 52) - 1023
+    decade *= 78913
+    decade >>= 18
+    decade = np.where(mag >= _DECADE_END[decade + 5], decade + 1, decade)
+    k = 16 - decade
+    hi = mag * _POW10[k]
+    lo = _product_error(mag, k, hi)
+    # hi >= 2**53 is an even integer, so rounding lo half-even rounds hi + lo so
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), decade
+
+
+def _divmod(n, d):
+    """np.divmod(n, d) for integers n >= 0, by numpy's fast division by a scalar."""
+    q = n // d
+    return q, n - q * d
+
+
+def _write_fixed(cells, frame, layout):
+    """Write the frame words and layouts of the cells in [1e-4, 1e17)."""
+    mag = np.abs(cells)
+    at = np.flatnonzero((mag >= _FIXED_MIN) & (mag < _FIXED_MAX))
+    n, decade = _digits17(mag[at])
+    upper, lower = _divmod(n, 10**8)
+    d0, upper = _divmod(upper, 10**8)
+    groups = _divmod(upper, 10**4) + _divmod(lower, 10**4)
+    # trailing zeros of the digits up to each group: the group's own, or,
+    # if it is 0, its 4 and those up to the group before
+    zeros = _GROUP_ZEROS[groups[0]]
+    for g in groups[1:]:
+        zeros = np.where(g == 0, zeros + 4, _GROUP_ZEROS[g])
+    frame[at, 0] = _HEAD[d0]
+    for col, g in enumerate(groups, 1):
+        frame[at, col] = _GROUP[g]
+    layout[at] = (decade + 4) * 17 + zeros
+
+
+def _frame_bytes(cells, ends):
+    """The cells' frames (see _text_tables) with only their text kept, and their layouts."""
+    frame = np.empty((len(cells), 5), np.uint64)
+    frame[:] = _DEFAULT_WORD
+    layout = np.where(cells == 0, _ZERO, _OTHER)
+    _write_fixed(cells, frame, layout)
+    frame.view(np.uint8)[:, 39] = ends
+    frame &= _KEEP.take(layout + np.signbit(cells) * _LAYOUTS, axis=0)
+    return frame.tobytes(), layout
+
+
+def _cells_text(cells, ends):
+    """The text of float cells, each as '%.17g' writes it and followed by its end byte.
+
+    A cell in [1e-4, 1e17) gets its 17 digits from _digits17 and its
+    bytes from _text_tables' frame and layout; a zero is '0' or '-0';
+    every other cell (exponent form, inf, nan) is written by '%.17g'
+    itself and spliced in at its marker.
+    """
+    frames, layout = _frame_bytes(cells, ends)
+    text = frames.translate(None, b"\0").decode("ascii")
+    other = np.flatnonzero(layout == _OTHER)
+    if not len(other):
+        return text
+    pieces = [None] * (2 * len(other) + 1)
+    pieces[::2] = text.split("\1")
+    pieces[1::2] = ["%.17g" % value for value in cells[other].tolist()]
+    return "".join(pieces)
+
+
+def _table(n_rows, n_cols, rows, sep, share=_CHUNK_CELLS):
+    """The text of a table of floats, built a share of rows at a time.
 
     rows(lo, hi) builds rows lo to hi, n_cols cells each. A line holds a
-    row's cells joined by sep, each as _fmt writes it; one "%.17g"
-    template formats a whole row, much faster than _fmt per cell. The
-    text comes in row order, a line at a time on the serial path and a
-    share at a time from the pool. A share holds at most
-    _MIN_CELLS_PER_WORKER cells, or one row, on any CPU count, so rows
-    whose last bits depend on the share they are built in still give
-    the same bytes. A table of at least 2 * _MIN_CELLS_PER_WORKER cells
-    is formatted by a pool of one worker per usable CPU (and share),
-    imported only then and forked before it starts a thread. The parent
-    builds each share, so BLAS runs only there, keeps at most
-    workers + 1 in flight and formats any the pool does not. Closing
-    the generator shuts the pool down.
+    row's cells joined by sep, each as _fmt writes it. A share holds at
+    most share cells, or one row, so rows whose last bits depend on the
+    rows built with them have the same bits on every run. _cells_text
+    writes each share _CHUNK_CELLS cells at a time, and each chunk's
+    text is yielded as it is made.
     """
-    row = sep.join(["%.17g"] * n_cols) + "\n"
-    step = max(1, _MIN_CELLS_PER_WORKER // max(1, n_cols))
-    bounds = list(range(0, n_rows, step)) + [n_rows]
-    shares = list(zip(bounds[:-1], bounds[1:]))
-    workers = min(_usable_cpus(), len(shares)) if hasattr(os, "fork") else 1
-    if n_rows * n_cols < 2 * _MIN_CELLS_PER_WORKER or workers < 2:
-        for lo, hi in shares:
-            yield from _format_rows(rows(lo, hi), row)
+    if not n_cols:
+        yield "\n" * n_rows
         return
-
-    def text(block, future):
-        """A share's text, by the parent if the pool refused it or its worker failed."""
-        if future is None or future.exception() is not None:
-            return _format_share(block, row)
-        return future.result()
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    children = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-    in_flight = deque()
-    try:
-        for lo, hi in shares:
-            block = rows(lo, hi)
-            try:
-                future = pool.submit(_format_share, block, row)
-            except (OSError, RuntimeError):
-                # a fork failed or the pool broke: shut down, it refuses the rest
-                pool.shutdown()
-                future = None
-            in_flight.append((block, future))
-            if len(in_flight) > workers:
-                yield text(*in_flight.popleft())
-        while in_flight:
-            yield text(*in_flight.popleft())
-    finally:
-        pool.shutdown(cancel_futures=True)
-        # a fork failing after another leaves a worker the pool never serves
-        for child in set(multiprocessing.active_children()) - children:
-            child.terminate()
-            child.join()
+    step = max(1, share // n_cols)
+    # each cell's end byte, repeating with the row: a chunk's ends start
+    # at its first cell's column
+    ends = np.full(n_cols + _CHUNK_CELLS, ord(sep), np.uint8)
+    ends[n_cols - 1::n_cols] = ord("\n")
+    for lo in range(0, n_rows, step):
+        cells = np.asarray(rows(lo, min(n_rows, lo + step)), dtype=float).ravel()
+        for c in range(0, len(cells), _CHUNK_CELLS):
+            chunk = cells[c:c + _CHUNK_CELLS]
+            col = c % n_cols
+            yield _cells_text(chunk, ends[col:col + len(chunk)])
 
 
 def _row_text(values, sep):
     """One line of the values joined by sep, each as _fmt writes it."""
-    values = np.asarray(values, dtype=float).tolist()
-    return sep.join(["%.17g"] * len(values)) % tuple(values) + "\n"
+    values = np.asarray(values, dtype=float)
+    return "".join(_table(1, len(values), lambda lo, hi: values, sep))
 
 
 def _atomic_write(path, parts):
     """Write the parts' text to path through a temp file; a ParseError if that fails.
 
-    parts is a list of str and of generators of lines, such as _table's,
+    parts is a list of str and of generators of text, such as _table's,
     so its length is known before it is written. On any exception the
     temp file is removed. Every generator part is closed, written or
-    not, which shuts down a formatting pool.
+    not, which frees the table share it holds.
     """
     tmp = f"{path}.tmp{os.getpid()}"
     try:
@@ -165,9 +274,9 @@ def _atomic_write(path, parts):
             os.remove(tmp)
 
 
-def _matrix_block(name, n_rows, n_cols, rows):
+def _matrix_block(name, n_rows, n_cols, rows, share=_CHUNK_CELLS):
     """A matrix block's header line and its table; rows(lo, hi) builds rows lo to hi."""
-    return [f"matrix {name} {n_rows} {n_cols}\n", _table(n_rows, n_cols, rows, " ")]
+    return [f"matrix {name} {n_rows} {n_cols}\n", _table(n_rows, n_cols, rows, " ", share)]
 
 
 def _diag_block(name, diag):
@@ -215,7 +324,8 @@ def graph_check_text(setup):
                            lambda lo, hi: g.incidence_rows(np.arange(lo, hi)))
     parts += _diag_block("weight_diag", g.weights)
     parts += _matrix_block("laplacian", g.n, g.n, lambda lo, hi: lap[lo:hi])
-    parts += _matrix_block("lift", g.q, g.q, partial(lift_rows, g, lift))
+    parts += _matrix_block("lift", g.q, g.q, partial(lift_rows, g, lift),
+                           _LIFT_SHARE_CELLS)
     return parts
 
 

@@ -209,19 +209,23 @@ def random_connected_graph(n, edge_probability, weight_range, seed):
 
 
 def parse_graph_text(text, path="<string>"):
-    """Parse the graph text format.
+    """Parse the graph text format, a str or an iterable of lines such as a file.
 
     First non-comment line is ``nodes N``; every following line is
     ``k l w`` with 1-based indices, k < l, in canonical sorted order.
     Violations raise ParseError carrying the offending line number, as do
     more than MAX_DENSE nodes or edges (the ``nodes`` line, the first edge past).
-    Edges past the bound are checked and counted, not kept.
+    Edges past the bound are checked and counted, not kept, and an
+    iterable is read a line at a time, so a file is never held whole.
     """
+    # str.splitlines' line breaks on a str and within each line given
+    lines = text.splitlines() if isinstance(text, str) else (
+        part for line in text for part in line.splitlines())
     n = nodes_line = past_line = None
     edges = []
     q = 0
     prev = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -264,9 +268,9 @@ def parse_graph_text(text, path="<string>"):
 
 
 def read_graph_file(path):
+    """Parse the graph file at path a line at a time (see parse_graph_text)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_graph_text(fh, path=str(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read graph file: {exc}", str(path))
-    return parse_graph_text(text, path=str(path))

@@ -174,6 +174,7 @@ class Scenario:
     graph is the scenario's graph, inline or read from graph_file.
     init_states, one row per agent, is set when the initial states are
     given rather than sampled from init_base, init_radius and init_seed.
+    key_lines maps each (section, key) read, edge lines aside, to its line.
     """
 
     name: str
@@ -194,6 +195,7 @@ class Scenario:
     h: float = 0.0
     t_end: float = 0.0
     record_interval: float = 0.0
+    key_lines: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,7 @@ def parse_scenario_text(text, path="<string>"):
     sc = Scenario(name=os.path.splitext(os.path.basename(path))[0], path=path)
     # first line of each section and key; edge lines repeat
     seen_sections = {}
-    seen_keys = {}
+    seen_keys = sc.key_lines
     graph_lines = {}
 
     for section, key, tokens, lineno in _key_lines(text, path, seen_sections):
@@ -406,13 +408,15 @@ def realize(sc, require_connected=True):
         if x0.shape != (graph.n, model.state_dim):
             raise ParseError(
                 f"explicit states have shape {x0.shape}, expected "
-                f"({graph.n}, {model.state_dim})", sc.path)
+                f"({graph.n}, {model.state_dim})", sc.path,
+                sc.key_lines.get(("initial", "states")))
         x0 = x0.reshape(-1)
     else:
         if sc.init_base.shape[0] != model.state_dim:
             raise ParseError(
                 f"base state has {sc.init_base.shape[0]} entries, model "
-                f"dimension is {model.state_dim}", sc.path)
+                f"dimension is {model.state_dim}", sc.path,
+                sc.key_lines.get(("initial", "base")))
         x0 = perturbed_initial_conditions(
             sc.init_base, graph.n, sc.init_radius, sc.init_seed)
         if not np.isfinite(x0).all():

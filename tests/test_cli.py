@@ -1,21 +1,20 @@
 import contextlib
 import dataclasses
-import gc
+import inspect
 import io
 import math
-import multiprocessing
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
-import threading
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesync import (
     WeightedGraph,
@@ -402,185 +401,98 @@ def test_table_lines_match_fmt():
     assert table_text(np.zeros((0, 3)), " ") == ""
 
 
-# a pool test that runs longer than this has a pool waiting on a share
-POOL_TEST_SECONDS = 120
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """force(cpus, min_cells=1): _table takes shares of at most min_cells
-    cells (one row at 1), and starts a pool for any table of 2 * min_cells
-    cells or more, with cpus usable CPUs; returns the list to which every
-    os.fork appends the number of threads running when it was called.
-
-    A worker the test leaves is stopped at teardown, and one still
-    running after POOL_TEST_SECONDS is stopped then and the test fails
-    with TimeoutError: a pool that is not shut down, or a worker that
-    never returns, fails its test rather than hang the pool's shutdown
-    or the session's exit, which joins every worker."""
-    children = set(multiprocessing.active_children())
-
-    def stop_workers():
-        for child in set(multiprocessing.active_children()) - children:
-            child.terminate()
-            child.join()
-
-    def expire(signum, frame):
-        stop_workers()
-        raise TimeoutError(f"pool test still running after {POOL_TEST_SECONDS} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(POOL_TEST_SECONDS)
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(threading.active_count())
-        return fork()
-
-    def force(cpus, min_cells=1):
-        monkeypatch.setattr(cli, "_MIN_CELLS_PER_WORKER", min_cells)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return forks
-    yield force
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-    stop_workers()
-
-
-def assert_no_process_left():
-    """No pool worker outlives the table it formatted."""
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def fmt_lines(table, sep):
     return "".join(sep.join(_fmt(v) for v in row) + "\n" for row in table)
 
 
-def distinct_rows(n_rows):
-    """Rows that all differ, each holding the special values."""
-    rng = np.random.default_rng(n_rows)
-    table = np.tile(np.array(SPECIAL_VALUES, dtype=float), (n_rows, 1))
-    return np.column_stack((table, rng.standard_normal((n_rows, 3))))
-
-
-@pytest.mark.parametrize("cpus, n_rows",
-                         [(1, 7), (2, 7), (3, 7), (6, 40), (8, 3), (2, 1)])
-def test_forked_table_lines_match_serial(forked, cpus, n_rows, tmp_path):
-    # shares of one row, and of two rows, which do not divide 7, 3 or 1:
-    # a pool of min(cpus, shares) workers formats them when that is more
-    # than one, every share's rows are built once, in the parent, and
-    # every fork happens while no other thread runs
-    table = distinct_rows(n_rows)
-    log = tmp_path / "builders"
+@pytest.mark.parametrize("share, n_rows, n_cols", [(1, 7, 3), (6, 7, 3), (2**16, 3, 5000)])
+def test_table_builds_each_share_once(share, n_rows, n_cols):
+    # rows are built once, a share of at most share cells (or one row)
+    # at a time and in order, since the lift's bits depend on its shares;
+    # a chunk of cells may end inside a row
+    rng = np.random.default_rng(n_cols)
+    table = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-8, 20, (n_rows, n_cols))
+    built = []
 
     def rows(lo, hi):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {lo} {hi}\n")
+        built.append((lo, hi))
         return table[lo:hi]
 
-    for rows_per_share in (1, 2):
-        forks = forked(cpus, min_cells=rows_per_share * table.shape[1])
-        shares = [(lo, min(lo + rows_per_share, n_rows))
-                  for lo in range(0, n_rows, rows_per_share)]
-        workers = min(cpus, len(shares)) if n_rows >= 2 * rows_per_share else 1
-        for sep in (" ", ","):
-            forks.clear()
-            log.write_text("")
-            assert table_text(table, sep, rows) == fmt_lines(table, sep)
-            assert forks == ([1] * workers if workers > 1 else [])
-            built = [line.split() for line in log.read_text().splitlines()]
-            assert sorted((int(lo), int(hi)) for _, lo, hi in built) == shares
-            assert {int(pid) for pid, _, _ in built} == {os.getpid()}
-            assert_no_process_left()
-    forks.clear()
-    assert table_text(np.zeros((5, 0)), " ") == "\n" * 5
-    assert forks == []
+    text = "".join(cli._table(n_rows, n_cols, rows, ",", share))
+    step = max(1, share // n_cols)
+    assert built == [(lo, min(n_rows, lo + step)) for lo in range(0, n_rows, step)]
+    assert text == fmt_lines(table, ",")
 
 
-@pytest.mark.parametrize("cells, cpus, n_forks", [
-    (2 * 2**16 - 1, 2, 0), (2 * 2**16, 1, 0), (2 * 2**16, 2, 2), (2 * 2**16, 3, 2)])
-def test_pool_only_for_two_shares_on_two_cpus(forked, cells, cpus, n_forks):
-    # at the real share size: no pool below two shares' cells or on one
-    # CPU, and a worker for each CPU up to one per share
-    forks = forked(cpus, min_cells=cli._MIN_CELLS_PER_WORKER)
-    table = np.random.default_rng(cells).standard_normal(cells).reshape(-1, 1)
-    assert table_text(table, " ") == fmt_lines(table, " ")
-    assert forks == [1] * n_forks
-    assert_no_process_left()
+def formatted(values):
+    """Each value's text in a one-column table, formatted a chunk at a time."""
+    values = np.asarray(values, dtype=float)
+    return table_text(values[:, None], " ").splitlines()
 
 
-PARENT_PID = os.getpid()
-FORMAT_SHARE = cli._format_share
+def expected(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-def format_share_failing_in_worker(block, row):
-    """cli._format_share, except in a pool worker, where it raises."""
-    if os.getpid() != PARENT_PID:
-        raise RuntimeError("worker failed")
-    return FORMAT_SHARE(block, row)
+def test_formatter_matches_percent_g_on_bit_patterns():
+    # random binary64 patterns: every exponent field, subnormals, inf and
+    # nan, so nearly all are written by '%.17g' itself; then patterns
+    # whose exponents all fall in the fixed window [1e-4, 1e17)
+    rng = np.random.default_rng(20261020)
+    bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False)
+    fixed = bits & np.uint64(0x800FFFFFFFFFFFFF) | (
+        rng.integers(1023 - 14, 1023 + 57, 10**5, dtype=np.uint64) << np.uint64(52))
+    for patterns in (bits, fixed):
+        values = patterns.view(np.float64)
+        assert formatted(values) == expected(values)
 
 
-@pytest.mark.parametrize("sabotage", ["exit", "exit_second", "raise", "no_fork",
-                                      "no_second_fork"])
-def test_failed_child_share_formatted_by_parent(forked, monkeypatch, sabotage):
-    # 7 one-row shares for a pool of 3: every worker, or the second one,
-    # exits at once; every worker raises; every fork, or the second one,
-    # fails. The parent formats each share the pool did not, and no
-    # worker is left, not even one forked before a failed fork
-    forks = forked(3)
-    table = distinct_rows(7)
-    counting_fork = os.fork
-
-    def failing_fork():
-        if sabotage == "no_fork" or (sabotage == "no_second_fork" and len(forks) == 1):
-            forks.append(threading.active_count())
-            raise OSError("fork refused")
-        pid = counting_fork()
-        if pid == 0 and (sabotage == "exit" or len(forks) == 2):
-            os._exit(3)
-        return pid
-
-    if sabotage == "raise":
-        monkeypatch.setattr(cli, "_format_share", format_share_failing_in_worker)
-    else:
-        monkeypatch.setattr(os, "fork", failing_fork)
-    assert table_text(table, " ") == fmt_lines(table, " ")
-    assert forks == [1] * {"no_fork": 1, "no_second_fork": 2}.get(sabotage, 3)
-    assert_no_process_left()
+def test_formatter_matches_percent_g_near_powers_of_ten():
+    # the decade estimate, the window's edges and a rounding that carries
+    # into an 18th digit all sit at a power of ten; the decade is exact
+    # because no bound it is compared with is below its power
+    assert all(Fraction(bound) >= Fraction(10) ** (i - 4)
+               for i, bound in enumerate(cli._DECADE_END))
+    values = []
+    for k in range(-6, 19):
+        x = float(10**k) if k >= 0 else 10.0**k
+        for _ in range(4):
+            x = np.nextafter(x, 0.0)
+        for _ in range(9):
+            values += [x, -x]
+            x = np.nextafter(x, np.inf)
+    assert formatted(values) == expected(values)
 
 
-def test_check_bytes_with_and_without_fork(tmp_path, forked, monkeypatch):
-    g = random_connected_graph(40, 0.22, (0.1, 6.0), 5)
-    scn = write_dense_scenario(tmp_path, g)
-    # shares of at most 500 cells on 3 CPUs: the incidence (40 x Q), the
-    # 40 x 40 Laplacian and the lift (Q x Q) each start a pool of 3; the
-    # weight block is written by lookup. Each pool forks after the
-    # threads of the one before are gone
-    forks = forked(3, min_cells=500)
-    assert main(["check", scn, "--out-dir", str(tmp_path / "on")]) == 0
-    assert forks == [1] * 9
-    assert_no_process_left()
-    forked(1, min_cells=500)
-    assert main(["check", scn, "--out-dir", str(tmp_path / "one_cpu")]) == 0
-    monkeypatch.delattr(os, "fork")
-    assert main(["check", scn, "--out-dir", str(tmp_path / "off")]) == 0
-    assert forks == [1] * 9
-    pooled, one_cpu, serial = (
-        (tmp_path / side / "graph_check.txt").read_bytes()
-        for side in ("on", "one_cpu", "off"))
-    assert pooled == one_cpu == serial
+def test_formatter_rounds_ties_to_even():
+    # an exact binary value halfway between two 17-digit decimals
+    assert formatted([2.0**-25]) == ["2.9802322387695312e-08"]
+    assert formatted([1e15 + 0.25, 1e15 + 0.75, -(1e14 + 0.125)]) == [
+        "1000000000000000.2", "1000000000000000.8", "-100000000000000.12"]
+    values = [sign * 2.0**k for k in range(-1074, 1024) for sign in (1, -1)]
+    values += [sign * (10.0**p + j / 2**m) for p in range(13, 17)
+               for m in range(1, 5) for j in range(1, 2**m, 2) for sign in (1, -1)]
+    assert formatted(values) == expected(values)
 
 
-def test_failed_write_leaves_no_temp_file(tmp_path, forked, monkeypatch):
-    # an error raised while a pooled table is being written removes the
-    # temp file and leaves no worker behind
+def test_formatter_special_values():
+    values = SPECIAL_VALUES + [-0.0, 0.0]
+    assert formatted(values) == expected(values)
+    assert formatted([-0.0, 0.0]) == ["-0", "0"]
+
+
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_formatter_matches_percent_g(values):
+    assert formatted(values) == expected(values)
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    # an error raised while the lift's fourth share is built removes the
+    # temp file
     scn = write_dense_scenario(
         tmp_path, random_connected_graph(40, 0.22, (0.1, 6.0), 5))
-    forks = forked(2, min_cells=2000)
+    monkeypatch.setattr(cli, "_LIFT_SHARE_CELLS", 2000)
     calls = []
 
     def failing_lift_rows(g, lift, lo, hi):
@@ -592,33 +504,25 @@ def test_failed_write_leaves_no_temp_file(tmp_path, forked, monkeypatch):
     lift_rows = cli.lift_rows
     monkeypatch.setattr(cli, "lift_rows", failing_lift_rows)
     out = tmp_path / "out"
-    # no collection until the check: a pool the table abandoned is then
-    # still running, rather than shut down when the collector frees it
-    gc.disable()
-    try:
-        with pytest.raises(RuntimeError, match="lift rows failed"):
-            main(["check", scn, "--out-dir", str(out)])
-        assert forks
-        assert list(out.iterdir()) == []
-        assert_no_process_left()
-    finally:
-        gc.enable()
+    with pytest.raises(RuntimeError, match="lift rows failed"):
+        main(["check", scn, "--out-dir", str(out)])
+    assert len(calls) == 4
+    assert list(out.iterdir()) == []
 
 
-def test_write_error_after_pooled_share(tmp_path, forked, monkeypatch, capsys):
-    # the file's write fails after the first share a pool formatted: the
-    # run exits 2, and neither the temp file nor a worker is left
+def test_write_error_after_first_share(tmp_path, monkeypatch, capsys):
+    # the file's write fails once the lift's first share is written: the
+    # run exits 2, leaves no temp file and closes the table it abandoned
     scn = write_dense_scenario(
         tmp_path, random_connected_graph(40, 0.22, (0.1, 6.0), 5))
-    forks = forked(2, min_cells=2000)
-    workers_at_error = []
+    monkeypatch.setattr(cli, "_LIFT_SHARE_CELLS", 2000)
+    calls = []
 
     class FailingFile:
-        """A text file whose writes raise OSError once a pool has written a share."""
+        """A text file whose writes raise OSError once the lift has a second share."""
 
         def __init__(self, fh):
             self.fh = fh
-            self.pooled_writes = 0
 
         def __enter__(self):
             return self
@@ -627,36 +531,38 @@ def test_write_error_after_pooled_share(tmp_path, forked, monkeypatch, capsys):
             self.fh.close()
 
         def write(self, text):
-            if forks:
-                self.pooled_writes += 1
-                if self.pooled_writes > 1:
-                    workers_at_error.append(len(multiprocessing.active_children()))
-                    raise OSError(28, "No space left on device")
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
             self.fh.write(text)
 
         def writelines(self, lines):
             for line in lines:
                 self.write(line)
 
+    def counted_lift_rows(g, lift, lo, hi):
+        calls.append(lo)
+        return lift_rows(g, lift, lo, hi)
+
+    lift_rows = cli.lift_rows
     graph_check_text = cli.graph_check_text
     kept = []
 
     def kept_parts(setup):
         # held here, so it is _atomic_write, not garbage collection, that
-        # closes the table whose pool is running
+        # closes the table it stopped writing
         kept.append(graph_check_text(setup))
         return kept[-1]
 
+    monkeypatch.setattr(cli, "lift_rows", counted_lift_rows)
     monkeypatch.setattr(cli, "graph_check_text", kept_parts)
     monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FailingFile(open(*args, **kwargs)),
                         raising=False)
     out = tmp_path / "out"
     assert expect_parse_error(capsys, ["check", scn, "--out-dir", str(out)]).startswith(
         "error: cannot write artifact: ")
-    assert forks == [1, 1]
-    assert workers_at_error[0] > 0
+    assert len(calls) == 2
     assert list(out.iterdir()) == []
-    assert_no_process_left()
+    assert inspect.getgeneratorstate(kept[0][-1]) == inspect.GEN_CLOSED
 
 
 @pytest.mark.parametrize("records", ["one", "block_less_one", "block", "block_plus_one"])
@@ -665,7 +571,7 @@ def test_trajectory_csv_matches_one_shot_format(records):
     # its bytes are those of formatting the whole stack at once
     n_agents, state_dim = 2, 2
     n_cols = 1 + n_agents * state_dim + n_agents + 2
-    block = cli._MIN_CELLS_PER_WORKER // n_cols
+    block = cli._CHUNK_CELLS // n_cols
     n = {"one": 1, "block_less_one": block - 1, "block": block,
          "block_plus_one": block + 1}[records]
     rng = np.random.default_rng(n)
@@ -934,11 +840,17 @@ class TestMalformedInput:
          "a 0 1 ; ; 0 0"),
         (LINEAR_C3, "kind linear\na 0 1 ; 0 0\nb 0 1\n", "", "needs 'kind'", None),
         (LINEAR_C3, "seed 11\n", "", "needs base, radius and seed", None),
-        (LINEAR_C3, "base 0 0", "base 0 0 0", "base state has 3 entries", None),
+        (LINEAR_C3, "base 0 0", "base 0 0 0", "base state has 3 entries",
+         "base 0 0 0"),
         (LORENZ15, "c 2.6666666666666665\n", "", "needs 'c'", "kind lorenz"),
         (TANH_P3, "gamma 0.05\n", "", "needs 'gamma'", "kind tanh"),
+        (LINEAR_C3, "base 0 0\nradius 5.0\nseed 11", "states 0 0 ; 1 1",
+         "explicit states have shape (2, 2), expected (3, 2)", "states 0 0 ; 1 1"),
+        (LINEAR_C3, "base 0 0\nradius 5.0\nseed 11", "states 0 0 1 ; 1 1 1 ; 2 0 1",
+         "explicit states have shape (3, 3), expected (3, 2)",
+         "states 0 0 1 ; 1 1 1 ; 2 0 1"),
     ], ids=["empty_matrix_row", "empty_model", "no_seed", "base_length",
-            "lorenz_c", "tanh_gamma"])
+            "lorenz_c", "tanh_gamma", "states_rows", "states_width"])
     def test_incomplete_scenario(self, tmp_path, capsys, scenario, old, new,
                                  message, bad):
         scn = write_edited(tmp_path, scenario, old, new)
@@ -1140,21 +1052,27 @@ def test_run_path_imports_no_scipy():
 NO_POOL_PROBE = """
 import sys
 from edgesync.cli import main
-main(["run", sys.argv[1], "--out-dir", sys.argv[3]])
-main(["run", sys.argv[2], "--t-end", "1", "--out-dir", sys.argv[3]])
+linear_c3, lorenz15, dense, out = sys.argv[1:]
+main(["run", linear_c3, "--out-dir", out])
+main(["run", lorenz15, "--t-end", "1", "--out-dir", out])
+main(["sweep", linear_c3, "--multipliers", "0.5", "1000", "--t-end", "2", "--out-dir", out])
+main(["check", dense, "--out-dir", out])
 print(sorted(m for m in sys.modules
              if m.split(".")[0] in ("concurrent", "multiprocessing")))
 """
 
 
 def test_small_tables_import_no_pool(tmp_path):
-    # every table of these runs is below the pool's threshold (as is the
-    # whole lorenz15 run's trajectory.csv, at 126 063 cells), so neither
-    # pool module is loaded
+    # no verb starts a process or loads a pool module, not even a check
+    # whose incidence (300 x 1204) and lift (1204 x 1204) tables hold
+    # 1.8 M cells, the size of perfbench's rand300 graph
+    dense = write_dense_scenario(
+        tmp_path, random_connected_graph(300, 0.02, (0.1, 6.0), 702))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", NO_POOL_PROBE, LINEAR_C3, LORENZ15, str(tmp_path)],
+        [sys.executable, "-c", NO_POOL_PROBE, LINEAR_C3, LORENZ15, dense,
+         str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "[]"
 

@@ -394,6 +394,48 @@ class TestParsing:
         path.write_text(C3.canonical_text())
         assert read_graph_file(str(path)) == C3
 
+    def test_lines_numbered_as_in_the_text(self, tmp_path):
+        # a file and an iterable of lines break lines where str.splitlines
+        # does, form feeds and carriage returns included
+        text = "# c\r\nnodes 3\x0c\n1 2 1.0\r\n\n2 3 x\n"
+        path = tmp_path / "g.graph"
+        path.write_bytes(text.encode())
+        lines = []
+        for source in (text, text.splitlines(keepends=True), None):
+            with pytest.raises(ParseError) as exc:
+                if source is None:
+                    read_graph_file(str(path))
+                else:
+                    parse_graph_text(source)
+            lines.append(exc.value.line)
+        assert lines == [6, 6, 6]
+        assert parse_graph_text(iter(C3.canonical_text().splitlines(keepends=True))) == C3
+
+    def test_file_past_the_bound_read_a_line_at_a_time(self, tmp_path):
+        # a file of 100 000 edges past the bound peaks below a file of
+        # MAX_DENSE edges, whose graph is built: the kept edges set the
+        # peak, not the file
+        pairs = itertools.combinations(range(1, 467), 2)
+        lines = ["nodes 466\n"] + [f"{k} {l} 1.5\n" for k, l in
+                                   itertools.islice(pairs, MAX_DENSE + 100_000)]
+        big, bound = tmp_path / "big.graph", tmp_path / "bound.graph"
+        big.write_text("".join(lines))
+        bound.write_text("".join(lines[:MAX_DENSE + 1]))
+        del lines
+        tracemalloc.start()
+        try:
+            assert read_graph_file(str(bound)).q == MAX_DENSE
+            bound_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(ParseError) as exc:
+                read_graph_file(str(big))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line == MAX_DENSE + 2
+        assert f"{MAX_DENSE + 100_000} edges exceed" in str(exc.value)
+        assert peak < bound_peak
+
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             read_graph_file(str(tmp_path / "nope.graph"))
