@@ -510,9 +510,10 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def test_write_error_after_first_share(tmp_path, monkeypatch, capsys):
+def test_write_error_after_pooled_share(tmp_path, monkeypatch, capsys):
     # the file's write fails once the lift's first share is written: the
     # run exits 2, leaves no temp file and closes the table it abandoned
+    # (the name dates from when shares were formatted by a process pool)
     scn = write_dense_scenario(
         tmp_path, random_connected_graph(40, 0.22, (0.1, 6.0), 5))
     monkeypatch.setattr(cli, "_LIFT_SHARE_CELLS", 2000)
