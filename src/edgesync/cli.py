@@ -9,15 +9,17 @@ Artifacts are written atomically (temp file plus rename) into the output
 directory resolved as: --out-dir flag, else the EDGESYNC_OUT_DIR
 environment variable, else ./edgesync_out.
 
-No artifact is held whole, and no Q x Q array is formed: trajectory.csv's
-records and graph_check.txt's incidence, Laplacian and lift blocks are
-tables, built 2048 cells at a time (the lift's rows in shares of 2**16
-cells) and written as they are formatted; only the weight block is
-written by lookup, a line at a time. One serial formatter writes every
-table cell with the bytes of '%.17g', numpy taking the 17 digits of a
-cell in [1e-4, 1e17) exactly and '%.17g' itself the rest. `check`
-peaks at 54 MiB on a 300-node, 1185-edge graph and at 223 MiB on a
-1000-node, 4000-edge graph (99 and 700 MiB with the whole lift held).
+No artifact is held whole, and no Q x Q array is formed.
+graph_check.txt's incidence, weight_diag and laplacian blocks are
+written from their nonzeros by _sparse_block, a line at a time, each
+run of zeros by string repetition. trajectory.csv's records and the
+lift block are tables, built 4096 cells at a time (the lift's rows in
+shares of 2**16 cells) and written as they are formatted. One serial
+formatter writes every table cell with the bytes of '%.17g', numpy
+taking the 17 digits of a cell in [1e-4, 1e17) exactly and '%.17g'
+itself the rest. `check` peaks at 54 MiB on a 300-node, 1185-edge
+graph and at 223 MiB on a 1000-node, 4000-edge graph (99 and 700 MiB
+with the whole lift held).
 
 Exit codes: 0 success, 1 unexpected failure, 2 parse error,
 3 disconnected graph, 4 dimension mismatch, 5 not stabilizable,
@@ -45,10 +47,12 @@ CERT_SAMPLE_COUNT = 200
 CERT_SAMPLE_RADIUS = 10.0
 CERT_SAMPLE_SEED = 0
 # Cells that _cells_text formats at once, and the cells of a table built
-# at once (at least one row): few enough that their arrays stay within a
-# few hundred KiB, many enough that numpy's per-call cost is small
-# against the cells'.
-_CHUNK_CELLS = 2048
+# at once (at least one row). A call costs about 50 us of numpy overhead
+# plus about 105 ns a cell (lift cells, 2-vCPU Xeon VM): the fixed cost
+# is 10% of a 4096-cell call, against 19% at 2048. 8192 saves little
+# more and doubles the call's arrays; 4096 raises a run's peak by about
+# 0.5 MiB over 2048.
+_CHUNK_CELLS = 4096
 # Cells in a share of the lift's rows, built at once (at least one row):
 # lift_rows' last bits depend on the rows it builds together.
 _LIFT_SHARE_CELLS = 2**16
@@ -279,12 +283,31 @@ def _matrix_block(name, n_rows, n_cols, rows, share=_CHUNK_CELLS):
     return [f"matrix {name} {n_rows} {n_cols}\n", _table(n_rows, n_cols, rows, " ", share)]
 
 
-def _diag_block(name, diag):
-    """The block of the matrix np.diag(diag), each line made as it is read."""
-    q = len(diag)
-    return [f"matrix {name} {q} {q}\n", (
-        "0 " * i + _fmt(w) + " 0" * (q - 1 - i) + "\n"
-        for i, w in enumerate(np.asarray(diag, dtype=float).tolist()))]
+def _sparse_block(name, n_rows, n_cols, rows, cols, values):
+    """A matrix block from its nonzero cells, each line made as it is read.
+
+    Cell (rows[k], cols[k]) of the arrays holds values[k], in any order,
+    each cell at most once; every other cell is a zero. A row's runs of
+    zeros are written by repeating '0 ' and each listed cell by _fmt, so
+    a listed -0.0 keeps its '-0'. The text is that of _matrix_block on
+    the dense matrix.
+    """
+    order = np.lexsort((cols, rows))
+    starts = np.searchsorted(rows[order], np.arange(n_rows + 1)).tolist()
+    cols = cols[order].tolist()
+    texts = [_fmt(v) for v in values[order].tolist()]
+
+    def lines():
+        for lo, hi in zip(starts, starts[1:]):
+            line, at = [], 0
+            for c, text in zip(cols[lo:hi], texts[lo:hi]):
+                line += ("0 " * (c - at), text, " ")
+                at = c + 1
+            line.append("0 " * (n_cols - at))
+            # every cell is followed by a space; the row's last is its newline
+            yield "".join(line)[:-1] + "\n"
+
+    return [f"matrix {name} {n_rows} {n_cols}\n", lines()]
 
 
 def graph_check_text(setup):
@@ -320,10 +343,13 @@ def graph_check_text(setup):
         "laplacian_eigs " + _row_text(spectral.laplacian_eigs, " "),
         "edge_laplacian_eigs " + _row_text(spectral.edge_laplacian_eigs, " "),
     ]
-    parts += _matrix_block("incidence", g.n, g.q,
-                           lambda lo, hi: g.incidence_rows(np.arange(lo, hi)))
-    parts += _diag_block("weight_diag", g.weights)
-    parts += _matrix_block("laplacian", g.n, g.n, lambda lo, hi: lap[lo:hi])
+    edges = np.arange(g.q)
+    parts += _sparse_block("incidence", g.n, g.q, np.concatenate((g.init, g.term)),
+                           np.concatenate((edges, edges)), np.repeat([-1.0, 1.0], g.q))
+    parts += _sparse_block("weight_diag", g.q, g.q, edges, edges, g.weights)
+    # the Laplacian's nonzeros, with any -0.0, which writes as '-0'
+    at = np.nonzero((lap != 0.0) | np.signbit(lap))
+    parts += _sparse_block("laplacian", g.n, g.n, *at, lap[at])
     parts += _matrix_block("lift", g.q, g.q, partial(lift_rows, g, lift),
                            _LIFT_SHARE_CELLS)
     return parts

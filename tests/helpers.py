@@ -19,9 +19,14 @@ SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SHIPPED_NAMES = ("linear_c3.scn", "tanh_p3.scn", "lorenz15.scn")
 
 
-def read_shipped(name):
-    with open(os.path.join(SCENARIO_DIR, name), encoding="utf-8") as fh:
+def read_text(*parts):
+    """The text of the file at os.path.join(*parts), closed when read."""
+    with open(os.path.join(*parts), encoding="utf-8") as fh:
         return fh.read()
+
+
+def read_shipped(name):
+    return read_text(SCENARIO_DIR, name)
 
 
 SHIPPED_TEXTS = tuple(read_shipped(name) for name in SHIPPED_NAMES)

@@ -17,7 +17,7 @@ from edgesync.cli import main as cli_main
 
 from helpers import (C3, DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, P3,
                      dense_incidence, dense_lift, edge_laplacian,
-                     endpoint_residuals, graph_family, shifted_union)
+                     endpoint_residuals, graph_family, read_text, shifted_union)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -189,8 +189,8 @@ def test_criterion_7_chaotic_network_sync(tmp_path):
                          "--out-dir", out])
         assert code == 0
         report = {}
-        for line in open(os.path.join(out, "report.txt"), encoding="utf-8"):
-            key, _, rest = line.rstrip("\n").partition(" ")
+        for line in read_text(out, "report.txt").splitlines():
+            key, _, rest = line.partition(" ")
             report.setdefault(key, rest)
         assert report["below_critical"] == "true"
         assert report["approximate_certificate"] == "true"

@@ -25,16 +25,17 @@ from edgesync import (
 )
 from edgesync.graphs import read_graph_file
 from edgesync.cli import (
-    _diag_block,
     _fmt,
     _matrix_block,
     _row_text,
+    _sparse_block,
     _table,
     main,
     parse_graph_check,
 )
 
-from helpers import SCENARIO_DIR, SHIPPED_TEXTS, dense_incidence, mutated_text
+from helpers import (SCENARIO_DIR, SHIPPED_TEXTS, dense_incidence, graph_family,
+                     mutated_text, read_text)
 
 LINEAR_C3 = os.path.join(SCENARIO_DIR, "linear_c3.scn")
 TANH_P3 = os.path.join(SCENARIO_DIR, "tanh_p3.scn")
@@ -108,12 +109,13 @@ def write_dense_scenario(tmp_path, g):
 def read_report(path):
     out = {}
     warnings = []
-    for line in open(path, encoding="utf-8"):
-        key, _, rest = line.rstrip("\n").partition(" ")
-        if key == "warning":
-            warnings.append(rest)
-        else:
-            out[key] = rest
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            key, _, rest = line.rstrip("\n").partition(" ")
+            if key == "warning":
+                warnings.append(rest)
+            else:
+                out[key] = rest
     return out, warnings
 
 
@@ -133,7 +135,7 @@ class TestRunVerb:
     def test_csv_shape(self, tmp_path):
         out = str(tmp_path)
         main(["run", LINEAR_C3, "--out-dir", out, "--t-end", "5.0"])
-        lines = open(os.path.join(out, "trajectory.csv")).read().splitlines()
+        lines = read_text(out, "trajectory.csv").splitlines()
         header = lines[0].split(",")
         # t, 3 agents x 2 states, 3 inputs, V, sync_error
         assert header == ["t", "x_1_1", "x_1_2", "x_2_1", "x_2_2", "x_3_1",
@@ -149,8 +151,8 @@ class TestRunVerb:
         main(["run", LINEAR_C3, "--out-dir", out_a, "--t-end", "1.0"])
         main(["run", LINEAR_C3, "--out-dir", out_b, "--t-end", "1.0",
               "--seed", "99"])
-        row_a = open(os.path.join(out_a, "trajectory.csv")).read().splitlines()[1]
-        row_b = open(os.path.join(out_b, "trajectory.csv")).read().splitlines()[1]
+        row_a = read_text(out_a, "trajectory.csv").splitlines()[1]
+        row_b = read_text(out_b, "trajectory.csv").splitlines()[1]
         assert row_a != row_b
 
     def test_disconnected_exit_code(self, tmp_path):
@@ -181,7 +183,7 @@ class TestGraphCheck:
         out = str(tmp_path)
         assert main(["check", TANH_P3, "--out-dir", out]) == 0
         assert not os.path.exists(os.path.join(out, "trajectory.csv"))
-        text = open(os.path.join(out, "graph_check.txt")).read()
+        text = read_text(out, "graph_check.txt")
         scalars, matrices = parse_graph_check(text)
         w = matrices["weight_diag"]
         lift = matrices["lift"]
@@ -196,7 +198,7 @@ class TestGraphCheck:
         out = str(tmp_path)
         main(["check", LINEAR_C3, "--out-dir", out])
         scalars, matrices = parse_graph_check(
-            open(os.path.join(out, "graph_check.txt")).read())
+            read_text(out, "graph_check.txt"))
         assert scalars["lift_residual"][0] <= 1e-8
         # each endpoint residual is half the intertwining residual
         half = 0.5 * scalars["lift_residual"][0]
@@ -214,7 +216,7 @@ class TestGraphCheck:
         out = str(tmp_path / "out")
         assert main(["check", str(scn), "--out-dir", out]) == 0
         scalars, _ = parse_graph_check(
-            open(os.path.join(out, "graph_check.txt")).read())
+            read_text(out, "graph_check.txt"))
         assert scalars["components"][0] == 2
 
 
@@ -228,7 +230,7 @@ class TestGraphCheck:
         out = str(tmp_path / "out")
         assert main(["check", scn, "--out-dir", out]) == 0
         scalars, matrices = parse_graph_check(
-            open(os.path.join(out, "graph_check.txt")).read())
+            read_text(out, "graph_check.txt"))
         assert scalars["edges"][0] == g.q
         assert scalars["lift_kernel_dim"][0] == g.q - g.n + 1
         assert scalars["edge_laplacian_eigs"][:g.q - g.n + 1] == [0.0] * (g.q - g.n + 1)
@@ -247,7 +249,7 @@ class TestSweepVerb:
         out = str(tmp_path)
         assert main(["sweep", LINEAR_C3, "--out-dir", out, "--t-end", "5.0",
                      "--multipliers", "1.0", "2.0", "5.0"]) == 0
-        lines = open(os.path.join(out, "sweep_summary.csv")).read().splitlines()
+        lines = read_text(out, "sweep_summary.csv").splitlines()
         assert lines[0] == "multiplier,rate,largest_uptick,final_sync_error,status"
         assert len(lines) == 4
         for row in lines[1:]:
@@ -264,7 +266,7 @@ class TestSweepVerb:
         out = str(tmp_path / "out")
         assert main(["sweep", str(scn), "--out-dir", out,
                      "--multipliers", "0.0"]) == 0
-        row = open(os.path.join(out, "sweep_summary.csv")).read().splitlines()[1]
+        row = read_text(out, "sweep_summary.csv").splitlines()[1]
         assert abs(float(row.split(",")[1])) <= 1e-9
 
     def test_no_graph_check_quantities(self, tmp_path, monkeypatch):
@@ -290,7 +292,7 @@ class TestSweepVerb:
         out = str(tmp_path)
         assert main(["sweep", LINEAR_C3, "--out-dir", out, "--t-end", "5.0",
                      "--multipliers", "1e6", "1.0"]) == 0
-        lines = open(os.path.join(out, "sweep_summary.csv")).read().splitlines()
+        lines = read_text(out, "sweep_summary.csv").splitlines()
         first = lines[1].split(",")
         second = lines[2].split(",")
         assert first[-1] == "DivergedError"
@@ -300,7 +302,7 @@ class TestSweepVerb:
     def test_empty_multiplier_list(self, tmp_path):
         out = str(tmp_path)
         assert main(["sweep", LINEAR_C3, "--out-dir", out]) == 0
-        lines = open(os.path.join(out, "sweep_summary.csv")).read().splitlines()
+        lines = read_text(out, "sweep_summary.csv").splitlines()
         assert len(lines) == 1
 
     def test_members_match_separate_runs(self, tmp_path):
@@ -589,34 +591,75 @@ def test_trajectory_csv_matches_one_shot_format(records):
     assert text.count("\n") == n
 
 
+def dense_blocks_text(g):
+    """g's incidence, weight_diag and laplacian blocks, by _matrix_block from dense E, W, L."""
+    blocks = [("incidence", dense_incidence(g)), ("weight_diag", np.diag(g.weights)),
+              ("laplacian", g.laplacian())]
+    return "".join(parts_text(_matrix_block(name, *m.shape, lambda lo, hi, m=m: m[lo:hi]))
+                   for name, m in blocks)
+
+
+def graph_blocks_text(setup, g):
+    """graph_check.txt's incidence, weight_diag and laplacian blocks on g.
+
+    setup's graph and lift are replaced by g's, so g may be one that
+    realize refuses, such as an edgeless graph.
+    """
+    text = parts_text(cli.graph_check_text(
+        dataclasses.replace(setup, graph=g, lift=build_edge_lift(g))))
+    return text[text.index("matrix incidence "):text.index("matrix lift ")]
+
+
 @pytest.mark.parametrize("g", [
     random_connected_graph(2, 0.0, (0.1, 6.0), 1),
     random_connected_graph(9, 0.5, (0.1, 6.0), 2),
     random_connected_graph(40, 0.22, (0.1, 6.0), 5)], ids=lambda g: f"n{g.n}q{g.q}")
 def test_incidence_block_matches_dense(tmp_path, g):
-    # graph_check.txt's incidence block is the table of the dense E, also
-    # on an edgeless graph, which realize refuses: its setup is g's with
-    # the graph and its lift replaced
+    # the sparse writer's incidence, weight_diag and laplacian blocks are
+    # the tables of the dense E, W and L, also on an edgeless graph (Q = 0)
+    # and with an isolated node, whose rows of E and L are all zeros
     setup = scenario.realize(scenario.parse_scenario(write_dense_scenario(tmp_path, g)),
                              require_connected=False)
-    for h in (g, WeightedGraph(3, ())):
-        e = dense_incidence(h)
-        dense = parts_text(_matrix_block("incidence", h.n, h.q, lambda lo, hi: e[lo:hi]))
-        text = parts_text(cli.graph_check_text(
-            dataclasses.replace(setup, graph=h, lift=build_edge_lift(h))))
-        assert text.count("matrix incidence ") == 1
-        assert f"\n{dense}matrix weight_diag " in text
-    assert dense == "matrix incidence 3 0\n" + "\n" * 3
+    edgeless, isolated = WeightedGraph(3, ()), WeightedGraph(g.n + 1, g.edges)
+    for h in (g, edgeless, isolated):
+        assert graph_blocks_text(setup, h) == dense_blocks_text(h)
+    assert graph_blocks_text(setup, edgeless) == (
+        "matrix incidence 3 0\n" + "\n" * 3 + "matrix weight_diag 0 0\n"
+        "matrix laplacian 3 3\n" + "0 0 0\n" * 3)
+    assert graph_blocks_text(setup, isolated).endswith("\n" + "0 " * g.n + "0\n")
+
+
+def test_sparse_blocks_match_dense_on_graph_family():
+    setup = scenario.realize(scenario.parse_scenario(LINEAR_C3), require_connected=False)
+    for g in graph_family(100):
+        assert graph_blocks_text(setup, g) == dense_blocks_text(g)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 5, 40])
 def test_diag_block_matches_dense(q):
-    special = [1.0, 1.0 / 3.0, 5e-324, 1e300, 0.1, 6.0, 2.0**53 + 1]
+    # the writer fed a diagonal directly, its cells listed last to first
+    special = [1.0, 1.0 / 3.0, 5e-324, 1e300, 0.1, 6.0, 2.0**53 + 1, -0.0]
     w = np.resize(special, q)
     w[len(special):] *= np.random.default_rng(q).uniform(0.5, 2.0, q)[len(special):]
     dense = np.diag(w)
-    assert parts_text(_diag_block("weight_diag", w)) == parts_text(
+    at = np.arange(q)[::-1]
+    assert parts_text(_sparse_block("weight_diag", q, q, at, at, w[at])) == parts_text(
         _matrix_block("weight_diag", q, q, lambda lo, hi: dense[lo:hi]))
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(1, 1), (3, 7), (7, 3), (4, 0), (0, 4), (20, 50)])
+def test_sparse_block_matches_dense(n_rows, n_cols):
+    # cells listed in any order, -0.0 and 0.0 among them, are written as
+    # the dense matrix's cells; a listed -0.0 keeps its '-0'
+    rng = np.random.default_rng(n_rows * 100 + n_cols)
+    values = SPECIAL_VALUES + [1.5e-7, -2.5e20, 1e-300, 123456789012345678.0]
+    rows, cols = np.nonzero(rng.random((n_rows, n_cols)) < 0.4)
+    cells = np.resize(values, len(rows))
+    dense = np.zeros((n_rows, n_cols))
+    dense[rows, cols] = cells
+    order = rng.permutation(len(rows))
+    text = parts_text(_sparse_block("m", n_rows, n_cols, rows[order], cols[order], cells[order]))
+    assert text == parts_text(_matrix_block("m", n_rows, n_cols, lambda lo, hi: dense[lo:hi]))
 
 
 @pytest.mark.parametrize("verb, extra", [
@@ -1065,8 +1108,8 @@ print(sorted(m for m in sys.modules
 
 def test_small_tables_import_no_pool(tmp_path):
     # no verb starts a process or loads a pool module, not even a check
-    # whose incidence (300 x 1204) and lift (1204 x 1204) tables hold
-    # 1.8 M cells, the size of perfbench's rand300 graph
+    # whose lift table (1204 x 1204) holds 1.4 M cells, about the size of
+    # perfbench's rand300 graph's
     dense = write_dense_scenario(
         tmp_path, random_connected_graph(300, 0.02, (0.1, 6.0), 702))
     src = os.path.dirname(os.path.dirname(cli.__file__))
