@@ -387,7 +387,9 @@ def certificate_checks(setup):
     samples = perturbed_initial_conditions(
         np.zeros(n), CERT_SAMPLE_COUNT, CERT_SAMPLE_RADIUS,
         CERT_SAMPLE_SEED).reshape(-1, n)
-    margin = verify_ari_sampled(setup.certificate, setup.model, samples)
+    # and the origin, where the tanh kind's sech^2 and so its Jacobian peak
+    margin = verify_ari_sampled(setup.certificate, setup.model,
+                                np.vstack((np.zeros(n), samples)))
     killing, integrability = verify_killing_integrability(
         setup.certificate, setup.model, samples[:20])
     warnings = []

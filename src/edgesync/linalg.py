@@ -25,7 +25,7 @@ NULLSPACE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SymEig:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix, or of each in a stack.
 
     eigenvalues are ascending; eigenvectors are orthonormal columns, the
     i-th column pairing with the i-th eigenvalue, or None when only the
@@ -45,32 +45,38 @@ def _as_square(a, name="matrix"):
 
 @np.errstate(over="ignore")
 def sym_eig(a, vectors=True):
-    """Decompose a symmetric matrix into ascending eigenvalues and vectors.
+    """Decompose symmetric matrices into ascending eigenvalues and vectors.
 
+    a is an (n, n) matrix or a (..., n, n) stack, which gives the bits of
+    one call per matrix: eigenvalues (..., n), eigenvectors (..., n, n).
     With vectors=False only the eigenvalues are computed (eigvalsh, not
     eigh) and eigenvectors is None; the eigenvalues need not have the
     bits of the full decomposition's. Raises NonFiniteError when an
-    entry or an eigenvalue is not finite, NonSymmetricError when the
-    input exceeds the relative symmetry tolerance (an a - a.T that
-    overflows does), NoConvergenceError if the underlying iteration fails.
+    entry or an eigenvalue is not finite, NonSymmetricError when a
+    matrix exceeds the relative symmetry tolerance of its own largest
+    entry (an a - a.T that overflows does), NoConvergenceError if the
+    underlying iteration fails.
     """
-    a = _as_square(a)
-    if a.size:
-        top = np.max(np.abs(a))
-        if not np.isfinite(top):
-            raise NonFiniteError(f"symmetric eigensolver fed a matrix with an "
-                                 f"entry that is not finite ({top})")
-        skew = np.max(np.abs(a - a.T))
-        if skew > SYMMETRY_RTOL * max(1.0, top):
-            raise NonSymmetricError(
-                f"matrix is not symmetric within tolerance (max skew {skew:.3e})"
-            )
-    if a.shape[0] == 0:
-        return SymEig(np.zeros(0), np.zeros((0, 0)) if vectors else None)
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(
+            f"matrix must be square or a stack of square matrices, got shape {a.shape}")
+    if a.size == 0:
+        return SymEig(np.zeros(a.shape[:-1]), np.zeros(a.shape) if vectors else None)
+    top = np.max(np.abs(a), axis=(-2, -1))
+    if not np.isfinite(top).all():
+        raise NonFiniteError(f"symmetric eigensolver fed a matrix with an "
+                             f"entry that is not finite ({np.max(top)})")
+    a_t = np.swapaxes(a, -2, -1)
+    skew = np.max(np.abs(a - a_t), axis=(-2, -1))
+    if np.any(skew > SYMMETRY_RTOL * np.maximum(1.0, top)):
+        raise NonSymmetricError(
+            f"matrix is not symmetric within tolerance (max skew {np.max(skew):.3e})"
+        )
     try:
         # halves first: a + a.T overflows for entries above about 9e307,
         # and halving is exact above the subnormals, so the bits are kept
-        sym = 0.5 * a + 0.5 * a.T
+        sym = 0.5 * a + 0.5 * a_t
         dec = (SymEig(*np.linalg.eigh(sym)) if vectors
                else SymEig(np.linalg.eigvalsh(sym), None))
     except np.linalg.LinAlgError as exc:

@@ -17,6 +17,10 @@ bound call allocates nothing and still goes through the model's
 f_all, add_gu and alpha_all. The integrator binds them once per set of
 running members on its own buffers; called without an output, the
 same functions fill a fresh array.
+
+The certificate quantities act on stacks too: g, jac_f and jac_g take
+states shaped (..., n) and return (..., n) and (..., n, n), so the
+sampled checks evaluate every state in one call.
 """
 
 from dataclasses import dataclass
@@ -41,8 +45,9 @@ class AgentModel:
     gu_operands(xs, u, out) of the same buffers, and are built on the
     spot otherwise: they hold views of the buffers, so the buffers must
     be float64 arrays changed in place, and an output must not overlap
-    an input. jac_f and jac_g act on a single state vector. The input
-    is scalar.
+    an input. jac_f(xs) and jac_g(xs) take states shaped (..., n) and
+    return the Jacobians of f and g at each, shaped (..., n, n); a
+    constant one may be a read-only broadcast view. The input is scalar.
     """
 
     name: str
@@ -68,26 +73,12 @@ class AgentModel:
         """A zero-argument call of alpha_all on xs into out."""
         return partial(self.alpha_all, xs, out)
 
-    def field_all(self, xs, u):
-        """Closed-loop field f(x_i) + g(x_i) u_i of every row, one fresh array.
-
-        A component whose g is identically 0 is f alone.
-        """
-        out = self.f_all(xs)
-        self.add_gu(out, xs, u)
-        return out
-
-    def f(self, x):
-        return self.f_all(np.asarray(x, dtype=float)[None, :])[0]
-
-    def g(self, x):
-        """The input field at x: g u on a zero row with u = 1."""
-        out = np.zeros((1, self.state_dim))
-        self.add_gu(out, np.asarray(x, dtype=float)[None, :], np.ones(1))
-        return out[0]
-
-    def alpha(self, x):
-        return float(self.alpha_all(np.asarray(x, dtype=float)[None, :])[0])
+    def g(self, xs):
+        """The input field at states shaped (..., n): g u on zero rows with u = 1."""
+        rows = np.asarray(xs, dtype=float).reshape(-1, self.state_dim)
+        out = np.zeros(rows.shape)
+        self.add_gu(out, rows, np.ones(len(rows)))
+        return out.reshape(np.shape(xs))
 
 
 def _no_operands(*buffers):
@@ -147,7 +138,6 @@ def _constant_input_model(name, a, b, k, drift, **params):
     if bv.shape != (n,):
         raise DimensionMismatchError(
             f"input vector has shape {bv.shape}, expected ({n},)")
-    zero = np.zeros((n, n))
     multiply, add = np.multiply, np.add
 
     # u as a column, b tiled to every row, and the product's scratch
@@ -163,7 +153,12 @@ def _constant_input_model(name, a, b, k, drift, **params):
 
     f_all, jac_f = drift(a)
     return _agent_model(name, n, k, {"a": a, "b": bv, **params}, f_all,
-                        (add_gu, gu_operands), jac_f, lambda x: zero)
+                        (add_gu, gu_operands), jac_f, _constant_jacobian(np.zeros((n, n))))
+
+
+def _constant_jacobian(m):
+    """The Jacobian that is m at every state, as read-only (..., n, n) views."""
+    return lambda xs: np.broadcast_to(m, np.shape(xs)[:-1] + m.shape)
 
 
 def _linear_drift(a):
@@ -179,7 +174,7 @@ def _linear_drift(a):
 def linear_model(a, b, k):
     """Linear agent: f(x) = A x, constant g = B, alpha(x) = K x."""
     def drift(a):
-        return _linear_drift(a), (lambda x: a)
+        return _linear_drift(a), _constant_jacobian(a)
 
     return _constant_input_model("linear", a, b, k, drift)
 
@@ -213,9 +208,11 @@ def tanh_perturbed_model(a, b, gamma, k):
             add(out, perturbation, out)
             return out
 
-        def jac_f(x):
-            sech2 = 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
-            return a + gamma * np.diag(sech2)
+        # cosh overflows to inf past |x| of about 710, where sech^2 is 0
+        @np.errstate(over="ignore")
+        def jac_f(xs):
+            sech2 = 1.0 / np.cosh(np.asarray(xs, dtype=float)) ** 2
+            return a + gamma * (sech2[..., None] * np.eye(a.shape[0]))
 
         return (f_all, f_operands), jac_f
 
@@ -280,17 +277,18 @@ def lorenz_model(a, b, c, k):
         multiply(gu, u, gu)
         add(out2, gu, out2)
 
-    def jac_f(x):
-        x1, x2, x3 = x
-        return np.array([
-            [-a, a, 0.0],
-            [b - x3, -1.0, -x1],
-            [x2, x1, -c],
-        ])
+    def jac_f(xs):
+        x1, x2, x3 = np.moveaxis(np.asarray(xs, dtype=float), -1, 0)
+        out = np.empty(x1.shape + (3, 3))
+        out[..., 0, :] = -a, a, 0.0
+        out[..., 1, 0], out[..., 1, 1], out[..., 1, 2] = b - x3, -1.0, -x1
+        out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = x2, x1, -c
+        return out
 
-    def jac_g(x):
-        out = np.zeros((3, 3))
-        out[1, 0] = np.cos(x[0])
+    def jac_g(xs):
+        x1 = np.asarray(xs, dtype=float)[..., 0]
+        out = np.zeros(x1.shape + (3, 3))
+        out[..., 1, 0] = np.cos(x1)
         return out
 
     return _agent_model("lorenz", 3, k, {"a": a, "b": b, "c": c},

@@ -5,7 +5,7 @@ import os
 import numpy as np
 from hypothesis import strategies as st
 
-from edgesync import WeightedGraph, lift_rows, random_connected_graph
+from edgesync import WeightedGraph, lift_rows, random_connected_graph, sym_eig
 
 # Canonical small graphs used all over the suite.
 P2 = WeightedGraph(2, ((1, 2, 1.0),))
@@ -86,6 +86,33 @@ def input_field(model, xs):
         return np.column_stack((np.ones(len(xs)), 2.0 + np.sin(xs[:, 0]),
                                 np.zeros(len(xs))))
     return np.broadcast_to(model.params["b"], xs.shape).copy()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def ari_margin_by_state(cert, model, samples):
+    """verify_ari_sampled's margin, one state and one eigensolve at a time.
+
+    The reference for the stacked check: the worst
+    lambda_min(-[P J + J^T P - rho P g g^T P + 2 mu P]) over the samples.
+    """
+    p, worst = cert.p, np.inf
+    for x in np.asarray(samples, dtype=float):
+        jac = model.jac_f(x)
+        pg = p @ model.g(x).reshape(-1, 1)
+        expr = p @ jac + jac.T @ p - cert.rho * (pg @ pg.T) + 2.0 * cert.mu * p
+        worst = min(worst, float(sym_eig(-expr).eigenvalues[0]))
+    return worst
+
+
+def killing_integrability_by_state(cert, model, samples):
+    """verify_killing_integrability's residuals, one state at a time."""
+    p, grad = cert.p, model.params["k"]
+    killing = integr = 0.0
+    for x in np.asarray(samples, dtype=float):
+        dg = model.jac_g(x)
+        killing = max(killing, float(np.max(np.abs(p @ dg + dg.T @ p))))
+        integr = max(integr, float(np.max(np.abs(grad - model.g(x) @ p))))
+    return killing, integr
 
 
 def shifted_union(g1, g2):

@@ -210,6 +210,16 @@ class TestGraphCheck:
         w = matrices["weight_diag"]
         assert np.max(np.abs(matrices["laplacian"] - e @ w @ e.T)) <= 1e-12
 
+    def test_contraction_failing_at_the_origin_warns(self, tmp_path, capsys):
+        # with gamma 0.14 the inequality fails at x = 0, the tanh kind's
+        # worst state, but at none of the 200 sampled states, the nearest
+        # of which lies 0.52 away
+        scn = write_edited(tmp_path, TANH_P3, "gamma 0.05", "gamma 0.14")
+        assert main(["check", str(scn), "--out-dir", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "ari_sampled_margin=-0.0516567" in out
+        assert "warning: sampled contraction inequality fails" in out
+
     def test_check_allows_disconnected(self, tmp_path):
         scn = tmp_path / "disc.scn"
         scn.write_text(DISCONNECTED)

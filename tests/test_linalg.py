@@ -94,6 +94,58 @@ class TestSymEig:
         assert np.max(np.abs(vtv - np.eye(n))) <= 1e-12
 
 
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSymEigStack:
+    """sym_eig on a (..., n, n) stack against one call per matrix."""
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_stack_has_the_bits_of_each_matrix(self, n, vectors):
+        rng = np.random.default_rng(n)
+        stack = np.array([[random_symmetric(rng, n, 10.0 ** e) for e in (-3, 0, 3)]
+                          for _ in range(2)])
+        dec = sym_eig(stack, vectors=vectors)
+        assert dec.eigenvalues.shape == (2, 3, n)
+        for index in np.ndindex(2, 3):
+            one = sym_eig(stack[index], vectors=vectors)
+            assert same_bits(dec.eigenvalues[index], one.eigenvalues)
+            if vectors:
+                assert same_bits(dec.eigenvectors[index], one.eigenvectors)
+            else:
+                assert dec.eigenvectors is None
+
+    @pytest.mark.parametrize("bad,error", [
+        ([[0.0, 1.0], [0.0, 0.0]], NonSymmetricError),
+        ([[np.nan, 0.0], [0.0, 1.0]], NonFiniteError),
+        ([[1.0, np.inf], [np.inf, 1.0]], NonFiniteError),
+    ], ids=["nonsymmetric", "nan", "inf"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_bad_member_raises(self, bad, error):
+        stack = np.array([np.eye(2), np.eye(2), np.eye(2)])
+        stack[1] = bad
+        for vectors in (True, False):
+            with pytest.raises(error):
+                sym_eig(stack, vectors=vectors)
+
+    def test_symmetry_tolerance_is_per_matrix(self):
+        # a skew of 1e-6 is within tolerance of a 1e12 matrix, not of a unit one
+        skewed = np.array([[1.0, 1e-6], [0.0, 1.0]])
+        big = 1e12 * np.eye(2)
+        with pytest.raises(NonSymmetricError):
+            sym_eig(np.array([big, skewed]))
+        dec = sym_eig(np.array([big + skewed, np.eye(2)]))
+        assert same_bits(dec.eigenvalues[0], sym_eig(big + skewed).eigenvalues)
+
+    def test_empty_stack(self):
+        dec = sym_eig(np.zeros((0, 3, 3)))
+        assert dec.eigenvalues.shape == (0, 3)
+        assert dec.eigenvectors.shape == (0, 3, 3)
+
+
 class TestLyapunov:
     def test_neg_identity(self):
         x = lyapunov_solve(-np.eye(2), 2.0 * np.eye(2))

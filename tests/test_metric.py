@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgesync import (
     MetricCertificate,
@@ -8,13 +10,15 @@ from edgesync import (
     convective_linearization,
     linear_model,
     lorenz_model,
+    metric,
     solve_ari,
     tanh_perturbed_model,
     verify_ari_sampled,
     verify_killing_integrability,
 )
 
-from helpers import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B
+from helpers import (DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, ari_margin_by_state,
+                     killing_integrability_by_state)
 
 
 def ball_samples(n, count=50, radius=5.0, seed=0):
@@ -125,3 +129,66 @@ class TestKillingIntegrability:
             float(np.max(np.abs(k - np.array([1.0, 2.0 + np.sin(x[0]), 0.0]) @ cert.p)))
             for x in samples)
         assert integ == by_hand > 1e-6
+
+
+def random_model(kind, rng):
+    """A model of the kind with random parameters, on 1 to 4 states (lorenz: 3)."""
+    if kind == "lorenz":
+        return lorenz_model(*rng.uniform(-30.0, 30.0, 3), rng.standard_normal(3))
+    n = int(rng.integers(1, 5))
+    a, b, k = (rng.standard_normal(shape) for shape in ((n, n), n, n))
+    if kind == "linear":
+        return linear_model(a, b, k)
+    return tanh_perturbed_model(a, b, float(rng.uniform(0.0, 2.0)), k)
+
+
+def random_certificate(n, rng):
+    m = rng.standard_normal((n, n))
+    p = m @ m.T + n * np.eye(n)
+    return MetricCertificate.from_matrix(0.5 * (p + p.T), float(rng.uniform(0.0, 5.0)),
+                                         float(rng.uniform(0.01, 2.0)))
+
+
+class TestStackedChecks:
+    """The checks evaluate a whole stack of states at once."""
+
+    @given(kind=st.sampled_from(["linear", "tanh", "lorenz"]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           count=st.integers(min_value=1, max_value=30),
+           scale=st.sampled_from([0.0, 1.0, 10.0, 1e3]))
+    @example(kind="lorenz", seed=0, count=1, scale=10.0)
+    @example(kind="tanh", seed=0, count=1, scale=0.0)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_per_state_loop(self, kind, seed, count, scale):
+        rng = np.random.default_rng(seed)
+        model = random_model(kind, rng)
+        cert = random_certificate(model.state_dim, rng)
+        samples = rng.standard_normal((count, model.state_dim)) * scale
+        margin = verify_ari_sampled(cert, model, samples)
+        assert np.float64(margin).tobytes() == np.float64(
+            ari_margin_by_state(cert, model, samples)).tobytes()
+        residuals = verify_killing_integrability(cert, model, samples)
+        assert np.array(residuals).tobytes() == np.array(
+            killing_integrability_by_state(cert, model, samples)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
+    def test_one_eigensolve_for_the_whole_stack(self, kind, monkeypatch):
+        # the margin decomposes every state's matrix in one sym_eig call;
+        # the residuals are max-norms and need none
+        rng = np.random.default_rng(11)
+        model = random_model(kind, rng)
+        cert = random_certificate(model.state_dim, rng)
+        calls = []
+        sym_eig = metric.sym_eig
+
+        def counting(a, **kwargs):
+            calls.append(np.shape(a))
+            return sym_eig(a, **kwargs)
+
+        monkeypatch.setattr(metric, "sym_eig", counting)
+        samples = ball_samples(model.state_dim, count=200)
+        verify_ari_sampled(cert, model, samples)
+        n = model.state_dim
+        assert calls == [(200, n, n)]
+        verify_killing_integrability(cert, model, samples)
+        assert calls == [(200, n, n)]

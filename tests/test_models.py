@@ -24,6 +24,18 @@ def lorenz_gain(rho, a=10.0, b=8.0 / 3.0, c=28.0):
     return solve_ari(*convective_linearization(a, b, c), rho, 0.5).gain[0]
 
 
+def one_row(fn):
+    """fn of one state, through a stack function on a one-row stack."""
+    return lambda x: fn(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def closed_loop(model, xs, u):
+    """f(x_i) + g(x_i) u_i of every row, as a stage builds it: f_all, then add_gu."""
+    out = model.f_all(xs)
+    model.add_gu(out, xs, u)
+    return out
+
+
 def fd_jacobian(fn, x, m_out):
     x = np.asarray(x, dtype=float)
     jac = np.zeros((m_out, x.size))
@@ -42,14 +54,14 @@ bounded_states = st.lists(
 class TestLinearModel:
     def test_scalar_integrator(self):
         m = linear_model(np.array([[0.0]]), np.array([1.0]), np.array([1.0]))
-        assert m.f(np.array([3.0]))[0] == 0.0
-        assert m.alpha(np.array([3.0])) == 3.0
+        assert m.f_all(np.array([[3.0]]))[0, 0] == 0.0
+        assert m.alpha_all(np.array([[3.0]]))[0] == 3.0
 
     def test_affine_alpha_gradient(self):
         m = linear_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B,
                          np.array([1.5, 0.5]))
         for x in (np.zeros(2), np.array([2.0, -1.0])):
-            grad = fd_jacobian(lambda y: np.array([m.alpha(y)]), x, 1)[0]
+            grad = fd_jacobian(lambda y: m.alpha_all(y[None, :]), x, 1)[0]
             assert np.allclose(grad, [1.5, 0.5], atol=1e-7)
 
     def test_batched_matches_single(self):
@@ -57,9 +69,9 @@ class TestLinearModel:
                          np.array([1.0, 2.0]))
         xs = np.random.default_rng(0).standard_normal((5, 2))
         for i, x in enumerate(xs):
-            assert np.array_equal(m.f_all(xs)[i], m.f(x))
+            assert np.array_equal(m.f_all(xs)[i], m.f_all(xs[i:i + 1])[0])
             assert np.array_equal(m.g(x), DOUBLE_INTEGRATOR_B)
-            assert m.alpha_all(xs)[i] == m.alpha(x)
+            assert m.alpha_all(xs)[i] == m.alpha_all(xs[i:i + 1])[0]
 
 
 class TestTanhModel:
@@ -67,8 +79,8 @@ class TestTanhModel:
         k = np.array([1.0, 1.0])
         mt = tanh_perturbed_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, 0.0, k)
         ml = linear_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, k)
-        x = np.array([0.7, -1.3])
-        assert np.array_equal(mt.f(x), ml.f(x))
+        xs = np.array([[0.7, -1.3]])
+        assert np.array_equal(mt.f_all(xs), ml.f_all(xs))
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -101,13 +113,13 @@ class TestTanhModel:
         m = tanh_perturbed_model(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, 0.1,
                                  np.array([1.0, 1.0]))
         x = np.array([0.4, -0.9])
-        assert np.allclose(m.jac_f(x), fd_jacobian(m.f, x, 2), atol=1e-8)
+        assert np.allclose(m.jac_f(x), fd_jacobian(one_row(m.f_all), x, 2), atol=1e-8)
 
 
 class TestLorenzModel:
     def test_drift_equilibrium_at_origin(self):
         m = lorenz_model(*LORENZ, np.zeros(3))
-        assert np.array_equal(m.f(np.zeros(3)), np.zeros(3))
+        assert np.array_equal(m.f_all(np.zeros((1, 3))), np.zeros((1, 3)))
 
     def test_input_field_at_origin(self):
         m = lorenz_model(*LORENZ, np.zeros(3))
@@ -115,14 +127,14 @@ class TestLorenzModel:
 
     def test_drift_at_ones(self):
         m = lorenz_model(*LORENZ, np.zeros(3))
-        assert np.allclose(m.f(np.ones(3)), [0.0, 8.0 / 3.0 - 2.0, -27.0],
+        assert np.allclose(m.f_all(np.ones((1, 3))), [[0.0, 8.0 / 3.0 - 2.0, -27.0]],
                            atol=1e-12)
 
     @given(bounded_states)
     @settings(max_examples=30, deadline=None)
     def test_jacobians_match_fd(self, x):
         m = lorenz_model(*LORENZ, np.zeros(3))
-        assert np.allclose(m.jac_f(x), fd_jacobian(m.f, x, 3),
+        assert np.allclose(m.jac_f(x), fd_jacobian(one_row(m.f_all), x, 3),
                            atol=1e-5 * max(1.0, np.max(np.abs(x))))
         assert np.allclose(m.jac_g(x), fd_jacobian(m.g, x, 3), atol=1e-8)
 
@@ -168,8 +180,9 @@ class TestDefaultFeedback:
     def test_alpha_linear_odd(self):
         m = lorenz_model(*LORENZ, lorenz_gain(10.0))
         x = np.array([1.0, -2.0, 3.0])
-        assert m.alpha(np.zeros(3)) == 0.0
-        assert m.alpha(-x) == -m.alpha(x)
+        alpha = one_row(m.alpha_all)
+        assert alpha(np.zeros(3)) == 0.0
+        assert alpha(-x) == -alpha(x)
 
     def test_scaled_closed_loop_is_hurwitz(self):
         # the design guarantees A - rho b b^T P stable, i.e. beta = rho
@@ -187,7 +200,7 @@ class TestDefaultFeedback:
         k = lorenz_gain(10.0)
         m = lorenz_model(*LORENZ, k)
         x = np.array([0.3, 0.1, -0.2])
-        assert m.alpha(x) == float(k @ x)
+        assert m.alpha_all(x[None, :])[0] == float(k @ x)
 
 
 # argument -> shape of a wrong value for it, on an n-state model
@@ -272,27 +285,74 @@ class TestBatchedKernels:
                                          x1 * x2 - c * x3))
                 g_old = input_field(m, xs)
                 f_new, g_new = m.f_all(xs), np.array([m.g(x) for x in xs])
+                g_stack = m.g(xs)
             assert same_bits(f_new, f_old)
             assert same_bits(g_new, g_old)
+            assert same_bits(g_stack, g_old)
 
     @pytest.mark.parametrize("kind", ["linear", "tanh"])
     def test_constant_input_field_matches_broadcast(self, kind):
         m = batched_models()[kind]
         for xs in kernel_stacks(2):
             assert same_bits(np.array([m.g(x) for x in xs]), input_field(m, xs))
+            assert same_bits(m.g(xs), input_field(m, xs))
 
     @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
     def test_fields_return_fresh_writable_arrays(self, kind):
-        # the integrator accumulates the stage derivative in these arrays
+        # the caller owns the result: the integrator accumulates the stage
+        # derivative in f_all's
         m = batched_models()[kind]
         xs = np.random.default_rng(3).standard_normal((6, m.state_dim))
-        u = np.arange(6.0)
-        for field in (m.f_all, lambda xs: m.field_all(xs, u)):
+        for field in (m.f_all, m.g):
             out, again = field(xs), field(xs)
             assert out.shape == xs.shape and out.dtype == np.float64
             assert out.flags.c_contiguous and out.flags.writeable
             assert not np.shares_memory(out, xs)
             assert not np.shares_memory(out, again)
+
+
+def jacobians_by_state(model, x):
+    """(jac_f, jac_g) at one state from the single-state formulas the stacks replaced."""
+    n = model.state_dim
+    if model.name == "lorenz":
+        a, b, c = (model.params[key] for key in "abc")
+        x1, x2, x3 = x
+        jac_g = np.zeros((3, 3))
+        jac_g[1, 0] = np.cos(x1)
+        return np.array([[-a, a, 0.0], [b - x3, -1.0, -x1], [x2, x1, -c]]), jac_g
+    jac_f = model.params["a"]
+    if model.name == "tanh_perturbed":
+        jac_f = jac_f + model.params["gamma"] * np.diag(1.0 / np.cosh(x) ** 2)
+    return jac_f, np.zeros((n, n))
+
+
+class TestStackedJacobians:
+    """jac_f, jac_g and g on (..., n) stacks against the per-state formulas."""
+
+    @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)],
+                             ids=["state", "one_row", "rows", "grid"])
+    def test_stack_matches_each_state(self, kind, shape):
+        m = batched_models()[kind]
+        n = m.state_dim
+        xs = np.random.default_rng(4).standard_normal(shape + (n,)) * 5.0
+        jac_f, jac_g, g = m.jac_f(xs), m.jac_g(xs), m.g(xs)
+        assert jac_f.shape == jac_g.shape == shape + (n, n)
+        assert g.shape == shape + (n,)
+        for index in np.ndindex(*shape):
+            want_f, want_g = jacobians_by_state(m, xs[index])
+            assert same_bits(jac_f[index], want_f)
+            assert same_bits(jac_g[index], want_g)
+            assert same_bits(g[index], input_field(m, xs[index][None, :])[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tanh_jacobian_far_out_is_linear_without_warning(self):
+        # cosh(1000) overflows to inf, so sech^2 is 0: the Jacobian is A
+        # there, and the overflow raises no RuntimeWarning
+        m = batched_models()["tanh"]
+        for x, sech2 in (([1000.0, 0.0], [0.0, 1.0]), ([-1000.0, 1e308], [0.0, 0.0])):
+            want = DOUBLE_INTEGRATOR_A + 0.2 * np.diag(sech2)
+            assert same_bits(m.jac_f(np.array(x)), want)
 
 
 class BoundKernels:
@@ -322,7 +382,7 @@ def kernel_inputs(rows):
 
 
 class TestBoundKernels:
-    """Kernels bound once to buffers against the wrappers on fresh arrays."""
+    """Kernels bound once to buffers against the same kernels on fresh arrays."""
 
     @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
     def test_kernels_match_wrappers(self, kind):
@@ -332,7 +392,7 @@ class TestBoundKernels:
                 u = kernel_inputs(len(xs))
                 drift, field, alphas = BoundKernels(m, len(xs)).run(xs, u)
                 assert same_bits(drift, m.f_all(xs))
-                assert same_bits(field, m.field_all(xs, u))
+                assert same_bits(field, closed_loop(m, xs, u))
                 assert same_bits(alphas, m.alpha_all(xs))
 
     @pytest.mark.parametrize("kind", ["linear", "tanh", "lorenz"])
@@ -346,7 +406,7 @@ class TestBoundKernels:
                 u = kernel_inputs(len(xs))[::-1]
                 drift, field, alphas = kernels.run(xs, u)
                 assert same_bits(drift, m.f_all(xs))
-                assert same_bits(field, m.field_all(xs, u))
+                assert same_bits(field, closed_loop(m, xs, u))
                 assert same_bits(alphas, m.alpha_all(xs))
 
 
@@ -365,7 +425,7 @@ SIGNED_ZEROS = (np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]), np.array([-0.0,
 
 
 class TestFieldAll:
-    """field_all(xs, u) has the bits of f_all(xs) + g(xs) * u[:, None], g in closed form."""
+    """f_all then add_gu has the bits of f_all(xs) + g(xs) * u[:, None], g in closed form."""
 
     @pytest.mark.parametrize("kind", ["linear", "tanh"])
     @given(data=stacks_and_inputs(2))
@@ -376,7 +436,7 @@ class TestFieldAll:
         m = batched_models()[kind]
         with np.errstate(over="ignore", invalid="ignore"):
             expected = m.f_all(xs) + input_field(m, xs) * u[:, None]
-            assert same_bits(m.field_all(xs, u), expected)
+            assert same_bits(closed_loop(m, xs, u), expected)
 
     @given(data=stacks_and_inputs(3))
     @example(data=SIGNED_ZEROS)
@@ -386,10 +446,10 @@ class TestFieldAll:
         m = batched_models()["lorenz"]
         with np.errstate(over="ignore", invalid="ignore"):
             expected = m.f_all(xs) + input_field(m, xs) * u[:, None]
-            out = m.field_all(xs, u)
+            out = closed_loop(m, xs, u)
             drift = m.f_all(xs)
         assert same_bits(out[:, :2], expected[:, :2])
-        # g is 0 in column 2, so field_all leaves the drift there alone.
+        # g is 0 in column 2, so add_gu leaves the drift there alone.
         # 0*u + f2 can differ from f2 in the sign of a zero (+0 + -0 is
         # +0), so that column equals the sum only as a number.
         assert same_bits(out[:, 2], drift[:, 2])
